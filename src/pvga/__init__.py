@@ -5,17 +5,13 @@ approximated by the Gaussian N(xbar, C) maximizing the evidence lower bound,
 via alternating Newton (mean) and fixed-point (covariance) updates, with
 dense, low-rank, and masked execution paths, hierarchical estimation of the
 prior strength, and MAP/Laplace/MCMC validation tools.
-
-Set ``PVGA_DISABLE_NUMBA=1`` before import to force the pure-numpy kernels.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .elbo import (
     ElboBreakdown,
     GaussianState,
     bregman_divergence,
     elbo,
-    evidence_quadrature,
     gaussian_kl,
     grad_cov,
     grad_mean,
@@ -93,6 +89,7 @@ from .validate import (
     McmcConfig,
     OrbitDiagnostics,
     compare_gaussians,
+    evidence_quadrature,
     hpd_intervals,
     laplace_approximation,
     map_estimate,

@@ -1,23 +1,15 @@
-"""Hot numerical kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numerical kernels, in numpy and scipy.
 
 The expensive inner loops of the package live here: row-wise quadratic forms
 a_i^t C a_i (the per-row diagonal of A C A^t), masked low-rank entry
-materialization, and the sequential Metropolis accept/reject scan.
-
-Backend selection: numba is used when importable unless the environment
-variable ``PVGA_DISABLE_NUMBA`` is set to a truthy value (``1``, ``true``,
-``yes``), in which case the numpy implementations are used.  Both
-implementations are importable under stable names so they can be compared
-(see ``benchmarks/bench_kernels.py`` and the kernel tests).  One exception:
-the dense row-wise quadratic form is BLAS-bound, where a compiled loop
-loses badly to dgemm, so it routes to the numpy path on both backends.
+materialization, and the sequential Metropolis accept/reject scan.  The
+solver looks each kernel up on this module, so the names are stable.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "BACKEND",
@@ -27,41 +19,30 @@ __all__ = [
     "mh_scan",
 ]
 
+BACKEND = "numpy"
 
-def _env_disabled() -> bool:
-    return os.environ.get("PVGA_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-# Cap on the size of gather temporaries (n_rows * nnz entries) used by the
-# vectorized masked kernels; larger workloads are processed in chunks.
+# Cap on the size of the gather temporaries (nnz * rank entries) in
+# lowrank_masked_dots; larger workloads are processed in chunks.
 _CHUNK_ELEMS = 2**24
 
 
-def np_rowwise_quad_full(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+def rowwise_quad_full(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     """diag(A C A^t) for dense C, i.e. out[i] = a_i^t C a_i."""
     return np.einsum("ij,ij->i", A @ C, A)
 
 
-def np_rowwise_quad_masked(A, rows, cols, vals) -> np.ndarray:
-    """diag(A C A^t) where C is given by symmetric coordinate entries.
+def rowwise_quad_masked(A, rows, cols, vals) -> np.ndarray:
+    """diag(A C A^t) where C is given by coordinate entries.
 
-    out[i] = sum_p A[i, rows[p]] * vals[p] * A[i, cols[p]].
+    out[i] = sum_p A[i, rows[p]] * vals[p] * A[i, cols[p]]; repeated
+    (row, col) pairs add up.
     """
-    n = A.shape[0]
-    nnz = rows.size
-    out = np.zeros(n)
-    step = max(1, _CHUNK_ELEMS // max(n, 1))
-    for lo in range(0, nnz, step):
-        hi = min(nnz, lo + step)
-        out += (A[:, rows[lo:hi]] * A[:, cols[lo:hi]]) @ vals[lo:hi]
-    return out
+    m = A.shape[1]
+    C = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    return np.einsum("ij,ji->i", A, C @ A.T)
 
 
-def np_lowrank_masked_dots(WM, W, rows, cols) -> np.ndarray:
+def lowrank_masked_dots(WM, W, rows, cols) -> np.ndarray:
     """Entries (WM W^t)[rows[p], cols[p]] of a low-rank product, per pair."""
     nnz = rows.size
     r = WM.shape[1]
@@ -73,7 +54,7 @@ def np_lowrank_masked_dots(WM, W, rows, cols) -> np.ndarray:
     return out
 
 
-def np_mh_scan(log_w, log_u, log_w0):
+def mh_scan(log_w, log_u, log_w0):
     """Sequential independence-sampler scan over precomputed log weights.
 
     log_w[k] is the log importance weight (log target - log proposal) of the
@@ -94,91 +75,3 @@ def np_mh_scan(log_w, log_u, log_w0):
             n_acc += 1
         idx[k] = cur
     return idx, n_acc
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (compiled lazily at import when enabled)
-# ---------------------------------------------------------------------------
-
-_HAS_NUMBA = False
-if not _env_disabled():
-    try:
-        import numba as nb
-
-        _HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is an install dependency
-        _HAS_NUMBA = False
-
-if _HAS_NUMBA:
-
-    @nb.njit(parallel=True, cache=True)
-    def nb_rowwise_quad_full(A, C):  # pragma: no cover - exercised via dispatch
-        n, m = A.shape
-        out = np.empty(n)
-        for i in nb.prange(n):
-            acc = 0.0
-            for j in range(m):
-                aij = A[i, j]
-                if aij != 0.0:
-                    t = 0.0
-                    for k in range(m):
-                        t += C[j, k] * A[i, k]
-                    acc += aij * t
-            out[i] = acc
-        return out
-
-    @nb.njit(parallel=True, cache=True)
-    def nb_rowwise_quad_masked(A, rows, cols, vals):  # pragma: no cover
-        n = A.shape[0]
-        nnz = rows.size
-        out = np.empty(n)
-        for i in nb.prange(n):
-            acc = 0.0
-            for p in range(nnz):
-                acc += A[i, rows[p]] * vals[p] * A[i, cols[p]]
-            out[i] = acc
-        return out
-
-    @nb.njit(parallel=True, cache=True)
-    def nb_lowrank_masked_dots(WM, W, rows, cols):  # pragma: no cover
-        nnz = rows.size
-        r = WM.shape[1]
-        out = np.empty(nnz)
-        for p in nb.prange(nnz):
-            i = rows[p]
-            j = cols[p]
-            acc = 0.0
-            for q in range(r):
-                acc += WM[i, q] * W[j, q]
-            out[p] = acc
-        return out
-
-    @nb.njit(cache=True)
-    def nb_mh_scan(log_w, log_u, log_w0):  # pragma: no cover
-        K = log_w.size
-        idx = np.empty(K, np.int64)
-        cur = -1
-        cur_w = log_w0
-        n_acc = 0
-        for k in range(K):
-            if log_u[k] < log_w[k] - cur_w:
-                cur = k
-                cur_w = log_w[k]
-                n_acc += 1
-            idx[k] = cur
-        return idx, n_acc
-
-    BACKEND = "numba"
-    # The dense triple product is BLAS-bound: dgemm beats the compiled loop
-    # by ~20x at m ~ 1000, so it always dispatches to the numpy path.  The
-    # compiled variant stays importable for the benchmark comparison.
-    rowwise_quad_full = np_rowwise_quad_full
-    rowwise_quad_masked = nb_rowwise_quad_masked
-    lowrank_masked_dots = nb_lowrank_masked_dots
-    mh_scan = nb_mh_scan
-else:
-    BACKEND = "numpy"
-    rowwise_quad_full = np_rowwise_quad_full
-    rowwise_quad_masked = np_rowwise_quad_masked
-    lowrank_masked_dots = np_lowrank_masked_dots
-    mh_scan = np_mh_scan

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import _kernels
-from .errors import DimensionMismatch, DimensionTooLarge, NotPositiveDefinite
+from .errors import DimensionMismatch
 from .linalg import SparsityMask, cholesky, logdet, spd_inverse, spd_solve, symmetrize
 from .model import LOG_RATE_LIMIT, ForwardOperator, PoissonData, PriorSpec
 
@@ -32,7 +31,6 @@ __all__ = [
     "bregman_divergence",
     "optimality_residual",
     "gaussian_kl",
-    "evidence_quadrature",
 ]
 
 _GRAD_COV_DENSE_LIMIT = 2000
@@ -238,84 +236,3 @@ def gaussian_kl(q1: GaussianState, q2: GaussianState) -> float:
     delta = q1.mean - q2.mean
     quad = float(delta @ spd_solve(q2.cov, delta, chol=q2.chol()))
     return 0.5 * (bregman_divergence(q1.cov, q2.cov) + quad)
-
-
-def _map_center(A: ForwardOperator, data: PoissonData, prior: PriorSpec):
-    """Posterior mode and Hessian for centering the quadrature (tiny m only)."""
-    Ad = A.dense()
-    x = prior.mu0.copy()
-    prec = prior.prec_dense()
-    for _ in range(100):
-        r = np.exp(np.minimum(Ad @ x, LOG_RATE_LIMIT))
-        g = Ad.T @ (r - data.y) + prior.prec_apply(x - prior.mu0)
-        H = Ad.T @ (r[:, None] * Ad) + prec
-        step = np.linalg.solve(H, g)
-        # halve until the posterior gradient norm decreases (globalization)
-        t = 1.0
-        gn = np.linalg.norm(g)
-        for _ in range(30):
-            xn = x - t * step
-            rn = np.exp(np.minimum(Ad @ xn, LOG_RATE_LIMIT))
-            gnew = Ad.T @ (rn - data.y) + prior.prec_apply(xn - prior.mu0)
-            if np.linalg.norm(gnew) <= gn:
-                break
-            t /= 2.0
-        x = x - t * step
-        if np.linalg.norm(g) < 1e-12:
-            break
-    r = np.exp(np.minimum(Ad @ x, LOG_RATE_LIMIT))
-    H = Ad.T @ (r[:, None] * Ad) + prec
-    return x, H
-
-
-def _log_joint_batch(X: np.ndarray, Ad: np.ndarray, data: PoissonData, prior: PriorSpec) -> np.ndarray:
-    Z = X @ Ad.T
-    ll = Z @ data.y - np.exp(np.minimum(Z, LOG_RATE_LIMIT)).sum(axis=1) - data.log_factorial_term
-    V = (X - prior.mu0) @ prior.L.T
-    lp = (
-        -0.5 * prior.alpha * np.einsum("ij,ij->i", V, V)
-        - 0.5 * prior.m * np.log(2.0 * np.pi)
-        + 0.5 * prior.logdet_prec()
-    )
-    return ll + lp
-
-
-def evidence_quadrature(A: ForwardOperator, data: PoissonData, prior: PriorSpec, grid: int | None = None) -> float:
-    """ln Z by tensor Gauss-Hermite quadrature centered at the Laplace fit.
-
-    Substituting x = xhat + sqrt(2) L u with L L^t = H^{-1} gives
-
-        ln Z = (m/2) ln 2 + ln|L| + ln sum_i w_i e^{g(x_i) + |u_i|^2}.
-
-    With ``grid=None`` the degree is refined (24, 32, ..., 72) until two
-    successive values agree to 5e-9; an explicit ``grid`` fixes the degree.
-    Only for m <= 3 -- node count is exponential in m.
-    """
-    m = prior.m
-    if m > 3:
-        raise DimensionTooLarge(f"tensor quadrature supports m <= 3, got {m}")
-    Ad = A.dense()
-    xhat, H = _map_center(A, data, prior)
-    Lh = cholesky(np.linalg.inv(H))
-    base = 0.5 * m * np.log(2.0) + float(np.sum(np.log(np.diag(Lh))))
-
-    def _value(deg: int) -> float:
-        nodes, weights = np.polynomial.hermite.hermgauss(deg)
-        grids = np.meshgrid(*([nodes] * m), indexing="ij")
-        U = np.stack([g.ravel() for g in grids], axis=1)
-        lw = np.log(weights)
-        wgrids = np.meshgrid(*([lw] * m), indexing="ij")
-        logw = sum(g.ravel() for g in wgrids)
-        X = xhat[None, :] + np.sqrt(2.0) * (U @ Lh.T)
-        g = _log_joint_batch(X, Ad, data, prior)
-        return base + float(logsumexp(logw + g + np.einsum("ij,ij->i", U, U)))
-
-    if grid is not None:
-        return _value(int(grid))
-    prev = _value(24)
-    for deg in range(32, 80, 8):
-        cur = _value(deg)
-        if abs(cur - prev) < 5e-9:
-            return cur
-        prev = cur
-    return prev

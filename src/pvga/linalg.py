@@ -210,14 +210,12 @@ class SparsityMask:
             raise DimensionMismatch("mask rows/cols must be equal-length 1-d arrays")
         if rows.size and (rows.min() < 0 or rows.max() >= dim or cols.min() < 0 or cols.max() >= dim):
             raise DimensionMismatch("mask indices out of range")
-        # Symmetrize and add the diagonal, dropping duplicates.
-        keys = set(zip(rows.tolist(), cols.tolist()))
-        keys |= {(j, i) for (i, j) in keys}
-        keys |= {(i, i) for i in range(dim)}
-        pairs = sorted(keys)
+        # Symmetrize and add the diagonal, dropping duplicates; the linear
+        # index i * dim + j sorts the pairs row-major.
         self.dim = int(dim)
-        self.rows = np.array([p[0] for p in pairs], dtype=np.int64)
-        self.cols = np.array([p[1] for p in pairs], dtype=np.int64)
+        diag = np.arange(self.dim, dtype=np.int64) * (self.dim + 1)
+        keys = np.unique(np.concatenate([rows * self.dim + cols, cols * self.dim + rows, diag]))
+        self.rows, self.cols = np.divmod(keys, self.dim)
 
     @classmethod
     def banded(cls, dim: int, s: int) -> "SparsityMask":

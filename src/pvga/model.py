@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.special import gammaln
 
 from .errors import (
@@ -179,27 +180,6 @@ class ForwardOperator:
             F = self._payload
             return F.V @ (F.S[:, None] * (F.U.T @ Y))
         return np.column_stack([self.rmatvec(Y[:, j]) for j in range(Y.shape[1])])
-
-    def row(self, i: int) -> np.ndarray:
-        """The i-th row a_i of A."""
-        if not 0 <= i < self._n:
-            raise DimensionMismatch(f"row index {i} out of range")
-        if self.kind == "dense":
-            return self._payload[i]
-        if self.kind == "lowrank":
-            F = self._payload
-            return (F.U[i] * F.S) @ F.V.T
-        if self.kind == "conv1d":
-            _, _, taps = self._payload
-            return taps[i : i + self._m][::-1]
-        T = self._payload["T"]
-        side = self._payload["side"]
-        return np.kron(T[i // side], T[i % side])
-
-    def row_dot(self, i: int, x) -> float:
-        """Row inner product (a_i, x)."""
-        x = self._check_vec(x, self._m)
-        return float(self.row(i) @ x)
 
     def dense(self) -> np.ndarray:
         """Materialize A as a dense array (cached)."""
@@ -525,8 +505,8 @@ def make_prior(kind: str, alpha: float, m: int, mu0=None) -> PriorSpec:
         if side * side != m:
             raise ConfigError(f"H1_2D prior needs a square grid; m={m} is not a perfect square")
         L1 = _forward_difference(side)
-        eye = np.eye(side)
-        L = np.kron(eye, L1) + np.kron(L1, eye)
+        eye = scipy.sparse.identity(side)
+        L = (scipy.sparse.kron(eye, L1) + scipy.sparse.kron(L1, eye)).toarray()
     else:
         raise ConfigError(f"unknown prior kind {kind!r}; options: L2, H1, H1_2D")
     return PriorSpec(mu0, L, alpha)

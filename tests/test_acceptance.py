@@ -28,7 +28,6 @@ from pvga import (
 from pvga.cli import main
 from pvga.elbo import (
     elbo,
-    evidence_quadrature,
     grad_cov,
     grad_mean,
     optimality_residual,
@@ -44,6 +43,7 @@ from pvga.hyper import (
 from pvga.validate import (
     McmcConfig,
     compare_gaussians,
+    evidence_quadrature,
     map_estimate,
     mh_independence_sampler,
     orbit_check,

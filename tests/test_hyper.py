@@ -240,6 +240,7 @@ def test_alpha_collapse(rng):
         run_hierarchical(A, data, prior, HyperConfig(b=1e15))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_degenerate_fixed_point_flag():
     m = 4
     y = 1000 * np.ones(m, dtype=int)

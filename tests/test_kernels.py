@@ -1,8 +1,4 @@
-"""The hot kernels against naive references, and numpy/numba agreement."""
-
-import os
-import subprocess
-import sys
+"""The hot kernels against naive references."""
 
 import numpy as np
 
@@ -17,7 +13,7 @@ def test_rowwise_quad_full_matches_naive(rng):
     A = rng.standard_normal((17, 9))
     M = rng.standard_normal((9, 9))
     C = M @ M.T
-    out = _kernels.np_rowwise_quad_full(A, C)
+    out = _kernels.rowwise_quad_full(A, C)
     np.testing.assert_allclose(out, naive_quad_full(A, C), rtol=1e-12)
 
 
@@ -29,30 +25,19 @@ def test_rowwise_quad_masked_matches_full_on_full_mask(rng):
     rows, cols = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     rows, cols = rows.ravel(), cols.ravel()
     vals = C[rows, cols]
-    out = _kernels.np_rowwise_quad_masked(A, rows, cols, vals)
+    out = _kernels.rowwise_quad_masked(A, rows, cols, vals)
     np.testing.assert_allclose(out, naive_quad_full(A, C), rtol=1e-12)
 
 
 def test_rowwise_quad_masked_uses_only_given_entries(rng):
-    # off-mask entries of C must not contribute
+    # off-mask entries of C must not contribute; repeated pairs add up
     A = rng.standard_normal((5, 6))
-    rows = np.array([0, 1, 2, 1, 2, 3])
-    cols = np.array([0, 1, 2, 2, 1, 3])
+    rows = np.array([0, 1, 2, 1, 2, 3, 1, 3, 1])
+    cols = np.array([0, 1, 2, 2, 1, 3, 2, 3, 2])
     vals = rng.standard_normal(rows.size)
-    out = _kernels.np_rowwise_quad_masked(A, rows, cols, vals)
+    out = _kernels.rowwise_quad_masked(A, rows, cols, vals)
     expect = np.array([sum(a[i] * a[j] * v for i, j, v in zip(rows, cols, vals)) for a in A])
     np.testing.assert_allclose(out, expect, rtol=1e-12)
-
-
-def test_masked_quad_is_chunk_size_independent(rng, monkeypatch):
-    A = rng.standard_normal((60, 12))
-    rows = rng.integers(0, 12, 400)
-    cols = rng.integers(0, 12, 400)
-    vals = rng.standard_normal(400)
-    big = _kernels.np_rowwise_quad_masked(A, rows, cols, vals)
-    monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", 64)
-    small = _kernels.np_rowwise_quad_masked(A, rows, cols, vals)
-    np.testing.assert_allclose(big, small, rtol=1e-12)
 
 
 def test_lowrank_masked_dots_matches_dense_product(rng):
@@ -61,7 +46,7 @@ def test_lowrank_masked_dots_matches_dense_product(rng):
     W = rng.standard_normal((m, r))
     rows = rng.integers(0, m, 50)
     cols = rng.integers(0, m, 50)
-    out = _kernels.np_lowrank_masked_dots(WM, W, rows, cols)
+    out = _kernels.lowrank_masked_dots(WM, W, rows, cols)
     full = WM @ W.T
     np.testing.assert_allclose(out, full[rows, cols], rtol=1e-12)
 
@@ -80,7 +65,7 @@ def mh_scan_reference(log_w, log_u, log_w0):
 def test_mh_scan_matches_reference(rng):
     log_w = rng.standard_normal(500)
     log_u = np.log(rng.uniform(size=500))
-    idx, acc = _kernels.np_mh_scan(log_w, log_u, 0.3)
+    idx, acc = _kernels.mh_scan(log_w, log_u, 0.3)
     ref_idx, ref_acc = mh_scan_reference(log_w, log_u, 0.3)
     np.testing.assert_array_equal(idx, ref_idx)
     assert acc == ref_acc
@@ -89,49 +74,6 @@ def test_mh_scan_matches_reference(rng):
 def test_mh_scan_rejects_minus_inf_weights(rng):
     log_w = np.array([-np.inf, 0.5, -np.inf, 0.1])
     log_u = np.log(rng.uniform(size=4))
-    idx, acc = _kernels.np_mh_scan(log_w, log_u, 0.0)
+    idx, acc = _kernels.mh_scan(log_w, log_u, 0.0)
     assert idx[0] == -1  # first proposal impossible, chain stays at the start
     assert -np.inf not in log_w[idx[idx >= 0]]
-
-
-def test_numba_variants_agree_with_numpy(rng):
-    if not _kernels._HAS_NUMBA:
-        import pytest
-
-        pytest.skip("numba not importable here")
-    A = rng.standard_normal((23, 10))
-    M = rng.standard_normal((10, 10))
-    C = M @ M.T
-    np.testing.assert_allclose(
-        _kernels.nb_rowwise_quad_full(A, C), _kernels.np_rowwise_quad_full(A, C), rtol=1e-12
-    )
-    rows = rng.integers(0, 10, 64)
-    cols = rng.integers(0, 10, 64)
-    vals = C[rows, cols]
-    np.testing.assert_allclose(
-        _kernels.nb_rowwise_quad_masked(A, rows, cols, vals),
-        _kernels.np_rowwise_quad_masked(A, rows, cols, vals),
-        rtol=1e-12,
-    )
-    WM = rng.standard_normal((10, 3))
-    W = rng.standard_normal((10, 3))
-    np.testing.assert_allclose(
-        _kernels.nb_lowrank_masked_dots(WM, W, rows, cols),
-        _kernels.np_lowrank_masked_dots(WM, W, rows, cols),
-        rtol=1e-12,
-    )
-    log_w = rng.standard_normal(300)
-    log_u = np.log(rng.uniform(size=300))
-    i1, a1 = _kernels.nb_mh_scan(log_w, log_u, -0.2)
-    i2, a2 = _kernels.np_mh_scan(log_w, log_u, -0.2)
-    np.testing.assert_array_equal(i1, i2)
-    assert a1 == a2
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, PVGA_DISABLE_NUMBA="1")
-    code = "import pvga; print(pvga.KERNEL_BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numpy"

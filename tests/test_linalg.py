@@ -240,6 +240,26 @@ def test_grid4_mask_neighbors():
     assert not B[0, 8] and not B[0, 4]  # no diagonal adjacency
 
 
+def test_mask_coordinates_are_deduplicated_symmetric_and_row_major():
+    # unsorted input, a repeated pair, a pair given both ways, one-sided pairs;
+    # the row-major order fixes the row order of masked covariance output
+    mask = SparsityMask(4, [3, 0, 2, 0, 1, 2], [1, 2, 0, 2, 1, 3])
+    np.testing.assert_array_equal(mask.rows, [0, 0, 1, 1, 2, 2, 2, 3, 3, 3])
+    np.testing.assert_array_equal(mask.cols, [0, 2, 1, 3, 0, 2, 3, 1, 2, 3])
+    assert mask.rows.dtype == mask.cols.dtype == np.int64
+
+
+def test_mask_coordinates_match_sorted_pair_set(rng):
+    for _ in range(20):
+        dim = int(rng.integers(1, 15))
+        rows = rng.integers(0, dim, 30)
+        cols = rng.integers(0, dim, 30)
+        pairs = set(zip(rows.tolist(), cols.tolist()))
+        pairs |= {(j, i) for i, j in pairs} | {(i, i) for i in range(dim)}
+        mask = SparsityMask(dim, rows, cols)
+        assert list(zip(mask.rows.tolist(), mask.cols.tolist())) == sorted(pairs)
+
+
 def test_mask_apply_projects(rng):
     M = rng.standard_normal((4, 4))
     mask = SparsityMask.banded(4, 1)

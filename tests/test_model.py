@@ -192,9 +192,6 @@ def test_all_representations_match_dense(rng):
         u = rng.standard_normal(A.n_rows)
         np.testing.assert_allclose(A.matvec(x), dense @ x, atol=1e-10)
         np.testing.assert_allclose(A.rmatvec(u), dense.T @ u, atol=1e-10)
-        for i in (0, A.n_rows - 1):
-            np.testing.assert_allclose(A.row(i), dense[i], atol=1e-12)
-            np.testing.assert_allclose(A.row_dot(i, x), dense[i] @ x, atol=1e-10)
         X = rng.standard_normal((A.n_cols, 3))
         np.testing.assert_allclose(A.matmat(X), dense @ X, atol=1e-10)
 
