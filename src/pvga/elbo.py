@@ -126,11 +126,6 @@ def _exp_rates(state: GaussianState, d: np.ndarray) -> np.ndarray:
     return np.exp(d)
 
 
-def _trace_prec_cov(prior: PriorSpec, C: np.ndarray) -> float:
-    """tr(C0^{-1} C) = alpha * sum(Cbar0^{-1} o C)."""
-    return prior.alpha * float(np.sum(prior._s.prec_base() * C))
-
-
 def elbo(state: GaussianState, A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> ElboBreakdown:
     """Evaluate F and its breakdown.  Raises NotPositiveDefinite via ln|C|."""
     if data.n != A.n_rows or prior.m != state.dim:
@@ -159,7 +154,7 @@ def _bound_with_logdet(
     fit = float(data.y @ z - rates.sum())
     v = state.mean - prior.mu0
     mean_penalty = 0.5 * prior.alpha * prior.quad_base(v)
-    tr_term = _trace_prec_cov(prior, state.cov)
+    tr_term = prior.alpha * prior.trace_base(state.cov)
     # constant pieces -1/2 ln|C0| + m/2 - (1, ln y!) are cached on prior/data
     total = (
         fit

@@ -105,8 +105,7 @@ def phi_psi(
     reassemble F_alpha exactly at the alpha carried by ``prior_structure``.
     """
     v = state.mean - prior_structure.mu0
-    tr_base = float(np.sum(prior_structure._s.prec_base() * state.cov))
-    psi = -0.5 * prior_structure.quad_base(v) - 0.5 * tr_base
+    psi = -0.5 * prior_structure.quad_base(v) - 0.5 * prior_structure.trace_base(state.cov)
     F = elbo(state, A, data, prior_structure).total
     return F - prior_structure.alpha * psi, psi
 
@@ -114,9 +113,7 @@ def phi_psi(
 def update_alpha(state: GaussianState, prior_structure: PriorSpec, a: float, b: float, m: int) -> float:
     """M-step: alpha = (m + 2(a-1)) / (quad + trace + 2b) = (m/2+a-1)/(b - psi)."""
     v = state.mean - prior_structure.mu0
-    quad = prior_structure.quad_base(v)
-    tr_base = float(np.sum(prior_structure._s.prec_base() * state.cov))
-    denom = quad + tr_base + 2.0 * b
+    denom = prior_structure.quad_base(v) + prior_structure.trace_base(state.cov) + 2.0 * b
     if denom <= 0:
         raise NonpositiveDenominator(
             f"alpha update denominator {denom:.3e} is nonpositive (b must be > 0)"

@@ -81,21 +81,11 @@ def spd_inverse(M: np.ndarray, chol: np.ndarray | None = None) -> np.ndarray:
 
 
 def spd_rcond(M: np.ndarray, chol: np.ndarray | None = None) -> float:
-    """Reciprocal 1-norm condition estimate of an SPD matrix.
-
-    Uses LAPACK's ``pocon`` estimator on the Cholesky factor; falls back on an
-    eigenvalue ratio if the LAPACK binding is unavailable.
-    """
+    """Reciprocal 1-norm condition estimate of an SPD matrix, from LAPACK's
+    ``pocon`` estimator on the (lower) Cholesky factor."""
     L = cholesky(M) if chol is None else chol
-    anorm = float(np.linalg.norm(M, 1))
-    try:
-        rcond, info = scipy.linalg.lapack.dpocon(L, anorm, lower=1)
-        if info == 0:
-            return float(rcond)
-    except Exception:
-        pass
-    w = np.linalg.eigvalsh(M)
-    return float(w[0] / w[-1]) if w[-1] > 0 else 0.0
+    rcond, _info = scipy.linalg.lapack.dpocon(L, float(np.linalg.norm(M, 1)), uplo="L")
+    return float(rcond)
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.special import gammaln
 
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     UnknownProblem,
     ConfigError,
 )
-from .linalg import LowRankFactor, cholesky
+from .linalg import LowRankFactor
 
 __all__ = [
     "ForwardOperator",
@@ -121,10 +122,6 @@ class ForwardOperator:
     def n_cols(self) -> int:
         return self._m
 
-    @property
-    def factor(self) -> LowRankFactor | None:
-        return self._payload if self.kind == "lowrank" else None
-
     def _check_vec(self, x, length):
         x = np.asarray(x, dtype=float)
         if x.shape != (length,):
@@ -223,55 +220,66 @@ class PoissonData:
 
 
 class _PriorStructure:
-    """Shared per-(mu0, L) caches so rescaled priors reuse factorizations."""
+    """Shared per-(mu0, L) caches so rescaled priors reuse one factorization.
 
-    def __init__(self, mu0: np.ndarray, L: np.ndarray):
+    L is factored on first use by a sparse LU in its natural column order,
+    under which a triangular L (every built-in prior) factors with no fill.
+    """
+
+    def __init__(self, mu0: np.ndarray, L):
         self.mu0 = mu0
         self.L = L
         self.m = mu0.size
-        self.lower_triangular = bool(np.all(np.abs(np.triu(L, 1)) < 1e-14))
-        self._prec = None  # L^t L
-        self._cov = None  # (L^t L)^{-1}
+        self._lu = None
+        self._prec = None  # L^t L, sparse
+        self._cov = None  # (L^t L)^{-1}, dense
         self._logdet_prec = None
 
-    def prec_base(self) -> np.ndarray:
+    def _factor(self):
+        if self._lu is None:
+            try:
+                self._lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(self.L), permc_spec="NATURAL")
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise InvalidData("precision factor is singular") from exc
+        return self._lu
+
+    def solve(self, X: np.ndarray) -> np.ndarray:
+        """Cbar0 X = L^{-1} L^{-t} X."""
+        lu = self._factor()
+        return lu.solve(lu.solve(X, trans="T"))
+
+    def prec_base(self):
         if self._prec is None:
-            self._prec = self.L.T @ self.L
+            Lc = scipy.sparse.csc_matrix(self.L)
+            self._prec = (Lc.T @ Lc).tocsr()
         return self._prec
 
     def cov_base(self) -> np.ndarray:
         if self._cov is None:
-            if self.lower_triangular:
-                Linv = scipy.linalg.solve_triangular(self.L, np.eye(self.m), lower=True)
-            else:
-                Linv = np.linalg.inv(self.L)
-            self._cov = Linv @ Linv.T
-            self._cov = (self._cov + self._cov.T) / 2.0
+            cov = self.solve(np.eye(self.m))
+            self._cov = (cov + cov.T) / 2.0
         return self._cov
 
     def logdet_prec_base(self) -> float:
+        """ln|L^t L| = 2 sum ln|U_ii| (the LU's L has a unit diagonal)."""
         if self._logdet_prec is None:
-            if self.lower_triangular:
-                diag = np.abs(np.diag(self.L))
-                if np.any(diag == 0):
-                    raise InvalidData("precision factor is singular")
-                self._logdet_prec = 2.0 * float(np.sum(np.log(diag)))
-            else:
-                sign, ld = np.linalg.slogdet(self.L)
-                if sign == 0:
-                    raise InvalidData("precision factor is singular")
-                self._logdet_prec = 2.0 * float(ld)
+            self._logdet_prec = 2.0 * float(np.sum(np.log(np.abs(self._factor().U.diagonal()))))
         return self._logdet_prec
 
 
 class PriorSpec:
-    """Gaussian prior N(mu0, alpha^{-1} Cbar0) with Cbar0^{-1} = L^t L."""
+    """Gaussian prior N(mu0, alpha^{-1} Cbar0) with Cbar0^{-1} = L^t L.
+
+    ``L`` is a dense array or a ``scipy.sparse`` matrix; it is factored once,
+    on first use, and the factorization is shared by every :meth:`with_alpha`
+    rescaling.
+    """
 
     def __init__(self, mu0, L, alpha: float, _structure: _PriorStructure | None = None):
         if alpha <= 0 or not np.isfinite(alpha):
             raise InvalidAlpha(f"alpha must be positive and finite, got {alpha}")
         mu0 = np.asarray(mu0, dtype=float)
-        L = np.asarray(L, dtype=float)
+        L = L.astype(float, copy=False) if scipy.sparse.issparse(L) else np.asarray(L, dtype=float)
         if mu0.ndim != 1 or L.shape != (mu0.size, mu0.size):
             raise DimensionMismatch("prior mean/precision factor shapes disagree")
         self.mu0 = mu0
@@ -291,7 +299,7 @@ class PriorSpec:
 
     def prec_dense(self) -> np.ndarray:
         """C0^{-1} = alpha L^t L."""
-        return self.alpha * self._s.prec_base()
+        return self.alpha * self._s.prec_base().toarray()
 
     def prec_apply(self, x: np.ndarray) -> np.ndarray:
         return self.alpha * (self.L.T @ (self.L @ x))
@@ -300,6 +308,10 @@ class PriorSpec:
         """v^t Cbar0^{-1} v = ||L v||^2 (alpha-free)."""
         Lv = self.L @ v
         return float(Lv @ Lv)
+
+    def trace_base(self, C: np.ndarray) -> float:
+        """tr(Cbar0^{-1} C) = sum(L^t L o C) (alpha-free)."""
+        return float(self._s.prec_base().multiply(C).sum())
 
     def logdet_prec(self) -> float:
         """ln|C0^{-1}| = m ln(alpha) + ln|L^t L|."""
@@ -311,18 +323,14 @@ class PriorSpec:
         return self._s.cov_base() / self.alpha
 
     def cov_matmat(self, X: np.ndarray) -> np.ndarray:
-        return self._s.cov_base() @ X / self.alpha
+        return self._s.solve(X) / self.alpha
 
     def cov_entries(self, rows, cols) -> np.ndarray:
         return self._s.cov_base()[rows, cols] / self.alpha
 
     def cov_apply(self, x: np.ndarray) -> np.ndarray:
-        """C0 x via triangular solves (used as the PCG preconditioner)."""
-        if self._s.lower_triangular:
-            z = scipy.linalg.solve_triangular(self.L, x, lower=True, trans="T")
-            z = scipy.linalg.solve_triangular(self.L, z, lower=True)
-            return z / self.alpha
-        return self.cov_matmat(x)
+        """C0 x through the factorization of L (the PCG preconditioner)."""
+        return self._s.solve(x) / self.alpha
 
 
 def log_likelihood(x, A: ForwardOperator, data: PoissonData) -> float:
@@ -478,11 +486,9 @@ def make_test_problem(
     return op, x_true
 
 
-def _forward_difference(m: int) -> np.ndarray:
-    """Bidiagonal difference factor with an anchored first row (nonsingular)."""
-    L = np.eye(m)
-    L[np.arange(1, m), np.arange(m - 1)] = -1.0
-    return L
+def _forward_difference(m: int):
+    """Sparse bidiagonal difference factor with an anchored first row (nonsingular)."""
+    return scipy.sparse.diags([np.ones(m), -np.ones(m - 1)], [0, -1], format="csr")
 
 
 def make_prior(kind: str, alpha: float, m: int, mu0=None) -> PriorSpec:
@@ -491,6 +497,9 @@ def make_prior(kind: str, alpha: float, m: int, mu0=None) -> PriorSpec:
     * ``L2``    -- Cbar0^{-1} = I;
     * ``H1``    -- Cbar0^{-1} = L1^t L1 with the anchored forward difference L1;
     * ``H1_2D`` -- Cbar0^{-1} = L^t L with L = I (x) L1 + L1 (x) I on a square grid.
+
+    ``L2`` keeps a dense identity factor; ``H1`` and ``H1_2D`` build a banded
+    ``scipy.sparse`` factor with at most three nonzeros per row.
     """
     if alpha <= 0 or not np.isfinite(alpha):
         raise InvalidAlpha(f"alpha must be positive and finite, got {alpha}")
@@ -506,7 +515,7 @@ def make_prior(kind: str, alpha: float, m: int, mu0=None) -> PriorSpec:
             raise ConfigError(f"H1_2D prior needs a square grid; m={m} is not a perfect square")
         L1 = _forward_difference(side)
         eye = scipy.sparse.identity(side)
-        L = (scipy.sparse.kron(eye, L1) + scipy.sparse.kron(L1, eye)).toarray()
+        L = scipy.sparse.kron(eye, L1, format="csr") + scipy.sparse.kron(L1, eye, format="csr")
     else:
         raise ConfigError(f"unknown prior kind {kind!r}; options: L2, H1, H1_2D")
     return PriorSpec(mu0, L, alpha)

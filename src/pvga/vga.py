@@ -102,7 +102,7 @@ class SolverReport:
     flags: list = field(default_factory=list)
 
 
-def _check_conditioning(apply_J, prior: PriorSpec, m: int, rng_dim: int) -> None:
+def _check_conditioning(apply_J, prior: PriorSpec, m: int) -> None:
     """Cheap spectral guard: power-iterate J and bound its condition number
     through lambda_min(J) >= lambda_min(C0^{-1})."""
     v = np.ones(m) / np.sqrt(m)
@@ -113,11 +113,10 @@ def _check_conditioning(apply_J, prior: PriorSpec, m: int, rng_dim: int) -> None
         if lam == 0.0:
             return
         v = w / lam
-    # lambda_max(C0) via a short power iteration on the cached base
-    base = prior._s.cov_base()
+    # lambda_max(Cbar0) via a short power iteration through the prior factorization
     u = np.ones(m) / np.sqrt(m)
     for _ in range(20):
-        w = base @ u
+        w = prior._s.solve(u)
         mu = float(np.linalg.norm(w))
         u = w / mu
     cond_bound = lam * mu / prior.alpha
@@ -154,7 +153,7 @@ def newton_step_mean(
         return A.rmatvec(rates * A.matvec(v)) + prior.prec_apply(v)
 
     if state.saturated:
-        _check_conditioning(apply_J, prior, state.dim, state.dim)
+        _check_conditioning(apply_J, prior, state.dim)
 
     res = pcg_solve(apply_J, -G, precond=prior.cov_apply, tol=cfg.pcg_tol, maxit=cfg.pcg_maxit)
     step = res.x

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pvga import LowRankFactor, SparsityMask, cholesky, logdet, pcg_solve, rsvd, woodbury_cov
-from pvga.errors import InvalidData, NotPositiveDefinite, RankTooLarge
+from pvga.errors import BreakdownError, InvalidData, NotPositiveDefinite, RankTooLarge
 from pvga.linalg import spd_inverse, spd_rcond, spd_solve, symmetrize
 
 from conftest import random_spd
@@ -58,6 +58,13 @@ def test_spd_solve_and_inverse_and_rcond(rng):
     assert est == pytest.approx(true, rel=50.0)  # rcond is an order-of-magnitude estimate
 
 
+def test_spd_rcond_is_the_one_norm_reciprocal_condition():
+    # ||M||_1 = 5 and ||M^{-1}||_1 = 5/11, so rcond = 11/25; the 2-norm ratio is 0.5158.
+    M = np.array([[4.0, 1.0], [1.0, 3.0]])
+    assert spd_rcond(M) == pytest.approx(1.0 / np.linalg.cond(M, 1), abs=1e-12)
+    assert spd_rcond(M) == pytest.approx(0.44, abs=1e-12)
+
+
 # -- pcg ---------------------------------------------------------------------
 
 
@@ -71,6 +78,11 @@ def test_pcg_identity_one_iteration():
 def test_pcg_diagonal_hand_value():
     res = pcg_solve(lambda v: np.array([1.0, 10.0]) * v, np.array([1.0, 1.0]), tol=1e-12, maxit=50)
     np.testing.assert_allclose(res.x, [1.0, 0.1], rtol=1e-10)
+
+
+def test_pcg_negative_definite_operator_breaks_down():
+    with pytest.raises(BreakdownError):
+        pcg_solve(lambda v: -v, np.array([1.0, 2.0, -1.0]))
 
 
 def test_pcg_maxit_zero_returns_initial_guess():

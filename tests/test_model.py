@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import chisquare, poisson
 
@@ -304,3 +307,75 @@ def test_prior_cov_entries_match_dense(rng):
     np.testing.assert_allclose(
         prior.cov_entries(rows, cols), prior.cov_dense()[rows, cols], rtol=1e-10
     )
+
+
+# -- prior factorization over dense, general and sparse factors ---------------
+
+
+def _random_factor(kind, m, rng):
+    """Nonsingular, well-conditioned L of the given kind, with its dense form."""
+    if kind == "lower":
+        L = np.tril(0.3 * rng.standard_normal((m, m)), -1) + np.diag(rng.uniform(0.8, 1.6, m))
+        return L, L
+    if kind == "general":
+        U, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        V, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        L = (U * rng.uniform(0.8, 1.6, m)) @ V.T
+        return L, L
+    # Row-permuted, strictly diagonally dominant, so the LU has to pivot.
+    off = scipy.sparse.random(
+        m, m, density=0.4, random_state=rng, data_rvs=lambda k: rng.uniform(-0.3 / m, 0.3 / m, k)
+    )
+    D = scipy.sparse.diags(rng.uniform(0.8, 1.6, m) * rng.choice([-1.0, 1.0], m))
+    L = (D + off).tocsr()[rng.permutation(m)]
+    return L, L.toarray()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["lower", "general", "sparse"]),
+    m=st.integers(1, 7),
+    alpha=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prior_services_agree_with_dense_algebra(kind, m, alpha, seed):
+    rng = np.random.default_rng(seed)
+    L, Ld = _random_factor(kind, m, rng)
+    prior = PriorSpec(rng.standard_normal(m), L, alpha)
+    prec = alpha * Ld.T @ Ld
+    cov = np.linalg.inv(prec)
+    np.testing.assert_allclose(prior.prec_dense(), prec, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(prior.cov_dense(), cov, rtol=1e-9, atol=1e-12)
+    v = rng.standard_normal(m)
+    np.testing.assert_allclose(prior.cov_apply(prior.prec_apply(v)), v, rtol=1e-9, atol=1e-12)
+    X = rng.standard_normal((m, 3))
+    np.testing.assert_allclose(prior.cov_matmat(X), cov @ X, rtol=1e-9, atol=1e-12)
+    rows = rng.integers(0, m, 5)
+    cols = rng.integers(0, m, 5)
+    np.testing.assert_allclose(prior.cov_entries(rows, cols), cov[rows, cols], rtol=1e-9, atol=1e-12)
+    C = rng.standard_normal((m, m))
+    assert prior.trace_base(C) == pytest.approx(np.trace(Ld.T @ Ld @ C), rel=1e-10, abs=1e-10)
+    assert prior.logdet_prec() == pytest.approx(np.linalg.slogdet(prec)[1], rel=1e-10, abs=1e-10)
+    double = prior.with_alpha(2.0 * alpha)
+    np.testing.assert_allclose(double.prec_dense(), 2.0 * prior.prec_dense(), rtol=1e-14)
+    np.testing.assert_allclose(double.cov_dense(), prior.cov_dense() / 2.0, rtol=1e-14)
+    np.testing.assert_allclose(double.cov_apply(v), prior.cov_apply(v) / 2.0, rtol=1e-14)
+    assert double.logdet_prec() == pytest.approx(prior.logdet_prec() + m * np.log(2.0), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_singular_precision_factor_is_invalid_data(sparse):
+    L = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 1.0, 1.0]])
+    prior = PriorSpec(np.zeros(3), scipy.sparse.csr_matrix(L) if sparse else L, 1.0)
+    with pytest.raises(InvalidData):
+        prior.logdet_prec()
+    with pytest.raises(InvalidData):
+        prior.cov_apply(np.ones(3))
+
+
+def test_builtin_difference_priors_have_sparse_banded_factors():
+    for kind, m in (("H1", 9), ("H1_2D", 16)):
+        L = make_prior(kind, 1.0, m).L
+        assert scipy.sparse.issparse(L)
+        assert np.all(np.diff(L.tocsr().indptr) <= 3)
+    assert isinstance(make_prior("L2", 1.0, 4).L, np.ndarray)
