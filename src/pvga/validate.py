@@ -137,11 +137,6 @@ def laplace_approximation(A: ForwardOperator, data: PoissonData, prior: PriorSpe
     return GaussianState(x_hat, spd_inverse(symmetrize(hess(x_hat))))
 
 
-def _gaussian_logpdf_rows(X: np.ndarray, mean: np.ndarray, L: np.ndarray, ld: float) -> np.ndarray:
-    V = scipy.linalg.solve_triangular(L, (X - mean).T, lower=True)
-    return -0.5 * np.einsum("ij,ij->j", V, V) - 0.5 * ld - 0.5 * mean.size * np.log(2 * np.pi)
-
-
 def _log_joint_rows(X: np.ndarray, Ad: np.ndarray, data: PoissonData, prior: PriorSpec) -> np.ndarray:
     """Unnormalized-model log-joint per row; -inf where the rates overflow."""
     Z = X @ Ad.T
@@ -209,11 +204,14 @@ def mh_independence_sampler(
     """Independence sampler targeting p(x|y) with a fixed Gaussian proposal.
 
     Proposals are drawn in fixed-size blocks from one substream and the accept
-    draws from another, so results depend only on the seed.  The chain is run
-    twice over the same proposal stream: the first pass records scalar
-    log-weights and resolves the accept/reject path, the second regenerates
-    the blocks and gathers the post-burn-in (thinned above m=1000) samples.
-    Rate overflow in the likelihood rejects the proposal rather than erroring.
+    draws from another, so results depend only on the seed.  The chain runs in
+    one pass: each block of standard normals z is drawn once, mapped to
+    proposals x = mean + L z, weighed by log p(x, y) - log q(x) (where
+    log q(x) = -|z|^2 / 2 - ln|C| / 2 - (m/2) ln 2 pi, so no solve with L is
+    needed), scanned from the state carried over from the previous block, and
+    its post-burn-in (thinned above m=1000) samples are gathered before the
+    next block is drawn.  Rate overflow in the likelihood rejects the proposal
+    rather than erroring.
     """
     cfg = cfg or McmcConfig()
     cfg.validate()
@@ -222,53 +220,46 @@ def mh_independence_sampler(
         raise CovTooLargeForSampling(
             f"masked covariance with m={m} > {_DENSIFY_LIMIT} cannot be densified for sampling"
         )
-    Ad = A.dense()
-    L = proposal.chol()
-    ld = logdet(proposal.cov, chol=L)
-    children = np.random.SeedSequence(cfg.seed).spawn(2)
-
     K = int(cfg.chain_length)
-    x0 = proposal.mean
-    logw0 = float(
-        _log_joint_rows(x0[None, :], Ad, data, prior)[0]
-        - _gaussian_logpdf_rows(x0[None, :], proposal.mean, L, ld)[0]
-    )
-
-    # pass 1: scalar log-weights for every proposal, then the accept scan
-    rng_prop = np.random.default_rng(children[0])
-    logw = np.empty(K)
-    for lo in range(0, K, _MH_CHUNK):
-        hi = min(lo + _MH_CHUNK, K)
-        Z = rng_prop.standard_normal((hi - lo, m))
-        X = proposal.mean + Z @ L.T
-        logw[lo:hi] = _log_joint_rows(X, Ad, data, prior) - _gaussian_logpdf_rows(
-            X, proposal.mean, L, ld
-        )
-    log_u = np.log(np.random.default_rng(children[1]).random(K))
-    idx, n_acc = _kernels.mh_scan(logw, log_u, logw0)
-
     thin = 10 if m > _THIN_ABOVE else 1
     kept_times = np.arange(cfg.burn_in, K, thin)
     n_kept = kept_times.size
     if n_kept < 100:
         raise InsufficientSamples(f"only {n_kept} post-burn-in samples; need at least 100")
-    kept_src = idx[kept_times]
 
-    # pass 2: regenerate the proposal blocks and gather the kept samples
-    samples = np.empty((n_kept, m))
-    samples[kept_src == -1] = x0
+    Ad = A.dense()
+    L = proposal.chol()
+    log_norm = -0.5 * logdet(proposal.cov, chol=L) - 0.5 * m * np.log(2 * np.pi)
+    children = np.random.SeedSequence(cfg.seed).spawn(2)
     rng_prop = np.random.default_rng(children[0])
+    rng_acc = np.random.default_rng(children[1])
+
+    # the carried state: the chain's current point and its log-weight
+    cur_x = proposal.mean
+    cur_w = float(_log_joint_rows(cur_x[None, :], Ad, data, prior)[0] - log_norm)
+    n_acc = 0
+    samples = np.empty((n_kept, m))
     for lo in range(0, K, _MH_CHUNK):
         hi = min(lo + _MH_CHUNK, K)
         Z = rng_prop.standard_normal((hi - lo, m))
-        need = (kept_src >= lo) & (kept_src < hi)
-        if np.any(need):
-            X = proposal.mean + Z @ L.T
-            samples[need] = X[kept_src[need] - lo]
+        X = proposal.mean + Z @ L.T
+        logw = _log_joint_rows(X, Ad, data, prior) - (
+            log_norm - 0.5 * np.einsum("ij,ij->i", Z, Z)
+        )
+        # idx[k] = -1 means the chain still sits on the carried state
+        idx, acc = _kernels.mh_scan(logw, np.log(rng_acc.random(hi - lo)), cur_w)
+        n_acc += acc
+        a, b = np.searchsorted(kept_times, (lo, hi))
+        src = idx[kept_times[a:b] - lo]
+        samples[a:b] = X[src]
+        samples[a:b][src < 0] = cur_x
+        if idx[-1] >= 0:
+            cur_x, cur_w = X[idx[-1]].copy(), logw[idx[-1]]
 
     mean = samples.mean(axis=0)
     centered = samples - mean
     cov = symmetrize(centered.T @ centered / max(n_kept - 1, 1))
+    del centered  # release it before hpd_intervals makes its sorted copy
     intervals = hpd_intervals(samples, gamma)
     nb = min(20, max(2, n_kept // 50))
     bs = n_kept // nb

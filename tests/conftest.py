@@ -49,3 +49,15 @@ def random_problem(rng, m=None, n=None, alpha=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+def mh_scan_reference(log_w, log_u, log_w0):
+    """The independence-sampler accept scan, written out step by step."""
+    idx = np.empty(log_w.size, dtype=np.int64)
+    cur, cur_w, acc = -1, log_w0, 0
+    for k in range(log_w.size):
+        if log_u[k] < log_w[k] - cur_w:
+            cur, cur_w = k, log_w[k]
+            acc += 1
+        idx[k] = cur
+    return idx, acc

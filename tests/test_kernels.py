@@ -4,6 +4,8 @@ import numpy as np
 
 from pvga import _kernels
 
+from conftest import mh_scan_reference
+
 
 def naive_quad_full(A, C):
     return np.array([a @ C @ a for a in A])
@@ -49,17 +51,6 @@ def test_lowrank_masked_dots_matches_dense_product(rng):
     out = _kernels.lowrank_masked_dots(WM, W, rows, cols)
     full = WM @ W.T
     np.testing.assert_allclose(out, full[rows, cols], rtol=1e-12)
-
-
-def mh_scan_reference(log_w, log_u, log_w0):
-    idx = np.empty(log_w.size, dtype=np.int64)
-    cur, cur_w, acc = -1, log_w0, 0
-    for k in range(log_w.size):
-        if log_u[k] < log_w[k] - cur_w:
-            cur, cur_w = k, log_w[k]
-            acc += 1
-        idx[k] = cur
-    return idx, acc
 
 
 def test_mh_scan_matches_reference(rng):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from pvga import LowRankFactor, SparsityMask, cholesky, logdet, pcg_solve, rsvd, woodbury_cov
-from pvga.errors import BreakdownError, InvalidData, NotPositiveDefinite, RankTooLarge
+from pvga.errors import (
+    BreakdownError,
+    InvalidData,
+    NotPositiveDefinite,
+    RankTooLarge,
+    SingularInnerSystem,
+)
 from pvga.linalg import spd_inverse, spd_rcond, spd_solve, symmetrize
 
 from conftest import random_spd
@@ -202,6 +208,13 @@ def test_woodbury_rejects_nonpositive_weights(rng):
     A = rng.standard_normal((4, 3))
     with pytest.raises(InvalidData):
         woodbury_cov(C0, full_rank_factor(A), np.array([1.0, 0.0, 1.0, 1.0]))
+
+
+def test_woodbury_singular_inner_system():
+    # C0 = -I makes G = V^t C0 V = -I and K = I, so I + K G is exactly zero
+    F = LowRankFactor(np.eye(4)[:, :2], np.ones(2), np.eye(4)[:, :2])
+    with pytest.raises(SingularInnerSystem):
+        woodbury_cov(-np.eye(4), F, np.ones(4))
 
 
 def test_woodbury_masked_entries_match_dense_path(rng):

@@ -7,6 +7,7 @@ batch-means error bars computed here in the test.
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 from scipy.special import ndtri
 
@@ -23,6 +24,7 @@ from pvga import (
     mh_independence_sampler,
     orbit_check,
     run_vga,
+    validate,
 )
 from pvga.errors import (
     ConfigError,
@@ -33,7 +35,7 @@ from pvga.errors import (
 from pvga.linalg import SparsityMask
 from pvga.model import make_prior, make_test_problem
 
-from conftest import random_problem, random_state
+from conftest import mh_scan_reference, random_problem, random_state
 
 
 def scalar_problem(y):
@@ -179,6 +181,87 @@ def test_mh_refuses_huge_masked_proposal():
     proposal = GaussianState(np.zeros(m), cov, mask=SparsityMask.banded(m, 1))
     with pytest.raises(CovTooLargeForSampling):
         mh_independence_sampler(A, data, prior, proposal)
+
+
+def test_mh_refuses_short_chain_before_drawing(monkeypatch):
+    A, data, prior = zero_operator(3)
+    proposal = GaussianState(np.zeros(3), np.eye(3))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the sampler drew proposals before checking the chain length")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(InsufficientSamples):
+        mh_independence_sampler(
+            A, data, prior, proposal, McmcConfig(chain_length=150, burn_in=100)
+        )
+
+
+def reference_chain(A, data, prior, proposal, cfg):
+    """The whole chain at once: all proposals and accept uniforms drawn from the
+    sampler's two substreams in one call each, the proposal density through a
+    triangular solve, one accept scan, then the kept rows gathered."""
+    K, m = cfg.chain_length, proposal.dim
+    Ad = A.dense()
+    L = proposal.chol()
+    prop_seq, acc_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    X = proposal.mean + np.random.default_rng(prop_seq).standard_normal((K, m)) @ L.T
+    log_u = np.log(np.random.default_rng(acc_seq).random(K))
+
+    def log_w(X):
+        V = solve_triangular(L, (X - proposal.mean).T, lower=True)
+        log_q = (
+            -0.5 * np.einsum("ij,ij->j", V, V)
+            - np.sum(np.log(np.diag(L)))
+            - 0.5 * m * np.log(2.0 * np.pi)
+        )
+        return validate._log_joint_rows(X, Ad, data, prior) - log_q
+
+    idx, n_acc = mh_scan_reference(log_w(X), log_u, log_w(proposal.mean[None, :])[0])
+    thin = 10 if m > 1000 else 1
+    src = idx[np.arange(cfg.burn_in, K, thin)]
+    samples = np.where((src < 0)[:, None], proposal.mean, X[src])
+    return samples, n_acc / K
+
+
+def phillips20():
+    m = 20
+    A, x_true = make_test_problem("phillips", m)
+    data = PoissonData(np.random.default_rng(2).poisson(np.exp(A.matvec(x_true))))
+    prior = make_prior("L2", 10.0, m)
+    fit, _ = run_vga(A, data, prior)
+    return A, data, prior, fit
+
+
+@pytest.mark.parametrize("inflate", [1.0, 2.0])
+def test_mh_blocks_match_whole_chain_reference(monkeypatch, inflate):
+    # a 7-row block puts many block boundaries inside the chain and makes
+    # burn_in (1003) no multiple of the block; an inflated proposal covariance
+    # drops acceptance so the chain sits on a carried state across boundaries
+    A, data, prior, fit = phillips20()
+    proposal = GaussianState(fit.mean, inflate * fit.cov)
+    cfg = McmcConfig(chain_length=2000, burn_in=1003, seed=5)
+    monkeypatch.setattr(validate, "_MH_CHUNK", 7)
+    out = mh_independence_sampler(A, data, prior, proposal, cfg)
+    ref_samples, ref_acc = reference_chain(A, data, prior, proposal, cfg)
+    assert out.acceptance_rate == ref_acc
+    assert out.n_kept == 997 and out.thin == 1
+    np.testing.assert_allclose(out.samples, ref_samples, rtol=0, atol=1e-12)
+    if inflate > 1.0:
+        assert 0.0 < out.acceptance_rate < 0.5
+
+
+def test_mh_thinned_blocks_match_whole_chain_reference(monkeypatch):
+    m = 1001
+    A, data, prior = zero_operator(m)
+    proposal = GaussianState(prior.mu0.copy(), prior.cov_dense())
+    cfg = McmcConfig(chain_length=3000, burn_in=1000, seed=2)
+    monkeypatch.setattr(validate, "_MH_CHUNK", 7)
+    out = mh_independence_sampler(A, data, prior, proposal, cfg)
+    ref_samples, ref_acc = reference_chain(A, data, prior, proposal, cfg)
+    assert out.thin == 10 and out.n_kept == 200
+    assert out.acceptance_rate == ref_acc
+    np.testing.assert_allclose(out.samples, ref_samples, rtol=0, atol=1e-12)
 
 
 def test_mcmc_config_validation():
