@@ -71,6 +71,7 @@ from .linalg import (
     spd_rcond,
     spd_solve,
     symmetrize,
+    woodbury_basis,
     woodbury_cov,
 )
 from .model import (

@@ -55,7 +55,7 @@ DEFAULTS: dict = {
         "fixedpoint_steps_per_outer": 1,
         "outer_tol_elbo": 1e-10,
         "pcg_tol": 1e-6,
-        "pcg_maxit": 10,
+        "pcg_maxit": 200,
         "mode": "dense",
         "rank": None,
         "sparsity": None,

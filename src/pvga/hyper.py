@@ -64,6 +64,8 @@ class HyperTrace:
     alpha_sequence: list = field(default_factory=list)
     psi_sequence: list = field(default_factory=list)
     joint_bound_sequence: list = field(default_factory=list)
+    estep_converged: list = field(default_factory=list)  # per E-step: run_vga converged
+    estep_sweeps: list = field(default_factory=list)  # per E-step: outer sweeps taken
     converged: bool = False
     flags: list = field(default_factory=list)
 
@@ -150,7 +152,9 @@ def run_hierarchical(
     converged = False
     for _ in range(cfg.max_em):
         prior_k = prior_structure.with_alpha(alpha)
-        state, _report = run_vga(A, data, prior_k, cfg.inner, initial_state=state)
+        state, report = run_vga(A, data, prior_k, cfg.inner, initial_state=state)
+        trace.estep_converged.append(report.converged)
+        trace.estep_sweeps.append(len(report.inner_counts))
         _phi, psi = phi_psi(state, A, data, prior_k)
         trace.psi_sequence.append(psi)
         trace.joint_bound_sequence.append(

@@ -32,6 +32,7 @@ __all__ = [
     "logdet",
     "pcg_solve",
     "rsvd",
+    "woodbury_basis",
     "woodbury_cov",
     "symmetrize",
     "spd_solve",
@@ -302,58 +303,80 @@ class _CovServices:
             self.dense = C0.cov_dense
 
 
+def woodbury_basis(C0, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rate-free half of the Woodbury update: W = C0 V and the upper
+    Cholesky factor R of G = V^t C0 V = R^t R.
+
+    Both depend only on the prior and the factor's right singular vectors,
+    so a solver computes them once and reuses them on every covariance step.
+    Raises SingularInnerSystem when G is not positive definite.
+    """
+    W = _CovServices(C0).matmat(V)
+    try:
+        return W, cholesky(V.T @ W).T
+    except NotPositiveDefinite as exc:
+        raise SingularInnerSystem(f"V^t C0 V: {exc}") from exc
+
+
 def woodbury_cov(
     C0,
     F: LowRankFactor,
     d: np.ndarray,
     mask: SparsityMask | None = None,
     return_inner_logdet: bool = False,
+    basis: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray | tuple[np.ndarray, float]:
     """Covariance (C0^{-1} + A^t D A)^{-1} for A = U diag(S) V^t, D = diag(d).
 
-    Evaluated without inverting C0, as C0 - W K (I + G K)^{-1} W^t with
-    W = C0 V, K = S U^t D U S and G = V^t C0 V; cost O(s m n + r^2 (m + n)).
-    With a mask, only the masked entries are materialized (returned as a
-    dense matrix that is zero off-mask); each materialized entry equals the
-    corresponding entry of the unmasked update.
+    Evaluated without inverting C0, as C0 - W M W^t with W = C0 V,
+    K = S U^t D U S and M = K (I + G K)^{-1}, G = V^t C0 V.  With G = R^t R
+    (``basis = (W, R)`` from :func:`woodbury_basis`, built here when not
+    given) the inner system is the SPD matrix I + R K R^t = Li Li^t, so
 
-    With ``return_inner_logdet=True`` also returns ln det(I + K G), which by
-    the determinant lemma gives the log-determinant of the *unmasked* update
-    as ln|C| = ln|C0| - ln det(I + K G).  Masked projections need not stay
-    positive definite, so this is the only cheap route to a well-defined
-    log-determinant in masked mode.
+        M = K - B^t B,   B = Li^{-1} R K,
+
+    and one Cholesky factor gives M, the determinant and a ``pocon``
+    singularity guard; cost O(r^2 (m + n) + r^3) per call once the basis is
+    known.  With a mask, only the masked entries are materialized (returned
+    as a dense matrix that is zero off-mask): each pair i <= j is computed
+    once and mirrored, and equals the corresponding entry of the unmasked
+    update.
+
+    With ``return_inner_logdet=True`` also returns ln det(I + K G)
+    = 2 sum ln diag(Li), which by the determinant lemma gives the
+    log-determinant of the *unmasked* update as ln|C| = ln|C0| - ln det(I + K G).
+    Masked projections need not stay positive definite, so this is the only
+    cheap route to a well-defined log-determinant in masked mode.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise InvalidData("d must be strictly positive")
     U, s, V = F.U, F.S, F.V
     cov = _CovServices(C0)
-    K = (s[:, None] * (U.T @ (d[:, None] * U))) * s[None, :]
-    W = cov.matmat(V)
-    G = V.T @ W
-    inner = np.eye(F.rank) + K @ G
+    W, R = woodbury_basis(C0, V) if basis is None else basis
+    K = symmetrize((s[:, None] * (U.T @ (d[:, None] * U))) * s[None, :])
+    RK = R @ K
+    inner = np.eye(F.rank) + RK @ R.T
     try:
-        if F.rank <= 512:
-            c = np.linalg.cond(inner)
-            if not np.isfinite(c) or c > 1e14:
-                raise SingularInnerSystem(f"inner system condition {c:.3e}")
-        M = np.linalg.solve(inner, K)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnerSystem(str(exc)) from exc
-    M = symmetrize(M)
-    if return_inner_logdet:
-        sign, inner_logdet = np.linalg.slogdet(inner)
-        if sign <= 0:
-            raise SingularInnerSystem("inner system has non-positive determinant")
+        Li = cholesky(inner)
+    except NotPositiveDefinite as exc:
+        raise SingularInnerSystem(f"inner system: {exc}") from exc
+    rcond = spd_rcond(inner, chol=Li)
+    if not rcond >= 1e-14:
+        raise SingularInnerSystem(f"inner system reciprocal condition {rcond:.3e}")
+    B = scipy.linalg.solve_triangular(Li, RK, lower=True)
+    M = K - B.T @ B
     if mask is None:
         C = symmetrize(cov.dense() - W @ M @ W.T)
     else:
-        vals = cov.entries(mask.rows, mask.cols) - lowrank_masked_dots(
-            np.ascontiguousarray(W @ M), np.ascontiguousarray(W), mask.rows, mask.cols
+        upper = mask.rows <= mask.cols
+        rows, cols = mask.rows[upper], mask.cols[upper]
+        vals = cov.entries(rows, cols) - lowrank_masked_dots(
+            np.ascontiguousarray(W @ M), np.ascontiguousarray(W), rows, cols
         )
         C = np.zeros((mask.dim, mask.dim))
-        C[mask.rows, mask.cols] = vals
-        C = symmetrize(C)
+        C[rows, cols] = vals
+        C[cols, rows] = vals
     if return_inner_logdet:
-        return C, float(inner_logdet)
+        return C, 2.0 * float(np.sum(np.log(np.diag(Li))))
     return C

@@ -224,16 +224,25 @@ class _PriorStructure:
 
     L is factored on first use by a sparse LU in its natural column order,
     under which a triangular L (every built-in prior) factors with no fill.
+    ``L=None`` stands for the identity: solves and row quadratic forms skip
+    it, and it is built as a sparse CSR identity only when asked for.
     """
 
     def __init__(self, mu0: np.ndarray, L):
         self.mu0 = mu0
-        self.L = L
+        self._L = L
+        self._identity = L is None
         self.m = mu0.size
         self._lu = None
         self._prec = None  # L^t L, sparse
         self._cov = None  # (L^t L)^{-1}, dense
         self._logdet_prec = None
+
+    @property
+    def L(self):
+        if self._L is None:
+            self._L = scipy.sparse.identity(self.m, format="csr")
+        return self._L
 
     def _factor(self):
         if self._lu is None:
@@ -245,8 +254,15 @@ class _PriorStructure:
 
     def solve(self, X: np.ndarray) -> np.ndarray:
         """Cbar0 X = L^{-1} L^{-t} X."""
+        if self._identity:
+            return X
         lu = self._factor()
         return lu.solve(lu.solve(X, trans="T"))
+
+    def quad_rows(self, D: np.ndarray) -> np.ndarray:
+        """||L d_i||^2 for each row d_i of D."""
+        V = D if self._identity else D @ self.L.T
+        return np.einsum("ij,ij->i", V, V)
 
     def prec_base(self):
         if self._prec is None:
@@ -270,8 +286,9 @@ class _PriorStructure:
 class PriorSpec:
     """Gaussian prior N(mu0, alpha^{-1} Cbar0) with Cbar0^{-1} = L^t L.
 
-    ``L`` is a dense array or a ``scipy.sparse`` matrix; it is factored once,
-    on first use, and the factorization is shared by every :meth:`with_alpha`
+    ``L`` is a dense array, a ``scipy.sparse`` matrix, or ``None`` for the
+    identity (Cbar0 = I, held as a sparse identity); it is factored once, on
+    first use, and the factorization is shared by every :meth:`with_alpha`
     rescaling.
     """
 
@@ -279,13 +296,20 @@ class PriorSpec:
         if alpha <= 0 or not np.isfinite(alpha):
             raise InvalidAlpha(f"alpha must be positive and finite, got {alpha}")
         mu0 = np.asarray(mu0, dtype=float)
-        L = L.astype(float, copy=False) if scipy.sparse.issparse(L) else np.asarray(L, dtype=float)
-        if mu0.ndim != 1 or L.shape != (mu0.size, mu0.size):
-            raise DimensionMismatch("prior mean/precision factor shapes disagree")
+        if mu0.ndim != 1:
+            raise DimensionMismatch("prior mean must be a vector")
+        if L is not None:
+            L = L.astype(float, copy=False) if scipy.sparse.issparse(L) else np.asarray(L, dtype=float)
+            if L.shape != (mu0.size, mu0.size):
+                raise DimensionMismatch("prior mean/precision factor shapes disagree")
         self.mu0 = mu0
-        self.L = L
         self.alpha = float(alpha)
         self._s = _structure if _structure is not None else _PriorStructure(mu0, L)
+
+    @property
+    def L(self):
+        """The precision factor, Cbar0^{-1} = L^t L."""
+        return self._s.L
 
     @property
     def m(self) -> int:
@@ -293,7 +317,7 @@ class PriorSpec:
 
     def with_alpha(self, alpha: float) -> "PriorSpec":
         """Same interaction structure at a different strength (caches shared)."""
-        return PriorSpec(self.mu0, self.L, alpha, _structure=self._s)
+        return PriorSpec(self.mu0, None, alpha, _structure=self._s)
 
     # -- precision services -------------------------------------------------
 
@@ -302,12 +326,17 @@ class PriorSpec:
         return self.alpha * self._s.prec_base().toarray()
 
     def prec_apply(self, x: np.ndarray) -> np.ndarray:
-        return self.alpha * (self.L.T @ (self.L @ x))
+        """C0^{-1} x through the cached sparse L^t L (one product, no transpose)."""
+        return self.alpha * (self._s.prec_base() @ x)
 
     def quad_base(self, v: np.ndarray) -> float:
         """v^t Cbar0^{-1} v = ||L v||^2 (alpha-free)."""
         Lv = self.L @ v
         return float(Lv @ Lv)
+
+    def quad_base_rows(self, D: np.ndarray) -> np.ndarray:
+        """d_i^t Cbar0^{-1} d_i for each row d_i of D (alpha-free)."""
+        return self._s.quad_rows(D)
 
     def trace_base(self, C: np.ndarray) -> float:
         """tr(Cbar0^{-1} C) = sum(L^t L o C) (alpha-free)."""
@@ -498,15 +527,15 @@ def make_prior(kind: str, alpha: float, m: int, mu0=None) -> PriorSpec:
     * ``H1``    -- Cbar0^{-1} = L1^t L1 with the anchored forward difference L1;
     * ``H1_2D`` -- Cbar0^{-1} = L^t L with L = I (x) L1 + L1 (x) I on a square grid.
 
-    ``L2`` keeps a dense identity factor; ``H1`` and ``H1_2D`` build a banded
-    ``scipy.sparse`` factor with at most three nonzeros per row.
+    Every factor is ``scipy.sparse``: ``L2`` a CSR identity (built on first
+    use), ``H1`` and ``H1_2D`` banded with at most three nonzeros per row.
     """
     if alpha <= 0 or not np.isfinite(alpha):
         raise InvalidAlpha(f"alpha must be positive and finite, got {alpha}")
     if mu0 is None:
         mu0 = np.zeros(m)
     if kind == "L2":
-        L = np.eye(m)
+        L = None  # the identity
     elif kind == "H1":
         L = _forward_difference(m)
     elif kind == "H1_2D":

@@ -143,9 +143,8 @@ def _log_joint_rows(X: np.ndarray, Ad: np.ndarray, data: PoissonData, prior: Pri
     bad = Z.max(axis=1) > LOG_RATE_LIMIT
     Zc = np.minimum(Z, LOG_RATE_LIMIT)
     ll = Z @ data.y - np.exp(Zc).sum(axis=1) - data.log_factorial_term
-    V = (X - prior.mu0) @ prior.L.T
     lp = (
-        -0.5 * prior.alpha * np.einsum("ij,ij->i", V, V)
+        -0.5 * prior.alpha * prior.quad_base_rows(X - prior.mu0)
         - 0.5 * prior.m * np.log(2.0 * np.pi)
         + 0.5 * prior.logdet_prec()
     )

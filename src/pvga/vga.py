@@ -28,6 +28,7 @@ from .linalg import (
     spd_inverse,
     spd_rcond,
     symmetrize,
+    woodbury_basis,
     woodbury_cov,
 )
 from .model import LOG_RATE_LIMIT, ForwardOperator, PoissonData, PriorSpec
@@ -50,14 +51,19 @@ _COND_LIMIT = 1e14
 class VgaConfig:
     """Solver settings; the defaults are the ones the algorithm is tuned for
     (five Newton updates and one fixed-point update per outer sweep, stopping
-    when the bound moves less than 1e-10)."""
+    when the bound moves less than 1e-10).
+
+    Each Newton step's PCG solve runs until its relative residual is below
+    ``pcg_tol``; ``pcg_maxit`` is only a safety ceiling, and a solve that
+    reaches it is counted in the report's ``pcg_unconverged``.
+    """
 
     max_outer: int = 50
     newton_steps_per_outer: int = 5
     fixedpoint_steps_per_outer: int = 1
     outer_tol_elbo: float = 1e-10
     pcg_tol: float = 1e-6
-    pcg_maxit: int = 10
+    pcg_maxit: int = 200  # ceiling only; the solve stops at pcg_tol
     mode: str = "dense"
     rank: int | None = None
     mask: SparsityMask | None = None
@@ -189,12 +195,15 @@ def fixed_point_step_cov(
     cfg: VgaConfig,
     factor: LowRankFactor | None = None,
     return_logdet: bool = False,
+    basis: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray | tuple[np.ndarray, float]:
     """One application of the covariance map T(C) = (C0^{-1} + A^t D A)^{-1}.
 
     Dense mode inverts directly; the low-rank modes use the Woodbury form on a
-    factorization of A (computed here once if not supplied).  In masked mode
-    only the mask entries of the result are materialized (zeros elsewhere).
+    factorization of A (computed here once if not supplied) and its
+    rate-free ``basis = (C0 V, R)`` from :func:`woodbury_basis` (likewise).
+    In masked mode only the mask entries of the result are materialized
+    (zeros elsewhere).
 
     ``return_logdet=True`` additionally returns ln|T(C)| of the *unprojected*
     map, a byproduct of either path (Cholesky of the precision, or the
@@ -218,10 +227,10 @@ def fixed_point_step_cov(
     if factor is None:
         factor = rsvd(A, cfg.rank, seed=cfg.rsvd_seed)
     mask = cfg.mask if cfg.mode == "lowrank_sparse" else None
-    if return_logdet:
-        C_new, inner_logdet = woodbury_cov(prior, factor, rates, mask=mask, return_inner_logdet=True)
-        return C_new, -prior.logdet_prec() - inner_logdet
-    return woodbury_cov(prior, factor, rates, mask=mask)
+    C_new, inner_logdet = woodbury_cov(
+        prior, factor, rates, mask=mask, return_inner_logdet=True, basis=basis
+    )
+    return (C_new, -prior.logdet_prec() - inner_logdet) if return_logdet else C_new
 
 
 def _initial_state(A: ForwardOperator, prior: PriorSpec, cfg: VgaConfig) -> GaussianState:
@@ -254,9 +263,10 @@ def run_vga(
     cfg.validate()
     t0 = time.perf_counter()
     state = initial_state if initial_state is not None else _initial_state(A, prior, cfg)
-    factor = None
+    factor = basis = None
     if cfg.mode != "dense":
         factor = rsvd(A, cfg.rank, seed=cfg.rsvd_seed)
+        basis = woodbury_basis(prior, factor.V)
     masked = cfg.mode == "lowrank_sparse"
     report = SolverReport()
     if masked:
@@ -277,13 +287,14 @@ def run_vga(
 
     cov_prev = cov_two_ago = None
     for _ in range(cfg.max_outer):
-        counts = {"newton": 0, "pcg": 0, "fixed_point": 0, "halvings": 0}
+        counts = {"newton": 0, "pcg": 0, "pcg_unconverged": 0, "fixed_point": 0, "halvings": 0}
         delta = 0.0
         for _ in range(cfg.newton_steps_per_outer):
             x_new, step = newton_step_mean(state, A, data, prior, cfg)
             state = state.replace_mean(x_new)
             counts["newton"] += 1
             counts["pcg"] += step.pcg_iterations
+            counts["pcg_unconverged"] += not step.pcg_converged
             counts["halvings"] += step.halvings
             delta = step.delta_norm
             if delta <= cfg.mean_step_tol * max(1.0, float(np.linalg.norm(x_new))):
@@ -291,7 +302,7 @@ def run_vga(
         cov_residual = 0.0
         for _ in range(cfg.fixedpoint_steps_per_outer):
             C_new, logdet_c = fixed_point_step_cov(
-                state, A, data, prior, cfg, factor=factor, return_logdet=True
+                state, A, data, prior, cfg, factor=factor, return_logdet=True, basis=basis
             )
             scale = max(1.0, float(np.linalg.norm(state.cov)))
             cov_residual = float(np.linalg.norm(C_new - state.cov)) / scale

@@ -264,6 +264,21 @@ def test_max_em_exhaustion_attaches_partial():
     assert alpha > 0 and np.all(np.isfinite(state.mean))
 
 
+def test_trace_records_every_estep(rng):
+    A, data, prior = random_problem(rng, m=8, n=10)
+    _, _, trace = run_hierarchical(A, data, prior, HyperConfig(max_em=400))
+    assert len(trace.estep_converged) == len(trace.estep_sweeps) == len(trace.psi_sequence)
+    assert all(trace.estep_converged)
+    assert min(trace.estep_sweeps) >= 1
+    # a one-sweep E-step budget is reported per E-step, not absorbed
+    cfg = HyperConfig(max_em=3, inner=VgaConfig(max_outer=1))
+    with pytest.raises(MaxIterationsExceeded) as info:
+        run_hierarchical(A, data, prior, cfg)
+    capped = info.value.partial[2]
+    assert capped.estep_sweeps == [1, 1, 1]
+    assert not capped.estep_converged[0]
+
+
 def test_hyper_config_validation():
     with pytest.raises(ConfigError):
         HyperConfig(a=0.0).validate()

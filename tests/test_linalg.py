@@ -2,8 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pvga import LowRankFactor, SparsityMask, cholesky, logdet, pcg_solve, rsvd, woodbury_cov
+from pvga import (
+    LowRankFactor,
+    SparsityMask,
+    cholesky,
+    logdet,
+    make_prior,
+    pcg_solve,
+    rsvd,
+    woodbury_basis,
+    woodbury_cov,
+)
 from pvga.errors import (
     BreakdownError,
     InvalidData,
@@ -242,6 +254,52 @@ def test_woodbury_inner_logdet_matches_dense_slogdet(rng):
     expect = np.linalg.slogdet(C)[1]
     got = np.linalg.slogdet(C0)[1] - inner_logdet
     np.testing.assert_allclose(got, expect, rtol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["dense", "H1"]),
+    m=st.integers(2, 8),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_woodbury_contract(kind, m, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        C0 = C0d = random_spd(rng, m)
+    else:
+        C0 = make_prior("H1", float(rng.uniform(0.2, 5.0)), m)
+        C0d = C0.cov_dense()
+    A = rng.standard_normal((n, m))
+    d = np.exp(rng.uniform(-1, 1, n))
+    F = full_rank_factor(A)
+    C, inner_logdet = woodbury_cov(C0, F, d, return_inner_logdet=True)
+
+    # at full rank the update is the exact posterior-precision inverse
+    direct = np.linalg.inv(np.linalg.inv(C0d) + A.T @ (d[:, None] * A))
+    scale = np.abs(direct).max()
+    np.testing.assert_allclose(C, direct, rtol=1e-8, atol=1e-10 * scale)
+
+    # the inner log-determinant is ln det(I + K G), formed densely here
+    K = (F.S[:, None] * (F.U.T @ (d[:, None] * F.U))) * F.S[None, :]
+    G = F.V.T @ C0d @ F.V
+    expect = np.linalg.slogdet(np.eye(F.rank) + K @ G)[1]
+    assert inner_logdet == pytest.approx(expect, rel=1e-9, abs=1e-9)
+
+    # each masked entry, in both triangles, is the unmasked update's entry
+    mask = SparsityMask(m, rng.integers(0, m, 2 * m), rng.integers(0, m, 2 * m))
+    masked = woodbury_cov(C0, F, d, mask=mask)
+    sel = mask.dense_bool()
+    np.testing.assert_allclose(masked[sel], C[sel], rtol=1e-12, atol=1e-12 * scale)
+    assert np.all(masked[~sel] == 0.0)
+
+    # a precomputed (C0 V, R) basis reproduces a fresh call exactly
+    basis = woodbury_basis(C0, F.V)
+    for mk in (None, mask):
+        C_fresh, ld_fresh = woodbury_cov(C0, F, d, mask=mk, return_inner_logdet=True)
+        C_reused, ld_reused = woodbury_cov(C0, F, d, mask=mk, return_inner_logdet=True, basis=basis)
+        np.testing.assert_array_equal(C_reused, C_fresh)
+        assert ld_reused == ld_fresh
 
 
 # -- masks -------------------------------------------------------------------

@@ -314,6 +314,8 @@ def test_prior_cov_entries_match_dense(rng):
 
 def _random_factor(kind, m, rng):
     """Nonsingular, well-conditioned L of the given kind, with its dense form."""
+    if kind == "identity":
+        return None, np.eye(m)
     if kind == "lower":
         L = np.tril(0.3 * rng.standard_normal((m, m)), -1) + np.diag(rng.uniform(0.8, 1.6, m))
         return L, L
@@ -333,7 +335,7 @@ def _random_factor(kind, m, rng):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(["lower", "general", "sparse"]),
+    kind=st.sampled_from(["identity", "lower", "general", "sparse"]),
     m=st.integers(1, 7),
     alpha=st.floats(0.1, 10.0),
     seed=st.integers(0, 2**32 - 1),
@@ -353,6 +355,8 @@ def test_prior_services_agree_with_dense_algebra(kind, m, alpha, seed):
     rows = rng.integers(0, m, 5)
     cols = rng.integers(0, m, 5)
     np.testing.assert_allclose(prior.cov_entries(rows, cols), cov[rows, cols], rtol=1e-9, atol=1e-12)
+    D = rng.standard_normal((4, m))
+    np.testing.assert_allclose(prior.quad_base_rows(D), np.sum((D @ Ld.T) ** 2, axis=1), rtol=1e-10)
     C = rng.standard_normal((m, m))
     assert prior.trace_base(C) == pytest.approx(np.trace(Ld.T @ Ld @ C), rel=1e-10, abs=1e-10)
     assert prior.logdet_prec() == pytest.approx(np.linalg.slogdet(prec)[1], rel=1e-10, abs=1e-10)
@@ -378,4 +382,6 @@ def test_builtin_difference_priors_have_sparse_banded_factors():
         L = make_prior(kind, 1.0, m).L
         assert scipy.sparse.issparse(L)
         assert np.all(np.diff(L.tocsr().indptr) <= 3)
-    assert isinstance(make_prior("L2", 1.0, 4).L, np.ndarray)
+    L2 = make_prior("L2", 1.0, 4).L
+    assert scipy.sparse.issparse(L2) and L2.nnz == 4
+    np.testing.assert_array_equal(L2.toarray(), np.eye(4))

@@ -15,12 +15,14 @@ from pvga import (
     GaussianState,
     PoissonData,
     PriorSpec,
+    SparsityMask,
     VgaConfig,
     elbo,
     fixed_point_step_cov,
     newton_step_mean,
     optimality_residual,
     run_vga,
+    sample_poisson_data,
     select_mode,
 )
 from pvga.errors import ConfigError, IllConditioned
@@ -264,7 +266,21 @@ def test_report_bookkeeping(rng):
     assert report.flags == []
     for counts in report.inner_counts:
         assert 1 <= counts["newton"] <= 5
+        assert 0 <= counts["pcg_unconverged"] <= counts["newton"]
         assert counts["fixed_point"] == 1
+
+
+def test_default_newton_steps_solve_to_tolerance_and_truncation_is_reported():
+    side = 16
+    A, x_true = make_test_problem("blur2d", side)
+    data = sample_poisson_data(A, x_true, seed=0)
+    prior = make_prior("H1_2D", 1.0, side * side)
+    cfg = dict(mode="lowrank_sparse", rank=51, mask=SparsityMask.grid4(side))
+    _, report = run_vga(A, data, prior, VgaConfig(**cfg))
+    assert report.converged
+    assert sum(c["pcg_unconverged"] for c in report.inner_counts) == 0
+    _, capped = run_vga(A, data, prior, VgaConfig(pcg_maxit=2, max_outer=3, **cfg))
+    assert sum(c["pcg_unconverged"] for c in capped.inner_counts) > 0
 
 
 # -- mode selection and config -----------------------------------------------
