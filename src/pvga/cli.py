@@ -286,6 +286,7 @@ def cmd_hyper(cfg: dict) -> int:
                 "em_iterations": len(trace.psi_sequence),
                 "flags": list(trace.flags),
                 "alpha_sequence": list(trace.alpha_sequence),
+                "rejected_alphas": list(trace.rejected_alphas),
             },
         )
     print(f"hyper: converged={trace.converged} alpha={alpha_star:.10g} out={out}")

@@ -1,14 +1,21 @@
 """Hierarchical estimation of the prior strength alpha by EM.
 
 The prior covariance is C0 = alpha^{-1} Cbar0 with a Gamma(a, b) hyperprior
-on alpha.  Each EM sweep solves the full variational problem at the current
-alpha (E-step, warm-started) and then updates
+on alpha.  One EM map g solves the full variational problem at alpha
+(E-step, warm-started) and then updates
 
-    alpha  <-  (m + 2(a - 1)) / ((xbar-mu0)^t Cbar0^{-1} (xbar-mu0)
+    g(alpha) = (m + 2(a - 1)) / ((xbar-mu0)^t Cbar0^{-1} (xbar-mu0)
                                   + tr(Cbar0^{-1} C) + 2 b),
 
-which drives the joint bound upward; the alpha iterates are monotone and
-bounded by (m + 2(a-1)) / (2b).
+which never exceeds (m + 2(a-1)) / (2b).  The profiled joint bound rises in
+the direction of h(alpha) = g(alpha) - alpha, so its maximizer is a root of h.
+Plain iteration of g converges only linearly; :func:`run_hierarchical` finds
+the root instead by a safeguarded secant / regula falsi (Illinois) search.
+The sign of h at ``alpha_init`` fixes the direction.  A trial that keeps
+that sign is accepted: it is recorded and warm-starts the next E-step.  A
+trial where h has flipped lies past the root; it is rejected and only
+bounds the search from the far side.  The accepted iterates are therefore
+monotone, and the joint bound rises along them as it does under plain EM.
 """
 
 from __future__ import annotations
@@ -42,6 +49,10 @@ __all__ = [
 
 @dataclass
 class HyperConfig:
+    """EM settings.  ``max_em`` caps the number of E-step solves, accepted and
+    rejected trials alike; ``alpha_tol`` is the relative stopping tolerance on
+    |g(alpha) - alpha| and on the width of a closing bracket."""
+
     a: float = 1.0
     b: float = 1e-4  # strictly positive keeps the alpha iterates bounded
     alpha_init: float = 1.0
@@ -61,11 +72,18 @@ class HyperConfig:
 
 @dataclass
 class HyperTrace:
+    """One entry per accepted E-step in ``psi_sequence``,
+    ``joint_bound_sequence`` and ``estep_*``; ``alpha_sequence`` holds the
+    accepted alphas followed by the returned one.  ``rejected_alphas`` lists,
+    in order, the trials whose h = g(alpha) - alpha had the opposite sign to
+    the first one; they were solved but never recorded or warm-started from."""
+
     alpha_sequence: list = field(default_factory=list)
     psi_sequence: list = field(default_factory=list)
     joint_bound_sequence: list = field(default_factory=list)
     estep_converged: list = field(default_factory=list)  # per E-step: run_vga converged
     estep_sweeps: list = field(default_factory=list)  # per E-step: outer sweeps taken
+    rejected_alphas: list = field(default_factory=list)
     converged: bool = False
     flags: list = field(default_factory=list)
 
@@ -128,56 +146,119 @@ def update_alpha(state: GaussianState, prior_structure: PriorSpec, a: float, b: 
     return float(alpha)
 
 
+def _next_trial(x, hx, wx, prev, far, limit, s):
+    """The next alpha to try from the last accepted point (x, hx), strictly
+    inside (x, limit) and never short of the plain EM step x + hx.
+
+    With a far end (z, hz) of the bracket this is regula falsi, with wx in
+    place of hx (the two differ once Illinois has halved it); without one it
+    is the secant through the previous accepted point ``prev``, which is
+    Aitken's delta-squared step when x came from a plain step.  A candidate
+    outside the interval falls back to the farther of the plain step and the
+    midpoint of (x, limit), then to the midpoint alone.
+    """
+    plain = x + hx
+    mid = 0.5 * (x + limit)
+    cand = plain
+    if far is not None:
+        z, hz = far
+        cand = x - wx * (z - x) / (hz - wx)
+    elif prev is not None:
+        xp, hp = prev
+        cand = x - hx * (x - xp) / (hx - hp) if hx != hp else np.nan
+        if not s * (cand - plain) >= 0:
+            # |h| is not shrinking ahead of x: widen the search instead,
+            # doubling the last step in ln(alpha)
+            cand = x * (x / xp) ** 2
+    if not s * (cand - plain) >= 0:  # shorter than the plain step, or nan
+        cand = plain
+    for t in (cand, max(plain, mid, key=lambda v: s * v)):
+        if s * (t - x) > 0 and s * (limit - t) > 0:
+            return t
+    return mid
+
+
 def run_hierarchical(
     A: ForwardOperator,
     data: PoissonData,
     prior_structure: PriorSpec,
     cfg: HyperConfig | None = None,
 ) -> tuple[GaussianState, float, HyperTrace]:
-    """Alternate full variational solves with alpha updates until the alpha
-    increments fall below alpha_tol (relative).
+    """Find the EM fixed point alpha = g(alpha) by a bracketed root search on
+    h(alpha) = g(alpha) - alpha (see the module docstring).
 
-    Returns the last E-step state, the limiting alpha, and the trace.  A run
-    that exhausts max_em raises MaxIterationsExceeded with the trace attached
-    as ``partial``.
+    Stops when an accepted trial has |h| < alpha_tol * alpha, returning g
+    there, or when the bracket between the last accepted x and the nearest
+    rejected trial is narrower than alpha_tol * x, returning x (appended once
+    more, a zero step).  Near the root the sign of h is E-step noise, so the
+    second rule is what ends a search whose trials keep straddling it.
+    Returns the last accepted E-step state, the limiting alpha, and the
+    trace.  A run that exhausts max_em solves raises MaxIterationsExceeded
+    with the trace attached as ``partial``.
     """
     cfg = cfg or HyperConfig()
     cfg.validate()
     m = A.n_cols
     bound = alpha_upper_bound(m, cfg.a, cfg.b)
     trace = HyperTrace()
-    alpha = cfg.alpha_init
-    trace.alpha_sequence.append(alpha)
     state = None
+    s = 0.0  # direction of the search, the sign of h at alpha_init
+    x = hx = wx = None  # last accepted alpha, its h, and hx's regula falsi weight
+    prev = far = None  # (alpha, h) of the accepted point before x / of the far end
+    last_accepted = True
+    trial = cfg.alpha_init
     converged = False
     for _ in range(cfg.max_em):
-        prior_k = prior_structure.with_alpha(alpha)
-        state, report = run_vga(A, data, prior_k, cfg.inner, initial_state=state)
-        trace.estep_converged.append(report.converged)
-        trace.estep_sweeps.append(len(report.inner_counts))
-        _phi, psi = phi_psi(state, A, data, prior_k)
-        trace.psi_sequence.append(psi)
-        trace.joint_bound_sequence.append(
-            joint_lower_bound(state, alpha, A, data, prior_structure, cfg.a, cfg.b)
-        )
-        alpha_new = update_alpha(state, prior_structure, cfg.a, cfg.b, m)
-        if alpha_new < 1e-12:
+        prior_k = prior_structure.with_alpha(trial)
+        trial_state, report = run_vga(A, data, prior_k, cfg.inner, initial_state=state)
+        g = update_alpha(trial_state, prior_structure, cfg.a, cfg.b, m)
+        if g < 1e-12:
             raise AlphaCollapse(
-                f"alpha fell to {alpha_new:.3e}; the data overwhelm the prior or "
+                f"alpha fell to {g:.3e}; the data overwhelm the prior or "
                 "the hyperprior is misconfigured"
             )
-        trace.alpha_sequence.append(alpha_new)
-        done = abs(alpha_new - alpha) < cfg.alpha_tol * alpha
-        alpha = alpha_new
-        if done:
+        h = g - trial
+        if s == 0.0:
+            s = 1.0 if h >= 0 else -1.0
+        if s * h < 0:
+            trace.rejected_alphas.append(trial)
+            if not last_accepted:  # Illinois: x survived two trials
+                wx *= 0.5
+            far, last_accepted = (trial, h), False
+        else:
+            state = trial_state
+            trace.alpha_sequence.append(trial)
+            trace.estep_converged.append(report.converged)
+            trace.estep_sweeps.append(len(report.inner_counts))
+            trace.psi_sequence.append(phi_psi(state, A, data, prior_k)[1])
+            trace.joint_bound_sequence.append(
+                joint_lower_bound(state, trial, A, data, prior_structure, cfg.a, cfg.b)
+            )
+            if x is not None:
+                prev = (x, hx)
+            x, hx, wx, alpha = trial, h, h, g
+            if abs(h) < cfg.alpha_tol * trial:
+                trace.alpha_sequence.append(g)
+                converged = True
+                break
+            if far is not None and last_accepted:  # Illinois: the far end survived two
+                far = (far[0], 0.5 * far[1])
+            last_accepted = True
+        if far is not None and abs(far[0] - x) < cfg.alpha_tol * x:
+            trace.alpha_sequence.append(x)
+            alpha = x
             converged = True
             break
+        limit = far[0] if far is not None else (bound if s > 0 else 0.0)
+        trial = _next_trial(x, hx, wx, prev, far, limit, s)
+    else:
+        trace.alpha_sequence.append(alpha)
     trace.converged = converged
     if alpha > 0.5 * bound:
         trace.flags.append("PossiblyDegenerateFixedPoint")
     if not converged:
         err = MaxIterationsExceeded(
-            f"alpha iteration did not settle within {cfg.max_em} EM sweeps"
+            f"alpha iteration did not settle within {cfg.max_em} E-step solves"
         )
         err.partial = (state, alpha, trace)
         raise err

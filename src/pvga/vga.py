@@ -139,8 +139,15 @@ def newton_step_mean(
     prior: PriorSpec,
     cfg: VgaConfig,
 ) -> tuple[np.ndarray, MeanStepReport]:
-    """One Newton step on the mean: solve (A^t D A + C0^{-1}) dx = -G by PCG
-    with the prior covariance as preconditioner, then backtrack on ||G||.
+    """One Newton step on the mean: solve (A^t D A + C0^{-1}) dx = -G by PCG,
+    then backtrack on ||G||.
+
+    The preconditioner is the current covariance C when it is stored whole
+    (dense and low-rank modes).  After a fixed-point step C = (A^t D' A +
+    C0^{-1})^{-1}, with A's rank-r factor in low-rank mode: the inverse of
+    this system at the rates C was built from, so PCG needs only a few
+    iterations once the rates settle.  Masked mode, whose C is only a
+    projection, preconditions with C0.
 
     G(x) = A^t (e^d - y) + C0^{-1}(x - mu0) with d = Ax + 1/2 diag(A C A^t)
     and the rates clamped at e^LOG_RATE_LIMIT.  Its norms are taken with
@@ -161,7 +168,8 @@ def newton_step_mean(
     if state.saturated:
         _check_conditioning(apply_J, prior, state.dim)
 
-    res = pcg_solve(apply_J, -G, precond=prior.cov_apply, tol=cfg.pcg_tol, maxit=cfg.pcg_maxit)
+    precond = prior.cov_apply if state.mask is not None else state.cov
+    res = pcg_solve(apply_J, -G, precond=precond, tol=cfg.pcg_tol, maxit=cfg.pcg_maxit)
     step = res.x
     if not np.all(np.isfinite(step)):
         raise PcgBreakdown("non-finite Newton step")

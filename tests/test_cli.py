@@ -104,6 +104,8 @@ def test_hyper_two_starts_and_grid(tmp_path):
         assert run("hyper", cfg, out) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is True
+        assert report["em_iterations"] == len(report["alpha_sequence"]) - 1
+        assert isinstance(report["rejected_alphas"], list)
         alphas.append(report["alpha_star"])
 
         trace = read_csv(out / "hyper_trace.csv")

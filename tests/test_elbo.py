@@ -31,7 +31,7 @@ from pvga import (
     rate_vector,
     run_vga,
 )
-from pvga.errors import DimensionMismatch
+from pvga.errors import DimensionMismatch, DimensionTooLarge
 
 from conftest import random_problem, random_spd, random_state
 
@@ -317,7 +317,7 @@ def test_evidence_zero_operator():
 
 def test_evidence_dimension_guard(rng):
     A, data, prior = random_problem(rng, m=4, n=4)
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionTooLarge):
         evidence_quadrature(A, data, prior)
 
 

@@ -7,6 +7,8 @@ compare against entry by entry.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from pvga import (
@@ -22,6 +24,7 @@ from pvga import (
     phi_psi,
     run_hierarchical,
     run_vga,
+    sample_poisson_data,
     update_alpha,
 )
 from pvga.errors import (
@@ -31,6 +34,8 @@ from pvga.errors import (
     MaxIterationsExceeded,
     NonpositiveDenominator,
 )
+from pvga.formats import substream_seed
+from pvga.model import make_prior, make_test_problem
 
 from conftest import random_prior, random_problem, random_state
 
@@ -218,8 +223,6 @@ def test_joint_bound_nondecreasing_along_em(rng):
 
 
 def test_alpha_star_maximizes_profiled_bound():
-    from pvga.model import make_prior, make_test_problem
-
     A, x_true = make_test_problem("phillips", 60)
     data = PoissonData(np.random.default_rng(5).poisson(np.exp(A.matvec(x_true))))
     prior = make_prior("L2", 1.0, 60)
@@ -277,6 +280,69 @@ def test_trace_records_every_estep(rng):
     capped = info.value.partial[2]
     assert capped.estep_sweeps == [1, 1, 1]
     assert not capped.estep_converged[0]
+
+
+def test_em_settles_on_a_draw_plain_em_cannot_finish():
+    # em_phillips100's setup on a data draw where plain EM needs 401 sweeps
+    A, x_true = make_test_problem("phillips", 100, rate_scale=(0.5, 50.0))
+    data = sample_poisson_data(A, x_true, seed=substream_seed(3835832615, "data"))
+    prior = make_prior("L2", 1.0, 100)
+    cfg = HyperConfig(a=1.0, b=1e-4, alpha_init=1.0, max_em=400, inner=VgaConfig(mode="dense"))
+    _, _, trace = run_hierarchical(A, data, prior, cfg)
+    assert trace.converged
+    assert np.all(np.diff(trace.alpha_sequence) <= 0)
+    assert len(trace.psi_sequence) + len(trace.rejected_alphas) <= 30
+
+
+def test_closed_bracket_ends_a_search_whose_trials_straddle_the_root():
+    # near alpha* the sign of h is E-step noise: trials keep landing on both
+    # sides, and only the bracket-width stop ends the search
+    A, data, prior = random_problem(np.random.default_rng(9), m=6, n=10)
+    cfg = HyperConfig(a=1.5, b=0.5, alpha_init=50.0)
+    state, alpha_star, trace = run_hierarchical(A, data, prior, cfg)
+    assert trace.converged and trace.rejected_alphas
+    assert trace.alpha_sequence[-1] == trace.alpha_sequence[-2] == alpha_star
+    assert np.all(np.diff(trace.alpha_sequence) <= 0)
+    assert 0 < alpha_star - max(trace.rejected_alphas) < cfg.alpha_tol * alpha_star
+
+
+def test_illinois_halving_moves_a_stuck_near_end():
+    # regula falsi from a fixed near end creeps down on the root from above;
+    # halving that end's weight after two rejections in a row lets a trial
+    # land below the root (89 rejected trials without it)
+    A, data, prior = random_problem(np.random.default_rng(61), m=3)
+    _, _, trace = run_hierarchical(A, data, prior, HyperConfig(a=1.0, b=0.01, alpha_init=0.05))
+    assert trace.converged
+    assert len(trace.psi_sequence) + len(trace.rejected_alphas) <= 25
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    m=st.integers(2, 6),
+    a=st.sampled_from([1.0, 1.5, 3.0]),
+    b=st.sampled_from([1e-4, 1e-2, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_em_contract(m, a, b, seed):
+    A, data, prior = random_problem(np.random.default_rng(seed), m=m)
+    solves = 0
+    for start in (0.05, 50.0):
+        cfg = HyperConfig(a=a, b=b, alpha_init=start, max_em=400)
+        state, alpha_star, trace = run_hierarchical(A, data, prior, cfg)
+        assert trace.converged
+        solves += len(trace.psi_sequence) + len(trace.rejected_alphas)
+        s = 1.0 if alpha_star >= start else -1.0
+        assert np.all(s * np.diff(trace.alpha_sequence) >= 0)
+        assert np.all(np.diff(trace.joint_bound_sequence) >= -1e-8)
+        assert alpha_star <= alpha_upper_bound(m, a, b)
+        # a rejected trial lies past the root, so past alpha* to within alpha_tol
+        rejected = np.asarray(trace.rejected_alphas)
+        assert np.all(s * (rejected - alpha_star) > -cfg.alpha_tol * alpha_star)
+        fresh, _ = run_vga(A, data, prior.with_alpha(alpha_star), cfg.inner, initial_state=state)
+        assert abs(update_alpha(fresh, prior, a, b, m) - alpha_star) <= 1e-6 * alpha_star
+    # the two starts together take about 22 solves (at most 33 over 150
+    # draws of this kind); plain EM takes about 100 and often exhausts max_em
+    assert solves <= 36
 
 
 def test_hyper_config_validation():

@@ -26,6 +26,7 @@ from pvga import (
     select_mode,
 )
 from pvga.errors import ConfigError, IllConditioned
+from pvga.formats import substream_seed
 from pvga.model import make_prior, make_test_problem
 
 from conftest import random_problem, random_state
@@ -281,6 +282,18 @@ def test_default_newton_steps_solve_to_tolerance_and_truncation_is_reported():
     assert sum(c["pcg_unconverged"] for c in report.inner_counts) == 0
     _, capped = run_vga(A, data, prior, VgaConfig(pcg_maxit=2, max_outer=3, **cfg))
     assert sum(c["pcg_unconverged"] for c in capped.inner_counts) > 0
+
+
+def test_dense_newton_pcg_is_preconditioned_by_the_current_covariance():
+    # C from the last fixed-point step inverts the Newton system at its rates,
+    # so after the first sweep each solve needs only a few PCG iterations
+    # (about 8 per solve with the prior as preconditioner)
+    A, x_true = make_test_problem("phillips", 100, rate_scale=(0.5, 50.0))
+    data = sample_poisson_data(A, x_true, seed=substream_seed(0, "data"))
+    _, report = run_vga(A, data, make_prior("L2", 10.0, 100), VgaConfig(mode="dense"))
+    assert report.converged
+    later = report.inner_counts[1:]
+    assert sum(c["pcg"] for c in later) <= 4 * sum(c["newton"] for c in later)
 
 
 # -- mode selection and config -----------------------------------------------
