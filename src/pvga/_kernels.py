@@ -1,9 +1,10 @@
 """Hot numerical kernels, in numpy and scipy.
 
 The expensive inner loops of the package live here: row-wise quadratic forms
-a_i^t C a_i (the per-row diagonal of A C A^t), masked low-rank entry
-materialization, and the sequential Metropolis accept/reject scan.  The
-solver looks each kernel up on this module, so the names are stable.
+a_i^t C a_i (the per-row diagonal of A C A^t, also for a Kronecker A = T (x) T
+and a masked C), masked low-rank entry materialization, and the sequential
+Metropolis accept/reject scan.  The solver looks each kernel up on this
+module, so the names are stable.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ __all__ = [
     "BACKEND",
     "rowwise_quad_full",
     "rowwise_quad_masked",
+    "rowwise_quad_kron_masked",
     "lowrank_masked_dots",
     "mh_scan",
 ]
@@ -40,6 +42,37 @@ def rowwise_quad_masked(A, rows, cols, vals) -> np.ndarray:
     m = A.shape[1]
     C = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
     return np.einsum("ij,ji->i", A, C @ A.T)
+
+
+def rowwise_quad_kron_masked(T, offsets, vals) -> np.ndarray:
+    """diag(A C A^t) for A = T (x) T (row-major side x side images) and C
+    given by coordinate entries grouped by grid offset.
+
+    ``offsets`` holds one (d1, d2, p, r1, r2) per offset, as from
+    ``SparsityMask.grid_offsets``: the entries vals[p] couple pixel (r1, r2)
+    with (r1 + d1, r2 + d2).  With P_d[i, r] = T[i, r] T[i, r + d] (zero where
+    r + d leaves the grid) and V_d the entries laid out on the grid,
+
+        q = sum_d P_d1 V_d P_d2^t,
+
+    two side x side products per offset instead of a pass over a dense A.
+    """
+    side = T.shape[0]
+    shifted = {}
+    for d1, d2, _, _, _ in offsets:
+        for d in (d1, d2):
+            if d not in shifted:
+                P = np.zeros_like(T)
+                lo, hi = max(0, -d), min(side, side - d)
+                P[:, lo:hi] = T[:, lo:hi] * T[:, lo + d : hi + d]
+                shifted[d] = P
+    q = np.zeros((side, side))
+    V = np.zeros((side, side))
+    for d1, d2, p, r1, r2 in offsets:
+        V[r1, r2] = vals[p]
+        q += shifted[d1] @ V @ shifted[d2].T
+        V[r1, r2] = 0.0
+    return q.ravel()
 
 
 def lowrank_masked_dots(WM, W, rows, cols) -> np.ndarray:

@@ -195,7 +195,7 @@ def _write_state(out: Path, state: GaussianState, emit: dict) -> None:
             formats.write_csv(
                 out / "cov_masked.csv",
                 ["row", "col", "value"],
-                [rows, cols, state.cov[rows, cols]],
+                [rows, cols, state.values],
             )
     elif emit.get("binary", True):
         formats.write_vgam(out / "cov.vgam", state.cov)

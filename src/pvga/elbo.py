@@ -39,23 +39,33 @@ _GRAD_COV_DENSE_LIMIT = 2000
 class GaussianState:
     """A Gaussian q = N(mean, cov), with per-operator caches for the log-rates.
 
-    ``cov`` is a dense SPD array; in masked (sparse) mode it holds zeros off
-    the mask and the mask rides along so row-wise quadratic forms only touch
-    stored entries.  The two pieces of the log-rate vector are cached
+    Unmasked, ``cov`` is a dense SPD array.  With a mask (sparse mode) the
+    covariance is held as ``values``, aligned with ``mask.rows``/``mask.cols``
+    and zero off the mask; it may be given as that vector or as a dense array
+    whose mask entries are taken.  Row-wise quadratic forms and the prior
+    trace read the values, and ``cov`` is then a dense view built on first
+    access and cached.  The two pieces of the log-rate vector are cached
     separately: A @ mean survives a covariance update, the quadratic part
     survives a mean update.
     """
 
-    __slots__ = ("mean", "cov", "mask", "saturated", "_z_cache", "_q_cache", "_chol")
+    __slots__ = ("mean", "mask", "values", "saturated", "_cov", "_z_cache", "_q_cache", "_chol")
 
     def __init__(self, mean, cov, mask: SparsityMask | None = None):
         mean = np.asarray(mean, dtype=float)
         cov = np.asarray(cov, dtype=float)
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
+        m = mean.size
+        if mean.ndim != 1 or (cov.shape != (m, m) and (mask is None or cov.shape != (mask.nnz,))):
             raise DimensionMismatch("mean/cov shapes disagree")
+        if mask is not None and mask.dim != m:
+            raise DimensionMismatch("mask/mean dimensions disagree")
         self.mean = mean
-        self.cov = cov
         self.mask = mask
+        self.values = None
+        self._cov = cov
+        if mask is not None:
+            self.values = cov if cov.ndim == 1 else cov[mask.rows, mask.cols]
+            self._cov = None
         self.saturated = False  # set when a rate evaluation hit the overflow clamp
         self._z_cache: tuple | None = None  # (A, A @ mean)
         self._q_cache: tuple | None = None  # (A, rowwise a_i^t C a_i)
@@ -65,19 +75,36 @@ class GaussianState:
     def dim(self) -> int:
         return self.mean.size
 
+    @property
+    def cov(self) -> np.ndarray:
+        """The covariance as a dense m x m array (masked: zeros off the mask)."""
+        if self._cov is None:
+            C = np.zeros((self.dim, self.dim))
+            C[self.mask.rows, self.mask.cols] = self.values
+            self._cov = C
+        return self._cov
+
     def chol(self) -> np.ndarray:
         """Cached Cholesky factor of cov (raises NotPositiveDefinite)."""
         if self._chol is None:
             self._chol = cholesky(self.cov)
         return self._chol
 
+    def trace_base(self, prior: PriorSpec) -> float:
+        """tr(Cbar0^{-1} C), alpha-free; from the values in masked mode."""
+        if self.mask is None:
+            return prior.trace_base(self.cov)
+        return prior.trace_base_masked(self.mask, self.values)
+
     def replace_mean(self, mean) -> "GaussianState":
-        out = GaussianState(np.asarray(mean, dtype=float), self.cov, self.mask)
+        out = GaussianState(mean, self._cov if self.mask is None else self.values, self.mask)
+        out._cov = self._cov
         out._q_cache = self._q_cache
         out._chol = self._chol
         return out
 
     def replace_cov(self, cov, mask: SparsityMask | None = None) -> "GaussianState":
+        """Same mean, new covariance: a dense array, or (masked) the values."""
         out = GaussianState(self.mean, cov, self.mask if mask is None else mask)
         out._z_cache = self._z_cache
         return out
@@ -91,12 +118,10 @@ class GaussianState:
 
     def _quad(self, A: ForwardOperator) -> np.ndarray:
         if self._q_cache is None or self._q_cache[0] is not A:
-            Ad = A.dense()
             if self.mask is not None:
-                vals = self.cov[self.mask.rows, self.mask.cols]
-                q = _kernels.rowwise_quad_masked(Ad, self.mask.rows, self.mask.cols, vals)
+                q = A.masked_quad(self.mask, self.values)
             else:
-                q = _kernels.rowwise_quad_full(Ad, self.cov)
+                q = _kernels.rowwise_quad_full(A.dense(), self.cov)
             self._q_cache = (A, q)
         return self._q_cache[1]
 
@@ -154,7 +179,7 @@ def _bound_with_logdet(
     fit = float(data.y @ z - rates.sum())
     v = state.mean - prior.mu0
     mean_penalty = 0.5 * prior.alpha * prior.quad_base(v)
-    tr_term = prior.alpha * prior.trace_base(state.cov)
+    tr_term = prior.alpha * state.trace_base(prior)
     # constant pieces -1/2 ln|C0| + m/2 - (1, ln y!) are cached on prior/data
     total = (
         fit

@@ -124,16 +124,21 @@ def phi_psi(
     alpha-free and nonpositive; phi collects the remainder, so the two parts
     reassemble F_alpha exactly at the alpha carried by ``prior_structure``.
     """
-    v = state.mean - prior_structure.mu0
-    psi = -0.5 * prior_structure.quad_base(v) - 0.5 * prior_structure.trace_base(state.cov)
+    psi = _psi(state, prior_structure)
     F = elbo(state, A, data, prior_structure).total
     return F - prior_structure.alpha * psi, psi
+
+
+def _psi(state: GaussianState, prior_structure: PriorSpec) -> float:
+    """psi of :func:`phi_psi` alone, with no bound evaluation."""
+    v = state.mean - prior_structure.mu0
+    return -0.5 * prior_structure.quad_base(v) - 0.5 * state.trace_base(prior_structure)
 
 
 def update_alpha(state: GaussianState, prior_structure: PriorSpec, a: float, b: float, m: int) -> float:
     """M-step: alpha = (m + 2(a-1)) / (quad + trace + 2b) = (m/2+a-1)/(b - psi)."""
     v = state.mean - prior_structure.mu0
-    denom = prior_structure.quad_base(v) + prior_structure.trace_base(state.cov) + 2.0 * b
+    denom = prior_structure.quad_base(v) + state.trace_base(prior_structure) + 2.0 * b
     if denom <= 0:
         raise NonpositiveDenominator(
             f"alpha update denominator {denom:.3e} is nonpositive (b must be > 0)"
@@ -230,7 +235,7 @@ def run_hierarchical(
             trace.alpha_sequence.append(trial)
             trace.estep_converged.append(report.converged)
             trace.estep_sweeps.append(len(report.inner_counts))
-            trace.psi_sequence.append(phi_psi(state, A, data, prior_k)[1])
+            trace.psi_sequence.append(_psi(state, prior_k))
             trace.joint_bound_sequence.append(
                 joint_lower_bound(state, trial, A, data, prior_structure, cfg.a, cfg.b)
             )

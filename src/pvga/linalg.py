@@ -191,7 +191,10 @@ class SparsityMask:
     """Symmetric sparsity pattern on an m x m covariance, diagonal included.
 
     Stored as coordinate arrays (rows, cols) covering every retained entry,
-    including both (i, j) and (j, i) for off-diagonal pairs.
+    including both (i, j) and (j, i) for off-diagonal pairs.  A masked
+    covariance is a vector of values aligned with these arrays.  The index
+    maps that masked kernels need (:meth:`mirror`, :meth:`grid_offsets`) are
+    derived on first use and cached.
     """
 
     def __init__(self, dim: int, rows, cols):
@@ -207,6 +210,7 @@ class SparsityMask:
         diag = np.arange(self.dim, dtype=np.int64) * (self.dim + 1)
         keys = np.unique(np.concatenate([rows * self.dim + cols, cols * self.dim + rows, diag]))
         self.rows, self.cols = np.divmod(keys, self.dim)
+        self._derived: dict = {}
 
     @classmethod
     def banded(cls, dim: int, s: int) -> "SparsityMask":
@@ -239,6 +243,41 @@ class SparsityMask:
     @property
     def max_row_count(self) -> int:
         return int(np.bincount(self.rows, minlength=self.dim).max())
+
+    def mirror(self) -> tuple[np.ndarray, np.ndarray]:
+        """(upper, idx): the positions of the pairs with row <= col, and for
+        every pair the index into ``upper`` of itself or its transpose, so
+        ``vals[upper][idx]`` rebuilds a symmetric value vector."""
+        if "mirror" not in self._derived:
+            is_upper = self.rows <= self.cols
+            rank = np.cumsum(is_upper) - 1  # position among the upper pairs
+            own = np.searchsorted(self.rows * self.dim + self.cols,
+                                  np.minimum(self.rows, self.cols) * self.dim
+                                  + np.maximum(self.rows, self.cols))
+            self._derived["mirror"] = (np.flatnonzero(is_upper), rank[own])
+        return self._derived["mirror"]
+
+    def grid_offsets(self, side: int) -> list:
+        """The pairs grouped by offset on a side x side grid (row-major).
+
+        One entry (d1, d2, p, r1, r2) per distinct offset: the pairs at
+        positions p go from pixel (r1, r2) to pixel (r1 + d1, r2 + d2).
+        """
+        key = ("offsets", side)
+        if key not in self._derived:
+            if side * side != self.dim:
+                raise DimensionMismatch(f"mask of dimension {self.dim} is not a {side} x {side} grid")
+            r1, r2 = np.divmod(self.rows, side)
+            c1, c2 = np.divmod(self.cols, side)
+            d1, d2 = c1 - r1, c2 - r2
+            code = (d1 + side) * (2 * side + 1) + (d2 + side)
+            order = np.argsort(code, kind="stable")
+            starts = np.flatnonzero(np.diff(code[order], prepend=-1))
+            groups = []
+            for p in np.split(order, starts[1:]):
+                groups.append((int(d1[p[0]]), int(d2[p[0]]), p, r1[p], r2[p]))
+            self._derived[key] = groups
+        return self._derived[key]
 
     def dense_bool(self) -> np.ndarray:
         B = np.zeros((self.dim, self.dim), dtype=bool)
@@ -337,10 +376,10 @@ def woodbury_cov(
 
     and one Cholesky factor gives M, the determinant and a ``pocon``
     singularity guard; cost O(r^2 (m + n) + r^3) per call once the basis is
-    known.  With a mask, only the masked entries are materialized (returned
-    as a dense matrix that is zero off-mask): each pair i <= j is computed
-    once and mirrored, and equals the corresponding entry of the unmasked
-    update.
+    known.  With a mask, only the masked entries are computed and returned,
+    as a vector aligned with ``mask.rows``/``mask.cols``: each pair i <= j is
+    computed once and mirrored, and equals the corresponding entry of the
+    unmasked update.  No m x m array is formed.
 
     With ``return_inner_logdet=True`` also returns ln det(I + K G)
     = 2 sum ln diag(Li), which by the determinant lemma gives the
@@ -369,14 +408,12 @@ def woodbury_cov(
     if mask is None:
         C = symmetrize(cov.dense() - W @ M @ W.T)
     else:
-        upper = mask.rows <= mask.cols
+        upper, idx = mask.mirror()
         rows, cols = mask.rows[upper], mask.cols[upper]
         vals = cov.entries(rows, cols) - lowrank_masked_dots(
             np.ascontiguousarray(W @ M), np.ascontiguousarray(W), rows, cols
         )
-        C = np.zeros((mask.dim, mask.dim))
-        C[rows, cols] = vals
-        C[cols, rows] = vals
+        C = vals[idx]
     if return_inner_logdet:
         return C, 2.0 * float(np.sum(np.log(np.diag(Li))))
     return C

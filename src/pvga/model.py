@@ -22,6 +22,7 @@ from .errors import (
     UnknownProblem,
     ConfigError,
 )
+from . import _kernels
 from .linalg import LowRankFactor
 
 __all__ = [
@@ -160,6 +161,15 @@ class ForwardOperator:
         Y = y.reshape(side, side)
         return (T.T @ Y @ T).ravel()
 
+    def _blur_stack(self, X, T) -> np.ndarray:
+        """T X_k T^t for every column X_k of X read as a side x side image,
+        as one stacked product (``matmat`` passes T, ``rmatmat`` T^t)."""
+        side = self._payload["side"]
+        if X.ndim != 2 or X.shape[0] != side * side:
+            raise DimensionMismatch(f"expected {side * side} rows, got shape {X.shape}")
+        k = X.shape[1]
+        return (T @ X.T.reshape(k, side, side) @ T.T).reshape(k, side * side).T
+
     def matmat(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if self.kind == "dense":
@@ -167,6 +177,8 @@ class ForwardOperator:
         if self.kind == "lowrank":
             F = self._payload
             return F.U @ (F.S[:, None] * (F.V.T @ X))
+        if self.kind == "blur2d":
+            return self._blur_stack(X, self._payload["T"])
         return np.column_stack([self.matvec(X[:, j]) for j in range(X.shape[1])])
 
     def rmatmat(self, Y) -> np.ndarray:
@@ -176,7 +188,21 @@ class ForwardOperator:
         if self.kind == "lowrank":
             F = self._payload
             return F.V @ (F.S[:, None] * (F.U.T @ Y))
+        if self.kind == "blur2d":
+            return self._blur_stack(Y, self._payload["T"].T)
         return np.column_stack([self.rmatvec(Y[:, j]) for j in range(Y.shape[1])])
+
+    def masked_quad(self, mask, vals) -> np.ndarray:
+        """diag(A C A^t) for C given by its values on a mask (aligned with
+        ``mask.rows``/``mask.cols``, zero elsewhere).
+
+        The blur operator works from its Kronecker factor (no dense A); every
+        other kind gathers from ``dense()``.
+        """
+        if self.kind == "blur2d":
+            side = self._payload["side"]
+            return _kernels.rowwise_quad_kron_masked(self._payload["T"], mask.grid_offsets(side), vals)
+        return _kernels.rowwise_quad_masked(self.dense(), mask.rows, mask.cols, vals)
 
     def dense(self) -> np.ndarray:
         """Materialize A as a dense array (cached)."""
@@ -226,6 +252,8 @@ class _PriorStructure:
     under which a triangular L (every built-in prior) factors with no fill.
     ``L=None`` stands for the identity: solves and row quadratic forms skip
     it, and it is built as a sparse CSR identity only when asked for.
+    Entries of Cbar0 near the diagonal come from a banded selected inversion
+    of L^t L (cached), never from the dense Cbar0.
     """
 
     def __init__(self, mu0: np.ndarray, L):
@@ -236,6 +264,8 @@ class _PriorStructure:
         self._lu = None
         self._prec = None  # L^t L, sparse
         self._cov = None  # (L^t L)^{-1}, dense
+        self._cov_band = None  # lower band of (L^t L)^{-1}, see cov_entries
+        self._prec_on_mask = None  # (mask, entries of L^t L on it)
         self._logdet_prec = None
 
     @property
@@ -275,6 +305,84 @@ class _PriorStructure:
             cov = self.solve(np.eye(self.m))
             self._cov = (cov + cov.T) / 2.0
         return self._cov
+
+    def _band_inverse(self, b: int) -> np.ndarray:
+        """zb[k, j] = Z[j + k, j] for k <= b, Z = (L^t L)^{-1}.
+
+        Takahashi's recurrences on a lower-triangular R with R R^t = L^t L
+        (half-bandwidth <= b): from the last column back,
+
+            Z[j+1:j+b+1, j] = -Z[j+1:j+b+1, j+1:j+b+1] l / R_jj,
+            Z_jj = 1 / R_jj^2 - l . Z[j+1:j+b+1, j] / R_jj,   l = R[j+1:j+b+1, j],
+
+        which read only entries within b of the diagonal.  For a lower
+        triangular L (every built-in prior) R is L^t in reversed index order,
+        so L's conditioning is not squared; any other L takes the banded
+        Cholesky factor of L^t L.  The trailing block lives in a window of at
+        most 2(b+1) rows that moves every b+1 columns: O(m b^2) time, O(m b)
+        memory.
+        """
+        m = self.m
+        Lc = scipy.sparse.coo_matrix(self.L)
+        flip = bool(np.all(Lc.row >= Lc.col))
+        P = Lc if flip else scipy.sparse.tril(self.prec_base()).tocoo()
+        b = min(max(b, int((P.row - P.col).max(initial=0))), m - 1)
+        R = np.zeros((b + 1, m))
+        if flip:  # R[i, j] = L[m-1-j, m-1-i]
+            np.add.at(R, (Lc.row - Lc.col, m - 1 - Lc.row), Lc.data)
+            if not np.all(R[0] != 0.0):
+                raise InvalidData("precision factor is singular")
+        else:
+            R[P.row - P.col, P.col] = P.data
+            try:
+                R = scipy.linalg.cholesky_banded(R, lower=True)
+            except np.linalg.LinAlgError as exc:
+                raise InvalidData("precision factor is singular") from exc
+        zb = np.zeros((b + 1, m))
+        nw = min(m, 2 * (b + 1))
+        win = np.zeros((nw, nw))  # win[i - base, k - base] = Z[i, k]
+        base = m - nw
+        for j in range(m - 1, -1, -1):
+            w = min(b, m - 1 - j)
+            if j < base:  # move the window down to cover rows j .. j + b
+                new_base = max(0, j + b + 1 - nw)
+                old = slice(j + 1 - base, j + 1 + w - base)
+                new = slice(j + 1 - new_base, j + 1 + w - new_base)
+                win[new, new] = win[old, old].copy()
+                base = new_base
+            o = j - base
+            l = R[1 : w + 1, j]
+            z = win[o + 1 : o + 1 + w, o + 1 : o + 1 + w] @ l / -R[0, j]
+            zjj = 1.0 / R[0, j] ** 2 - (l @ z) / R[0, j]
+            win[o, o] = zjj
+            win[o + 1 : o + 1 + w, o] = z
+            win[o, o + 1 : o + 1 + w] = z
+            zb[0, j] = zjj
+            zb[1 : w + 1, j] = z
+        if flip:  # back to the original order: Z[j + k, j] = Z_R[m-1-j, m-1-j-k]
+            k = np.arange(b + 1)[:, None]
+            j = m - 1 - np.arange(m)[None, :] - k
+            zb = np.where(j >= 0, zb[k, np.maximum(j, 0)], 0.0)
+        return zb
+
+    def cov_entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Cbar0[rows, cols] from the band of Cbar0 that covers every pair
+        (cached; widened when a later request reaches further)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if self._identity:
+            return (rows == cols).astype(float)
+        k = np.abs(rows - cols)
+        if self._cov_band is None or (k.size and k.max() >= self._cov_band.shape[0]):
+            self._cov_band = self._band_inverse(int(k.max(initial=0)))
+        return self._cov_band[k, np.minimum(rows, cols)]
+
+    def prec_on_mask(self, mask) -> np.ndarray:
+        """Entries of L^t L at the mask's pairs (cached for the last mask)."""
+        if self._prec_on_mask is None or self._prec_on_mask[0] is not mask:
+            vals = np.asarray(self.prec_base()[mask.rows, mask.cols], dtype=float).ravel()
+            self._prec_on_mask = (mask, vals)
+        return self._prec_on_mask[1]
 
     def logdet_prec_base(self) -> float:
         """ln|L^t L| = 2 sum ln|U_ii| (the LU's L has a unit diagonal)."""
@@ -342,6 +450,11 @@ class PriorSpec:
         """tr(Cbar0^{-1} C) = sum(L^t L o C) (alpha-free)."""
         return float(self._s.prec_base().multiply(C).sum())
 
+    def trace_base_masked(self, mask, vals: np.ndarray) -> float:
+        """tr(Cbar0^{-1} C) for C given by its values on a mask (zero
+        elsewhere), from the entries of L^t L on the mask (alpha-free)."""
+        return float(self._s.prec_on_mask(mask) @ vals)
+
     def logdet_prec(self) -> float:
         """ln|C0^{-1}| = m ln(alpha) + ln|L^t L|."""
         return self.m * np.log(self.alpha) + self._s.logdet_prec_base()
@@ -355,7 +468,8 @@ class PriorSpec:
         return self._s.solve(X) / self.alpha
 
     def cov_entries(self, rows, cols) -> np.ndarray:
-        return self._s.cov_base()[rows, cols] / self.alpha
+        """C0[rows, cols] by banded selected inversion (no dense C0)."""
+        return self._s.cov_entries(rows, cols) / self.alpha
 
     def cov_apply(self, x: np.ndarray) -> np.ndarray:
         """C0 x through the factorization of L (the PCG preconditioner)."""

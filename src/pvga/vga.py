@@ -210,8 +210,8 @@ def fixed_point_step_cov(
     Dense mode inverts directly; the low-rank modes use the Woodbury form on a
     factorization of A (computed here once if not supplied) and its
     rate-free ``basis = (C0 V, R)`` from :func:`woodbury_basis` (likewise).
-    In masked mode only the mask entries of the result are materialized
-    (zeros elsewhere).
+    In masked mode only the mask entries of the result are computed, and
+    they are returned as values aligned with ``mask.rows``/``mask.cols``.
 
     ``return_logdet=True`` additionally returns ln|T(C)| of the *unprojected*
     map, a byproduct of either path (Cholesky of the precision, or the
@@ -245,13 +245,13 @@ def _initial_state(A: ForwardOperator, prior: PriorSpec, cfg: VgaConfig) -> Gaus
     m = A.n_cols
     x0 = np.zeros(m) if cfg.init_mean is None else np.asarray(cfg.init_mean, dtype=float)
     mask = cfg.mask if cfg.mode == "lowrank_sparse" else None
-    if cfg.init_cov == "identity":
-        C0 = np.eye(m)
-    else:
-        C0 = prior.cov_dense()
-        if mask is not None:
-            C0 = mask.apply(C0)
-    return GaussianState(x0, C0, mask)
+    if mask is not None:
+        if cfg.init_cov == "identity":
+            vals = (mask.rows == mask.cols).astype(float)
+        else:
+            vals = prior.cov_entries(mask.rows, mask.cols)
+        return GaussianState(x0, vals, mask)
+    return GaussianState(x0, np.eye(m) if cfg.init_cov == "identity" else prior.cov_dense())
 
 
 def run_vga(
@@ -270,12 +270,15 @@ def run_vga(
     cfg = cfg or VgaConfig()
     cfg.validate()
     t0 = time.perf_counter()
+    masked = cfg.mode == "lowrank_sparse"
     state = initial_state if initial_state is not None else _initial_state(A, prior, cfg)
+    mask = cfg.mask if masked else None
+    if state.mask is not mask:  # a warm start held on another mask, or none
+        state = GaussianState(state.mean, state.cov, mask)
     factor = basis = None
     if cfg.mode != "dense":
         factor = rsvd(A, cfg.rank, seed=cfg.rsvd_seed)
         basis = woodbury_basis(prior, factor.V)
-    masked = cfg.mode == "lowrank_sparse"
     report = SolverReport()
     if masked:
         # The projected covariance may be indefinite, so ln|C| comes from the
@@ -312,10 +315,12 @@ def run_vga(
             C_new, logdet_c = fixed_point_step_cov(
                 state, A, data, prior, cfg, factor=factor, return_logdet=True, basis=basis
             )
-            scale = max(1.0, float(np.linalg.norm(state.cov)))
-            cov_residual = float(np.linalg.norm(C_new - state.cov)) / scale
+            # masked: the values, whose norms are those of the zero-filled matrices
+            C_old = state.values if masked else state.cov
+            scale = max(1.0, float(np.linalg.norm(C_old)))
+            cov_residual = float(np.linalg.norm(C_new - C_old)) / scale
             cov_two_ago = cov_prev
-            cov_prev = state.cov
+            cov_prev = C_old
             state = state.replace_cov(C_new)
             counts["fixed_point"] += 1
         if masked:
@@ -334,9 +339,10 @@ def run_vga(
     # period-2 limit diagnosis: consecutive covariance iterates stay apart
     # while the every-other-step change has collapsed
     if cov_two_ago is not None:
-        scale = max(1.0, float(np.linalg.norm(state.cov)))
-        near = float(np.linalg.norm(state.cov - cov_two_ago)) / scale
-        far = float(np.linalg.norm(state.cov - cov_prev)) / scale
+        C_last = state.values if masked else state.cov
+        scale = max(1.0, float(np.linalg.norm(C_last)))
+        near = float(np.linalg.norm(C_last - cov_two_ago)) / scale
+        far = float(np.linalg.norm(C_last - cov_prev)) / scale
         if far > 1e-8 and near < 1e-10:
             report.flags.append("CovarianceOscillation")
     if state.saturated:

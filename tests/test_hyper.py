@@ -282,6 +282,20 @@ def test_trace_records_every_estep(rng):
     assert not capped.estep_converged[0]
 
 
+def test_accepted_estep_evaluates_the_bound_once(rng, monkeypatch):
+    # psi is read off the state; only the joint bound evaluates elbo
+    import pvga.hyper as hyper
+
+    A, data, prior = random_problem(rng, m=8, n=10)
+    calls = []
+    real_elbo = hyper.elbo
+    monkeypatch.setattr(hyper, "elbo", lambda *args: calls.append(1) or real_elbo(*args))
+    state, _, trace = run_hierarchical(A, data, prior, HyperConfig(max_em=400))
+    assert len(calls) == len(trace.psi_sequence) == len(trace.joint_bound_sequence)
+    # the recorded psi is phi_psi's, bit for bit
+    assert trace.psi_sequence[-1] == phi_psi(state, A, data, prior.with_alpha(trace.alpha_sequence[-2]))[1]
+
+
 def test_em_settles_on_a_draw_plain_em_cannot_finish():
     # em_phillips100's setup on a data draw where plain EM needs 401 sweeps
     A, x_true = make_test_problem("phillips", 100, rate_scale=(0.5, 50.0))

@@ -1,8 +1,10 @@
 """The hot kernels against naive references."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pvga import _kernels
+from pvga import ForwardOperator, SparsityMask, _kernels
 
 from conftest import mh_scan_reference
 
@@ -40,6 +42,35 @@ def test_rowwise_quad_masked_uses_only_given_entries(rng):
     out = _kernels.rowwise_quad_masked(A, rows, cols, vals)
     expect = np.array([sum(a[i] * a[j] * v for i, j, v in zip(rows, cols, vals)) for a in A])
     np.testing.assert_allclose(out, expect, rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    side=st.integers(3, 9),
+    kind=st.sampled_from(["grid4", "banded", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kron_masked_quad_matches_dense_kernel(side, kind, seed):
+    # the blur operator's structure-native masked quadratic form equals the
+    # CSR kernel on the dense T (x) T, pair by pair, for any symmetric mask
+    rng = np.random.default_rng(seed)
+    m = side * side
+    A = ForwardOperator.gaussian_blur_2d(side, width=2 * side - 1, variance=float(rng.uniform(0.5, 3.0)))
+    if kind == "grid4":
+        mask = SparsityMask.grid4(side)
+    elif kind == "banded":
+        mask = SparsityMask.banded(m, int(rng.choice([1, 3, 5, 2 * side + 1])))
+    else:
+        k = int(rng.integers(1, 3 * m))
+        mask = SparsityMask(m, rng.integers(0, m, k), rng.integers(0, m, k))
+    vals = rng.standard_normal(mask.nnz)
+    Ad = A.dense()
+    expect = _kernels.rowwise_quad_masked(Ad, mask.rows, mask.cols, vals)
+    got = _kernels.rowwise_quad_kron_masked(A._payload["T"], mask.grid_offsets(side), vals)
+    # round-off is relative to the sum of the absolute terms
+    bound = _kernels.rowwise_quad_masked(np.abs(Ad), mask.rows, mask.cols, np.abs(vals))
+    assert np.all(np.abs(got - expect) <= 1e-13 * bound)
+    np.testing.assert_array_equal(A.masked_quad(mask, vals), got)
 
 
 def test_lowrank_masked_dots_matches_dense_product(rng):

@@ -236,12 +236,14 @@ def test_woodbury_masked_entries_match_dense_path(rng):
     d = np.exp(rng.uniform(-1, 1, n))
     F = full_rank_factor(A)
     dense = woodbury_cov(C0, F, d)
-    mask = SparsityMask.banded(m, 2)
+    mask = SparsityMask.banded(m, 3)
     masked = woodbury_cov(C0, F, d, mask=mask)
-    sel = mask.dense_bool()
-    # masking selects entries, it does not approximate them
-    np.testing.assert_allclose(masked[sel], symmetrize(dense)[sel], rtol=1e-12, atol=1e-15)
-    assert np.all(masked[~sel] == 0.0)
+    # masking selects entries, it does not approximate them; the values are
+    # aligned with the mask's coordinates, both triangles included
+    assert masked.shape == (mask.nnz,)
+    np.testing.assert_allclose(
+        masked, symmetrize(dense)[mask.rows, mask.cols], rtol=1e-12, atol=1e-15
+    )
 
 
 def test_woodbury_inner_logdet_matches_dense_slogdet(rng):
@@ -289,9 +291,8 @@ def test_woodbury_contract(kind, m, n, seed):
     # each masked entry, in both triangles, is the unmasked update's entry
     mask = SparsityMask(m, rng.integers(0, m, 2 * m), rng.integers(0, m, 2 * m))
     masked = woodbury_cov(C0, F, d, mask=mask)
-    sel = mask.dense_bool()
-    np.testing.assert_allclose(masked[sel], C[sel], rtol=1e-12, atol=1e-12 * scale)
-    assert np.all(masked[~sel] == 0.0)
+    assert masked.shape == (mask.nnz,)
+    np.testing.assert_allclose(masked, C[mask.rows, mask.cols], rtol=1e-12, atol=1e-12 * scale)
 
     # a precomputed (C0 V, R) basis reproduces a fresh call exactly
     basis = woodbury_basis(C0, F.V)

@@ -220,6 +220,37 @@ def test_blur2d_doubly_circulant_structure():
         np.testing.assert_allclose(shifted, np.roll(out, 2, axis=axis), atol=1e-10)
 
 
+class _ColumnLoop:
+    """The blur operator's products one column at a time (the reference)."""
+
+    def __init__(self, A):
+        self.A, self.shape = A, A.shape
+
+    def matmat(self, X):
+        return np.column_stack([self.A.matvec(X[:, j]) for j in range(X.shape[1])])
+
+    def rmatmat(self, Y):
+        return np.column_stack([self.A.rmatvec(Y[:, j]) for j in range(Y.shape[1])])
+
+
+def test_blur2d_stacked_products_equal_the_column_loop_bit_for_bit():
+    # the stacked T X T^t products must not move any rsvd factor (and with it
+    # the benchmark's pinned values): equality, not closeness
+    rng = np.random.default_rng(11)
+    for side, k in ((8, 5), (16, 61), (40, 310)):
+        A = ForwardOperator.gaussian_blur_2d(side, width=min(99, 2 * side - 1))
+        ref = _ColumnLoop(A)
+        X = rng.standard_normal((side * side, k))
+        np.testing.assert_array_equal(A.matmat(X), ref.matmat(X))
+        np.testing.assert_array_equal(A.rmatmat(X), ref.rmatmat(X))
+    A, _ = make_test_problem("blur2d", 16)
+    F, G = pvga.rsvd(A, 51, seed=3), pvga.rsvd(_ColumnLoop(A), 51, seed=3)
+    for a, b in ((F.U, G.U), (F.S, G.S), (F.V, G.V)):
+        np.testing.assert_array_equal(a, b)
+    with pytest.raises(pvga.errors.DimensionMismatch):
+        A.matmat(np.ones((255, 2)))
+
+
 def test_blur2d_descriptor_size_128():
     A = ForwardOperator.gaussian_blur_2d(128)
     assert A.shape == (16384, 16384)
@@ -367,6 +398,50 @@ def test_prior_services_agree_with_dense_algebra(kind, m, alpha, seed):
     assert double.logdet_prec() == pytest.approx(prior.logdet_prec() + m * np.log(2.0), rel=1e-12, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["L2", "H1", "H1_2D", "dense"]),
+    side=st.integers(2, 9),
+    alpha=st.floats(0.1, 10.0),
+    mask_kind=st.sampled_from(["grid4", "banded", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prior_mask_entries_match_dense_covariance(kind, side, alpha, mask_kind, seed):
+    # the banded selected inversion behind cov_entries gives the entries of
+    # the dense C0 at every mask pair, in both triangles
+    rng = np.random.default_rng(seed)
+    m = side * side
+    if kind == "dense":  # a user factor with no band structure, general or lower triangular
+        U, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        V, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        L = (U * rng.uniform(0.8, 1.6, m)) @ V.T
+        if rng.uniform() < 0.5:
+            L = np.tril(0.3 * rng.standard_normal((m, m)) / np.sqrt(m), -1) + np.diag(rng.uniform(0.8, 1.6, m))
+        prior = PriorSpec(rng.standard_normal(m), L, alpha)
+    else:
+        prior = make_prior(kind, alpha, m)
+    if mask_kind == "grid4":
+        mask = pvga.SparsityMask.grid4(side)
+    elif mask_kind == "banded":
+        mask = pvga.SparsityMask.banded(m, int(rng.choice([1, 3, 5, 2 * side + 1])))
+    else:
+        k = int(rng.integers(1, 3 * m))
+        mask = pvga.SparsityMask(m, rng.integers(0, m, k), rng.integers(0, m, k))
+    dense = prior.cov_dense()
+    got = prior.cov_entries(mask.rows, mask.cols)
+    np.testing.assert_allclose(got, dense[mask.rows, mask.cols], rtol=1e-10, atol=1e-12 * np.abs(dense).max())
+    upper, idx = mask.mirror()
+    np.testing.assert_array_equal(got, got[upper][idx])  # exactly symmetric
+    # a request past the cached band widens it
+    far = np.array([m - 1, 0])
+    np.testing.assert_allclose(prior.cov_entries(far, far[::-1]), dense[far, far[::-1]],
+                               rtol=1e-10, atol=1e-12 * np.abs(dense).max())
+    # the prior trace over mask values equals the dense trace of the zero-filled matrix
+    C = np.zeros((m, m))
+    C[mask.rows, mask.cols] = got
+    assert prior.trace_base_masked(mask, got) == pytest.approx(prior.trace_base(C), rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("sparse", [False, True])
 def test_singular_precision_factor_is_invalid_data(sparse):
     L = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 1.0, 1.0]])
@@ -375,6 +450,13 @@ def test_singular_precision_factor_is_invalid_data(sparse):
         prior.logdet_prec()
     with pytest.raises(InvalidData):
         prior.cov_apply(np.ones(3))
+    # mask entries: the banded Cholesky of L^t L, and a triangular L used as is
+    with pytest.raises(InvalidData):
+        prior.cov_entries(np.arange(3), np.arange(3))
+    tri = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    prior = PriorSpec(np.zeros(3), scipy.sparse.csr_matrix(tri) if sparse else tri, 1.0)
+    with pytest.raises(InvalidData):
+        prior.cov_entries(np.arange(3), np.arange(3))
 
 
 def test_builtin_difference_priors_have_sparse_banded_factors():

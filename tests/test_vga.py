@@ -27,7 +27,7 @@ from pvga import (
 )
 from pvga.errors import ConfigError, IllConditioned
 from pvga.formats import substream_seed
-from pvga.model import make_prior, make_test_problem
+from pvga.model import _PriorStructure, make_prior, make_test_problem
 
 from conftest import random_problem, random_state
 
@@ -282,6 +282,55 @@ def test_default_newton_steps_solve_to_tolerance_and_truncation_is_reported():
     assert sum(c["pcg_unconverged"] for c in report.inner_counts) == 0
     _, capped = run_vga(A, data, prior, VgaConfig(pcg_maxit=2, max_outer=3, **cfg))
     assert sum(c["pcg_unconverged"] for c in capped.inner_counts) > 0
+
+
+def test_masked_blur_fit_builds_no_dense_operator_or_prior_covariance(monkeypatch):
+    # the masked sweep on a blur problem works from T, the prior's banded
+    # selected inverse and the mask values alone; the dense covariance view
+    # is built only when asked for
+    side = 16
+    A, x_true = make_test_problem("blur2d", side)
+    data = sample_poisson_data(A, x_true, seed=0)
+    prior = make_prior("H1_2D", 1.0, side * side)
+    mask = SparsityMask.grid4(side)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense m x m operator or prior covariance was built")
+
+    monkeypatch.setattr(ForwardOperator, "dense", refuse)
+    monkeypatch.setattr(PriorSpec, "cov_dense", refuse)
+    monkeypatch.setattr(_PriorStructure, "cov_base", refuse)
+    state, report = run_vga(A, data, prior, VgaConfig(mode="lowrank_sparse", rank=51, mask=mask))
+    assert report.converged
+    assert state._cov is None
+    # the final bound of the implementation that densified A and C0 and held
+    # the masked covariance as a zero-filled m x m array
+    assert report.elbo_trace[-1] == pytest.approx(-557.2582926978919, rel=1e-9)
+    warm, _ = run_vga(A, data, prior, VgaConfig(mode="lowrank_sparse", rank=51, mask=mask,
+                                                 init_cov="prior", max_outer=1))
+    assert warm._cov is None
+    monkeypatch.undo()
+    C = state.cov
+    assert state.cov is C  # cached
+    np.testing.assert_array_equal(C[mask.rows, mask.cols], state.values)
+    C[mask.rows, mask.cols] = 0.0
+    assert not C.any()
+
+
+def test_warm_start_is_held_on_the_run_mask(rng):
+    # a warm start from another mode is re-held on this run's mask (and off
+    # it for unmasked modes), so every sweep reads one representation
+    A, data, prior = random_problem(rng, m=6, n=8)
+    mask = SparsityMask.banded(6, 3)
+    masked_cfg = VgaConfig(mode="lowrank_sparse", rank=6, mask=mask)
+    dense_fit, _ = run_vga(A, data, prior)
+    fit, report = run_vga(A, data, prior, masked_cfg, initial_state=dense_fit)
+    fresh, _ = run_vga(A, data, prior, masked_cfg)
+    assert fit.mask is mask and report.converged
+    np.testing.assert_allclose(fit.values, fresh.values, rtol=1e-5, atol=1e-6)
+    back, report = run_vga(A, data, prior, initial_state=fit)
+    assert back.mask is None and report.converged
+    np.testing.assert_allclose(back.cov, dense_fit.cov, rtol=1e-5, atol=1e-6)
 
 
 def test_dense_newton_pcg_is_preconditioned_by_the_current_covariance():
