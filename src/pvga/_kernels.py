@@ -75,12 +75,31 @@ def rowwise_quad_kron_masked(T, offsets, vals) -> np.ndarray:
     return q.ravel()
 
 
-def lowrank_masked_dots(WM, W, rows, cols) -> np.ndarray:
-    """Entries (WM W^t)[rows[p], cols[p]] of a low-rank product, per pair."""
+def lowrank_masked_dots(WM, W, rows, cols, offsets=None) -> np.ndarray:
+    """Entries (WM W^t)[rows[p], cols[p]] of a low-rank product, per pair.
+
+    ``offsets`` = (bands, rest), as from ``SparsityMask.diagonal_offsets``
+    for the mask's upper pairs, groups the pairs by diagonal offset.  A band
+    (d, p) takes its dots row by row on the contiguous slices WM[lo:hi] and
+    W[lo + d:hi + d] over its row span and reads them at its rows; the pairs
+    at ``rest`` (all pairs when ``offsets`` is None) are gathered.  Each entry
+    is the same row dot either way, so the values do not depend on the
+    grouping.
+    """
+    bands, rest = ([], slice(None)) if offsets is None else offsets
+    out = np.empty(rows.size)
+    for d, p in bands:
+        i = rows[p]
+        lo, hi = i[0], i[-1] + 1
+        out[p] = np.einsum("ir,ir->i", WM[lo:hi], W[lo + d : hi + d])[i - lo]
+    out[rest] = _gathered_dots(WM, W, rows[rest], cols[rest])
+    return out
+
+
+def _gathered_dots(WM, W, rows, cols) -> np.ndarray:
     nnz = rows.size
-    r = WM.shape[1]
     out = np.empty(nnz)
-    step = max(1, _CHUNK_ELEMS // max(r, 1))
+    step = max(1, _CHUNK_ELEMS // max(WM.shape[1], 1))
     for lo in range(0, nnz, step):
         hi = min(nnz, lo + step)
         out[lo:hi] = np.einsum("pr,pr->p", WM[rows[lo:hi]], W[cols[lo:hi]])

@@ -193,8 +193,8 @@ class SparsityMask:
     Stored as coordinate arrays (rows, cols) covering every retained entry,
     including both (i, j) and (j, i) for off-diagonal pairs.  A masked
     covariance is a vector of values aligned with these arrays.  The index
-    maps that masked kernels need (:meth:`mirror`, :meth:`grid_offsets`) are
-    derived on first use and cached.
+    maps that masked kernels need (:meth:`mirror`, :meth:`diagonal_offsets`,
+    :meth:`grid_offsets`) are derived on first use and cached.
     """
 
     def __init__(self, dim: int, rows, cols):
@@ -257,6 +257,28 @@ class SparsityMask:
             self._derived["mirror"] = (np.flatnonzero(is_upper), rank[own])
         return self._derived["mirror"]
 
+    def diagonal_offsets(self) -> tuple[list, np.ndarray]:
+        """The upper pairs (``mirror()[0]``) grouped by diagonal offset
+        d = col - row, as (bands, rest): one (d, p) per offset whose pairs
+        fill at least half of their row span, p their positions among the
+        upper pairs in ascending row order, and the positions of all other
+        upper pairs.  grid4 has the bands 0, 1 and side; a banded mask one
+        band per diagonal."""
+        if "diagonal" not in self._derived:
+            upper = self.mirror()[0]
+            rows, d = self.rows[upper], self.cols[upper] - self.rows[upper]
+            order = np.argsort(d, kind="stable")  # rows stay ascending within an offset
+            starts = np.flatnonzero(np.diff(d[order], prepend=-1))
+            bands, rest = [], []
+            for p in np.split(order, starts[1:]):
+                if 2 * p.size >= rows[p[-1]] - rows[p[0]] + 1:
+                    bands.append((int(d[p[0]]), p))
+                else:
+                    rest.append(p)
+            rest = np.sort(np.concatenate(rest)) if rest else np.empty(0, np.int64)
+            self._derived["diagonal"] = (bands, rest)
+        return self._derived["diagonal"]
+
     def grid_offsets(self, side: int) -> list:
         """The pairs grouped by offset on a side x side grid (row-major).
 
@@ -293,18 +315,22 @@ class SparsityMask:
         return out
 
 
-def _qr(Y: np.ndarray) -> np.ndarray:
-    Q, _ = np.linalg.qr(Y)
-    return Q
-
-
 def rsvd(A, r: int, oversample: int = 10, power_iters: int = 2, seed=0) -> LowRankFactor:
     """Randomized SVD: A ~= U diag(S) V^t at rank r.
 
     Gaussian test matrix with the given oversampling, followed by
-    ``power_iters`` rounds of subspace iteration (re-orthonormalized by QR).
-    Deterministic for a fixed seed.  ``A`` is a dense array or any object with
-    ``matmat``/``rmatmat`` and ``shape`` services.
+    ``power_iters`` rounds of subspace iteration.  The iterations only need a
+    basis with the right column span, not an orthonormal one (Halko,
+    Martinsson & Tropp 2011, sec. 4.5), so each block is normalized by its
+    partially pivoted LU factor ``P L``; one Householder QR then gives the
+    orthonormal basis Q, and the SVD of the small k x m block Q^t A gives the
+    factor.  Every factorization goes through ``scipy.linalg``: numpy and
+    scipy can each load their own threaded OpenBLAS, and a threaded call into
+    one right after a call into the other runs up to twice as slow, so the
+    factorizations stay on one LAPACK runtime.  Deterministic for a fixed
+    seed; ``A`` and the arrays its products return are never written.  ``A``
+    is a dense array or any object with ``matmat``/``rmatmat`` and ``shape``
+    services.
     """
     if isinstance(A, np.ndarray):
         n, m = A.shape
@@ -318,13 +344,19 @@ def rsvd(A, r: int, oversample: int = 10, power_iters: int = 2, seed=0) -> LowRa
         raise RankTooLarge(f"rank {r} outside [1, {min(m, n)}]")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     k = min(r + max(0, oversample), min(m, n))
-    omega = rng.standard_normal((m, k))
-    Q = _qr(matmat(omega))
+    Y = matmat(rng.standard_normal((m, k)))
     for _ in range(power_iters):
-        Q = _qr(matmat(_qr(rmatmat(Q))))
-    B = rmatmat(Q).T  # k x m
-    W, s, Vt = np.linalg.svd(B, full_matrices=False)
+        Y = matmat(_lu_basis(rmatmat(_lu_basis(Y))))
+    Q = scipy.linalg.qr(Y, mode="economic")[0]
+    W, s, Vt = scipy.linalg.svd(rmatmat(Q).T, full_matrices=False)
     return LowRankFactor((Q @ W)[:, :r], s[:r], Vt[:r].T)
+
+
+def _lu_basis(Y: np.ndarray) -> np.ndarray:
+    """P L from the partially pivoted LU factorization Y = P L U: a full
+    column rank block with entries bounded by one whose span contains Y's
+    columns (equal to it when Y has full column rank), cheaper than a QR."""
+    return scipy.linalg.lu(Y, permute_l=True)[0]
 
 
 class _CovServices:
@@ -411,7 +443,7 @@ def woodbury_cov(
         upper, idx = mask.mirror()
         rows, cols = mask.rows[upper], mask.cols[upper]
         vals = cov.entries(rows, cols) - lowrank_masked_dots(
-            np.ascontiguousarray(W @ M), np.ascontiguousarray(W), rows, cols
+            np.ascontiguousarray(W @ M), np.ascontiguousarray(W), rows, cols, mask.diagonal_offsets()
         )
         C = vals[idx]
     if return_inner_logdet:

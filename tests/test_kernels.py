@@ -84,6 +84,49 @@ def test_lowrank_masked_dots_matches_dense_product(rng):
     np.testing.assert_allclose(out, full[rows, cols], rtol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    side=st.integers(3, 9),
+    r=st.integers(1, 9),
+    kind=st.sampled_from(["grid4", "banded", "random", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lowrank_masked_dots_by_diagonal_offset_equal_the_gather(side, r, kind, seed):
+    # the dots taken on contiguous slices per diagonal band are the same row
+    # dots as the plain gather, so the values are equal, not just close
+    rng = np.random.default_rng(seed)
+    m = side * side
+    if kind == "grid4":
+        mask = SparsityMask.grid4(side)
+    elif kind == "banded":
+        mask = SparsityMask.banded(m, int(rng.choice([1, 3, 5, 2 * side + 1])))
+    else:
+        k = int(rng.integers(1, 3 * m))
+        rows, cols = rng.integers(0, m, k), rng.integers(0, m, k)
+        if kind == "mixed":  # grid4 plus random pairs and a sparse offset-2 group
+            grid = SparsityMask.grid4(side)
+            keep = np.abs(rows - cols) != 2
+            rows = np.concatenate([grid.rows, rows[keep], [0, m - 3]])
+            cols = np.concatenate([grid.cols, cols[keep], [2, m - 1]])
+        mask = SparsityMask(m, rows, cols)
+    upper, _ = mask.mirror()
+    rows, cols = mask.rows[upper], mask.cols[upper]
+    bands, rest = mask.diagonal_offsets()
+    covered = np.sort(np.concatenate([p for _, p in bands] + [rest]))
+    np.testing.assert_array_equal(covered, np.arange(rows.size))
+    for d, p in bands:
+        assert np.all(cols[p] - rows[p] == d) and np.all(np.diff(rows[p]) > 0)
+    if kind in ("grid4", "banded"):
+        assert rest.size == 0
+    if kind == "mixed":
+        assert {0, 1, side} <= {d for d, _ in bands} and rest.size >= 2
+    WM = rng.standard_normal((m, r))
+    W = rng.standard_normal((m, r))
+    expect = np.einsum("pr,pr->p", WM[rows], W[cols])
+    np.testing.assert_array_equal(_kernels.lowrank_masked_dots(WM, W, rows, cols, (bands, rest)), expect)
+    np.testing.assert_array_equal(_kernels.lowrank_masked_dots(WM, W, rows, cols), expect)
+
+
 def test_mh_scan_matches_reference(rng):
     log_w = rng.standard_normal(500)
     log_u = np.log(rng.uniform(size=500))

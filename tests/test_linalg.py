@@ -183,6 +183,79 @@ def test_rsvd_rank_bounds(rng):
         rsvd(A, 5)
 
 
+def rsvd_qr_reference(A, r, oversample, power_iters, seed):
+    """The Householder-QR range finder: the same test matrix and power
+    iterations as rsvd, every block re-orthonormalized by QR."""
+    n, m = A.shape
+    k = min(r + oversample, min(m, n))
+    Q = np.linalg.qr(A @ np.random.default_rng(seed).standard_normal((m, k)))[0]
+    for _ in range(power_iters):
+        Q = np.linalg.qr(A @ np.linalg.qr(A.T @ Q)[0])[0]
+    W, s, Vt = np.linalg.svd(Q.T @ A, full_matrices=False)
+    return ((Q @ W)[:, :r] * s[:r]) @ Vt[:r]
+
+
+class _CachedProducts:
+    """An operator whose products are arrays it keeps and checks later."""
+
+    def __init__(self, A):
+        self.A, self.shape, self.kept = A, A.shape, []
+
+    def _keep(self, Y):
+        self.kept.append((Y, Y.copy()))
+        return Y
+
+    def matmat(self, X):
+        return self._keep(self.A @ X)
+
+    def rmatmat(self, X):
+        return self._keep(np.asfortranarray(self.A.T @ X))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    m=st.integers(2, 30),
+    rank_frac=st.floats(0.0, 1.0),
+    oversample=st.sampled_from([0, 3, 10, 40]),
+    power_iters=st.integers(0, 3),
+    gap=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rsvd_contract(n, m, rank_frac, oversample, power_iters, gap, seed):
+    # exact at rank >= the true rank (r = min(m, n) and oversampling clipped
+    # to it included); with a spectral gap after r, the LU-normalized
+    # iterations give the QR range finder's rank-r approximant; neither the
+    # input nor an operator's returned products are written
+    rng = np.random.default_rng(seed)
+    p = min(m, n)
+    t = 1 + int(rank_frac * (p - 1))  # true rank, or the number of dominant values
+    U = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    V = np.linalg.qr(rng.standard_normal((m, p)))[0]
+    s = np.zeros(p)
+    s[:t] = np.sort(rng.uniform(1.0, 4.0, t))[::-1]
+    if gap and t < p:
+        s[t:] = np.sort(rng.uniform(0.0, 1e-2, p - t))[::-1]
+    A = (U * s) @ V.T
+    A_before = A.copy()
+    r = t if gap else int(rng.integers(t, p + 1))
+    F = rsvd(A, r, oversample=oversample, power_iters=power_iters, seed=seed)
+    np.testing.assert_array_equal(A, A_before)
+    assert F.U.shape == (n, r) and F.V.shape == (m, r)
+    approx = F.dense()
+    scale = np.linalg.norm(A)
+    if not gap or t == p:
+        assert np.linalg.norm(approx - A) <= 1e-10 * scale
+    ref = rsvd_qr_reference(A, r, oversample, power_iters, seed)
+    assert np.linalg.norm(approx - ref) <= 1e-12 * scale
+    op = _CachedProducts(A)
+    G = rsvd(op, r, oversample=oversample, power_iters=power_iters, seed=seed)
+    assert len(op.kept) == 2 + 2 * power_iters
+    for Y, snapshot in op.kept:
+        np.testing.assert_array_equal(Y, snapshot)
+    np.testing.assert_array_equal(G.S, F.S)
+
+
 # -- woodbury ----------------------------------------------------------------
 
 
