@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatch
-from .linalg import SparsityMask, cholesky, logdet, spd_inverse, spd_solve, symmetrize
+from .errors import DimensionMismatch, NotPositiveDefinite
+from .linalg import SparsityMask, cholesky, logdet, spd_inverse, spd_solve
 from .model import LOG_RATE_LIMIT, ForwardOperator, PoissonData, PriorSpec
 
 __all__ = [
@@ -33,25 +33,29 @@ __all__ = [
     "gaussian_kl",
 ]
 
-_GRAD_COV_DENSE_LIMIT = 2000
-
-
 class GaussianState:
     """A Gaussian q = N(mean, cov), with per-operator caches for the log-rates.
 
-    Unmasked, ``cov`` is a dense SPD array.  With a mask (sparse mode) the
-    covariance is held as ``values``, aligned with ``mask.rows``/``mask.cols``
-    and zero off the mask; it may be given as that vector or as a dense array
-    whose mask entries are taken.  Row-wise quadratic forms and the prior
-    trace read the values, and ``cov`` is then a dense view built on first
-    access and cached.  The two pieces of the log-rate vector are cached
-    separately: A @ mean survives a covariance update, the quadratic part
-    survives a mean update.
+    ``values`` holds the covariance: unmasked, the dense SPD array itself;
+    with a mask (sparse mode), a vector aligned with ``mask.rows``/
+    ``mask.cols``, zero off the mask, given as that vector or as a dense
+    array whose mask entries are taken.  Row-wise quadratic forms and the
+    prior trace read the values; a masked state's ``cov`` is a dense view
+    built on first access and cached.  The two pieces of the log-rate vector
+    are cached separately: A @ mean survives a covariance update, the
+    quadratic part survives a mean update.
+
+    ``logdet`` is ln|C| of the covariance the state stands for.  Whoever
+    builds a state from a known factor passes it in (the solver's fixed-point
+    step, the identity and prior starts).  An unmasked state without one
+    factors ``cov`` once; a masked state needs it given, because its
+    projection need not be positive definite.
     """
 
-    __slots__ = ("mean", "mask", "values", "saturated", "_cov", "_z_cache", "_q_cache", "_chol")
+    __slots__ = ("mean", "mask", "values", "saturated", "_cov", "_z_cache", "_q_cache", "_chol",
+                 "_logdet")
 
-    def __init__(self, mean, cov, mask: SparsityMask | None = None):
+    def __init__(self, mean, cov, mask: SparsityMask | None = None, logdet: float | None = None):
         mean = np.asarray(mean, dtype=float)
         cov = np.asarray(cov, dtype=float)
         m = mean.size
@@ -61,15 +65,13 @@ class GaussianState:
             raise DimensionMismatch("mask/mean dimensions disagree")
         self.mean = mean
         self.mask = mask
-        self.values = None
-        self._cov = cov
-        if mask is not None:
-            self.values = cov if cov.ndim == 1 else cov[mask.rows, mask.cols]
-            self._cov = None
+        self.values = cov if mask is None or cov.ndim == 1 else cov[mask.rows, mask.cols]
         self.saturated = False  # set when a rate evaluation hit the overflow clamp
+        self._cov: np.ndarray | None = None  # masked: the zero-filled dense view
         self._z_cache: tuple | None = None  # (A, A @ mean)
         self._q_cache: tuple | None = None  # (A, rowwise a_i^t C a_i)
         self._chol: np.ndarray | None = None
+        self._logdet = logdet
 
     @property
     def dim(self) -> int:
@@ -78,6 +80,8 @@ class GaussianState:
     @property
     def cov(self) -> np.ndarray:
         """The covariance as a dense m x m array (masked: zeros off the mask)."""
+        if self.mask is None:
+            return self.values
         if self._cov is None:
             C = np.zeros((self.dim, self.dim))
             C[self.mask.rows, self.mask.cols] = self.values
@@ -90,6 +94,18 @@ class GaussianState:
             self._chol = cholesky(self.cov)
         return self._chol
 
+    @property
+    def logdet(self) -> float:
+        """ln|C|: as given, or (unmasked) from the cached Cholesky factor."""
+        if self._logdet is None:
+            if self.mask is not None:
+                raise NotPositiveDefinite(
+                    "a masked state has no ln|C| unless it is built with one: "
+                    "its zero-filled projection need not be positive definite"
+                )
+            self._logdet = logdet(self.cov, chol=self.chol())
+        return self._logdet
+
     def trace_base(self, prior: PriorSpec) -> float:
         """tr(Cbar0^{-1} C), alpha-free; from the values in masked mode."""
         if self.mask is None:
@@ -97,15 +113,16 @@ class GaussianState:
         return prior.trace_base_masked(self.mask, self.values)
 
     def replace_mean(self, mean) -> "GaussianState":
-        out = GaussianState(mean, self._cov if self.mask is None else self.values, self.mask)
+        out = GaussianState(mean, self.values, self.mask, self._logdet)
         out._cov = self._cov
         out._q_cache = self._q_cache
         out._chol = self._chol
         return out
 
-    def replace_cov(self, cov, mask: SparsityMask | None = None) -> "GaussianState":
-        """Same mean, new covariance: a dense array, or (masked) the values."""
-        out = GaussianState(self.mean, cov, self.mask if mask is None else mask)
+    def replace_cov(self, cov, logdet: float | None = None) -> "GaussianState":
+        """Same mean and mask, new covariance (a dense array, or masked the
+        values) with its ln|C| when known."""
+        out = GaussianState(self.mean, cov, self.mask, logdet)
         out._z_cache = self._z_cache
         return out
 
@@ -152,10 +169,11 @@ def _exp_rates(state: GaussianState, d: np.ndarray) -> np.ndarray:
 
 
 def elbo(state: GaussianState, A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> ElboBreakdown:
-    """Evaluate F and its breakdown.  Raises NotPositiveDefinite via ln|C|."""
+    """Evaluate F and its breakdown, with ln|C| from ``state.logdet``
+    (raises NotPositiveDefinite when the state has none and cannot factor)."""
     if data.n != A.n_rows or prior.m != state.dim:
         raise DimensionMismatch("elbo arguments disagree in shape")
-    return _bound_with_logdet(state, A, data, prior, logdet(state.cov, chol=state.chol()))
+    return _bound_with_logdet(state, A, data, prior, state.logdet)
 
 
 def _bound_with_logdet(
@@ -165,14 +183,10 @@ def _bound_with_logdet(
     prior: PriorSpec,
     logdet_C: float,
 ) -> ElboBreakdown:
-    """F with ln|C| supplied by the caller.
-
-    The solver's masked mode needs this: the masked covariance can be
-    indefinite (the projection does not preserve definiteness), while the
-    log-determinant of the unprojected update is known exactly from the
-    low-rank inner system.  Every other term depends on C only through
-    masked entries and stays well defined.
-    """
+    """F with ln|C| supplied by the caller: :func:`elbo` passes
+    ``state.logdet``, the solver the ln|T(C)| of its fixed-point step.  Every
+    other term reads C through the row quadratic forms and the prior trace
+    only, so in masked mode they stay well defined on the mask values."""
     z = state._z(A)
     d = z + 0.5 * state._quad(A)
     rates = _exp_rates(state, d)
@@ -206,25 +220,13 @@ def grad_mean(state: GaussianState, A: ForwardOperator, data: PoissonData, prior
     return A.rmatvec(data.y - rates) - prior.prec_apply(state.mean - prior.mu0)
 
 
-def _weighted_gram(A: ForwardOperator, rates: np.ndarray, mask: SparsityMask | None, m: int) -> np.ndarray:
-    """A^t diag(rates) A, dense below the size cutoff, masked entries above."""
-    if mask is None or m <= _GRAD_COV_DENSE_LIMIT:
-        Ad = A.dense()
-        return Ad.T @ (rates[:, None] * Ad)
-    X = np.ascontiguousarray((A.dense() * np.sqrt(rates)[:, None]).T)
-    vals = _kernels.lowrank_masked_dots(X, X, mask.rows, mask.cols)
-    out = np.zeros((m, m))
-    out[mask.rows, mask.cols] = vals
-    return symmetrize(out)
-
-
 def grad_cov(state: GaussianState, A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> np.ndarray:
     """dF/dC = 1/2 [C^{-1} - A^t D A - C0^{-1}], D = diag(e^d)."""
     d = rate_vector(state, A)
     rates = _exp_rates(state, d)
     C_inv = spd_inverse(state.cov, chol=state.chol())
-    AtDA = _weighted_gram(A, rates, state.mask, state.dim)
-    return 0.5 * (C_inv - AtDA - prior.prec_dense())
+    Ad = A.dense()
+    return 0.5 * (C_inv - Ad.T @ (rates[:, None] * Ad) - prior.prec_dense())
 
 
 def bregman_divergence(C, C0) -> float:

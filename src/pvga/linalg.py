@@ -240,10 +240,6 @@ class SparsityMask:
     def nnz(self) -> int:
         return self.rows.size
 
-    @property
-    def max_row_count(self) -> int:
-        return int(np.bincount(self.rows, minlength=self.dim).max())
-
     def mirror(self) -> tuple[np.ndarray, np.ndarray]:
         """(upper, idx): the positions of the pairs with row <= col, and for
         every pair the index into ``upper`` of itself or its transpose, so
@@ -300,19 +296,6 @@ class SparsityMask:
                 groups.append((int(d1[p[0]]), int(d2[p[0]]), p, r1[p], r2[p]))
             self._derived[key] = groups
         return self._derived[key]
-
-    def dense_bool(self) -> np.ndarray:
-        B = np.zeros((self.dim, self.dim), dtype=bool)
-        B[self.rows, self.cols] = True
-        return B
-
-    def apply(self, C: np.ndarray) -> np.ndarray:
-        """Zero out all entries of C outside the mask."""
-        if C.shape != (self.dim, self.dim):
-            raise DimensionMismatch("matrix/mask dimension mismatch")
-        out = np.zeros_like(C)
-        out[self.rows, self.cols] = C[self.rows, self.cols]
-        return out
 
 
 def rsvd(A, r: int, oversample: int = 10, power_iters: int = 2, seed=0) -> LowRankFactor:
@@ -394,9 +377,8 @@ def woodbury_cov(
     F: LowRankFactor,
     d: np.ndarray,
     mask: SparsityMask | None = None,
-    return_inner_logdet: bool = False,
     basis: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray | tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float]:
     """Covariance (C0^{-1} + A^t D A)^{-1} for A = U diag(S) V^t, D = diag(d).
 
     Evaluated without inverting C0, as C0 - W M W^t with W = C0 V,
@@ -413,11 +395,11 @@ def woodbury_cov(
     computed once and mirrored, and equals the corresponding entry of the
     unmasked update.  No m x m array is formed.
 
-    With ``return_inner_logdet=True`` also returns ln det(I + K G)
-    = 2 sum ln diag(Li), which by the determinant lemma gives the
-    log-determinant of the *unmasked* update as ln|C| = ln|C0| - ln det(I + K G).
-    Masked projections need not stay positive definite, so this is the only
-    cheap route to a well-defined log-determinant in masked mode.
+    Returns the covariance and ln det(I + K G) = 2 sum ln diag(Li), which by
+    the determinant lemma gives the log-determinant of the *unmasked* update
+    as ln|C| = ln|C0| - ln det(I + K G).  Masked projections need not stay
+    positive definite, so this is the only cheap route to a well-defined
+    log-determinant in masked mode.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
@@ -446,6 +428,4 @@ def woodbury_cov(
             np.ascontiguousarray(W @ M), np.ascontiguousarray(W), rows, cols, mask.diagonal_offsets()
         )
         C = vals[idx]
-    if return_inner_logdet:
-        return C, 2.0 * float(np.sum(np.log(np.diag(Li))))
-    return C
+    return C, 2.0 * float(np.sum(np.log(np.diag(Li))))

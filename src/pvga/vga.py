@@ -202,9 +202,8 @@ def fixed_point_step_cov(
     prior: PriorSpec,
     cfg: VgaConfig,
     factor: LowRankFactor | None = None,
-    return_logdet: bool = False,
     basis: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray | tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float]:
     """One application of the covariance map T(C) = (C0^{-1} + A^t D A)^{-1}.
 
     Dense mode inverts directly; the low-rank modes use the Woodbury form on a
@@ -213,11 +212,9 @@ def fixed_point_step_cov(
     In masked mode only the mask entries of the result are computed, and
     they are returned as values aligned with ``mask.rows``/``mask.cols``.
 
-    ``return_logdet=True`` additionally returns ln|T(C)| of the *unprojected*
-    map, a byproduct of either path (Cholesky of the precision, or the
-    determinant lemma on the low-rank inner system).  The solver monitors its
-    bound with this value in masked mode, where the projected matrix itself
-    can be indefinite.
+    Returns the new covariance and ln|T(C)| of the *unprojected* map, a
+    byproduct of either path (Cholesky of the precision, or the determinant
+    lemma on the low-rank inner system).
     """
     d = rate_vector(state, A)
     rates = _exp_rates(state, d)
@@ -228,30 +225,23 @@ def fixed_point_step_cov(
         L = cholesky(M)
         if spd_rcond(M, chol=L) < 1.0 / _COND_LIMIT:
             raise IllConditioned("covariance fixed-point system is numerically singular")
-        C_new = spd_inverse(M, chol=L)
-        if return_logdet:
-            return C_new, -2.0 * float(np.sum(np.log(np.diag(L))))
-        return C_new
+        return spd_inverse(M, chol=L), -2.0 * float(np.sum(np.log(np.diag(L))))
     if factor is None:
         factor = rsvd(A, cfg.rank, seed=cfg.rsvd_seed)
     mask = cfg.mask if cfg.mode == "lowrank_sparse" else None
-    C_new, inner_logdet = woodbury_cov(
-        prior, factor, rates, mask=mask, return_inner_logdet=True, basis=basis
-    )
-    return (C_new, -prior.logdet_prec() - inner_logdet) if return_logdet else C_new
+    C_new, inner_logdet = woodbury_cov(prior, factor, rates, mask=mask, basis=basis)
+    return C_new, -prior.logdet_prec() - inner_logdet
 
 
 def _initial_state(A: ForwardOperator, prior: PriorSpec, cfg: VgaConfig) -> GaussianState:
     m = A.n_cols
     x0 = np.zeros(m) if cfg.init_mean is None else np.asarray(cfg.init_mean, dtype=float)
     mask = cfg.mask if cfg.mode == "lowrank_sparse" else None
-    if mask is not None:
-        if cfg.init_cov == "identity":
-            vals = (mask.rows == mask.cols).astype(float)
-        else:
-            vals = prior.cov_entries(mask.rows, mask.cols)
-        return GaussianState(x0, vals, mask)
-    return GaussianState(x0, np.eye(m) if cfg.init_cov == "identity" else prior.cov_dense())
+    if cfg.init_cov == "identity":
+        cov = np.eye(m) if mask is None else (mask.rows == mask.cols).astype(float)
+        return GaussianState(x0, cov, mask, logdet=0.0)
+    cov = prior.cov_dense() if mask is None else prior.cov_entries(mask.rows, mask.cols)
+    return GaussianState(x0, cov, mask, logdet=-prior.logdet_prec())
 
 
 def run_vga(
@@ -265,35 +255,24 @@ def run_vga(
 
     Returns the final state and a report; a run that exhausts max_outer comes
     back with ``converged=False`` rather than raising.  ``initial_state``
-    overrides the configured initialization (used for warm starts).
+    overrides the configured initialization (used for warm starts); one held
+    on another mask, or on none, is re-held on this run's and keeps its
+    ln|C|.  Every mode evaluates the bound alike: ln|C| is the state's own at
+    entry and the fixed-point step's after each sweep.
     """
     cfg = cfg or VgaConfig()
     cfg.validate()
     t0 = time.perf_counter()
-    masked = cfg.mode == "lowrank_sparse"
     state = initial_state if initial_state is not None else _initial_state(A, prior, cfg)
-    mask = cfg.mask if masked else None
-    if state.mask is not mask:  # a warm start held on another mask, or none
-        state = GaussianState(state.mean, state.cov, mask)
+    mask = cfg.mask if cfg.mode == "lowrank_sparse" else None
+    if state.mask is not mask:
+        state = GaussianState(state.mean, state.cov, mask, logdet=state.logdet)
     factor = basis = None
     if cfg.mode != "dense":
         factor = rsvd(A, cfg.rank, seed=cfg.rsvd_seed)
         basis = woodbury_basis(prior, factor.V)
     report = SolverReport()
-    if masked:
-        # The projected covariance may be indefinite, so ln|C| comes from the
-        # unprojected update throughout.  At initialization that value is
-        # exact for the identity; for other starts (prior init, warm starts)
-        # the prior log-determinant stands in until the first fixed-point
-        # step replaces it, which only shifts where the very first stall
-        # test sits.
-        if initial_state is None and cfg.init_cov == "identity":
-            logdet_c = 0.0
-        else:
-            logdet_c = -prior.logdet_prec()
-        F = _bound_with_logdet(state, A, data, prior, logdet_c).total
-    else:
-        F = elbo(state, A, data, prior).total
+    F = elbo(state, A, data, prior).total
     report.elbo_trace.append(F)
 
     cov_prev = cov_two_ago = None
@@ -312,21 +291,16 @@ def run_vga(
                 break
         cov_residual = 0.0
         for _ in range(cfg.fixedpoint_steps_per_outer):
-            C_new, logdet_c = fixed_point_step_cov(
-                state, A, data, prior, cfg, factor=factor, return_logdet=True, basis=basis
-            )
+            C_new, logdet_c = fixed_point_step_cov(state, A, data, prior, cfg, factor=factor, basis=basis)
             # masked: the values, whose norms are those of the zero-filled matrices
-            C_old = state.values if masked else state.cov
+            C_old = state.values
             scale = max(1.0, float(np.linalg.norm(C_old)))
             cov_residual = float(np.linalg.norm(C_new - C_old)) / scale
             cov_two_ago = cov_prev
             cov_prev = C_old
-            state = state.replace_cov(C_new)
+            state = state.replace_cov(C_new, logdet_c)
             counts["fixed_point"] += 1
-        if masked:
-            F_new = _bound_with_logdet(state, A, data, prior, logdet_c).total
-        else:
-            F_new = elbo(state, A, data, prior).total
+        F_new = _bound_with_logdet(state, A, data, prior, logdet_c).total
         report.elbo_trace.append(F_new)
         report.mean_residual_trace.append(delta)
         report.cov_residual_trace.append(cov_residual)
@@ -339,7 +313,7 @@ def run_vga(
     # period-2 limit diagnosis: consecutive covariance iterates stay apart
     # while the every-other-step change has collapsed
     if cov_two_ago is not None:
-        C_last = state.values if masked else state.cov
+        C_last = state.values
         scale = max(1.0, float(np.linalg.norm(C_last)))
         near = float(np.linalg.norm(C_last - cov_two_ago)) / scale
         far = float(np.linalg.norm(C_last - cov_prev)) / scale

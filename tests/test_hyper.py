@@ -5,6 +5,8 @@ loop into a scalar fixed-point iteration we can run independently and
 compare against entry by entry.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from pvga import (
     HyperConfig,
     PoissonData,
     PriorSpec,
+    SparsityMask,
     VgaConfig,
     alpha_upper_bound,
     elbo,
@@ -294,6 +297,36 @@ def test_accepted_estep_evaluates_the_bound_once(rng, monkeypatch):
     assert len(calls) == len(trace.psi_sequence) == len(trace.joint_bound_sequence)
     # the recorded psi is phi_psi's, bit for bit
     assert trace.psi_sequence[-1] == phi_psi(state, A, data, prior.with_alpha(trace.alpha_sequence[-2]))[1]
+
+
+def test_masked_em_converges():
+    # every E-step state carries its own ln|C|, so the joint bound never
+    # factors a masked projection; the masked bound is not certified, so
+    # its rise along the EM iterates is not asserted
+    side = 16
+    A, x_true = make_test_problem("blur2d", side)
+    data = sample_poisson_data(A, x_true, seed=0)
+    inner = VgaConfig(mode="lowrank_sparse", rank=51, mask=SparsityMask.grid4(side))
+    state, alpha, trace = run_hierarchical(A, data, make_prior("H1_2D", 1.0, side * side),
+                                           HyperConfig(inner=inner))
+    assert trace.converged and alpha > 0
+    assert state.mask is inner.mask
+    assert np.all(np.isfinite(trace.joint_bound_sequence))
+
+
+def test_dense_em_never_refactors_a_covariance(monkeypatch):
+    # each E-step state carries ln|C| from its fixed-point step, so neither
+    # the E-step bounds nor the joint bound factor C again
+    elbo_module = importlib.import_module("pvga.elbo")  # pvga.elbo is the function
+    calls = []
+    real = elbo_module.cholesky
+    monkeypatch.setattr(elbo_module, "cholesky", lambda M: calls.append(1) or real(M))
+    A, x_true = make_test_problem("phillips", 100, rate_scale=(0.5, 50.0))
+    data = sample_poisson_data(A, x_true, seed=substream_seed(0, "data"))
+    cfg = HyperConfig(max_em=400, inner=VgaConfig(mode="dense"))
+    _, _, trace = run_hierarchical(A, data, make_prior("L2", 1.0, 100), cfg)
+    assert trace.converged and len(trace.joint_bound_sequence) > 1
+    assert calls == []
 
 
 def test_em_settles_on_a_draw_plain_em_cannot_finish():

@@ -5,8 +5,12 @@ a two-dimensional solve is validated against an exhaustive lattice search
 over mean and Cholesky-parameterized covariance.
 """
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import bisect
 from scipy.special import gammaln
 
@@ -25,7 +29,7 @@ from pvga import (
     sample_poisson_data,
     select_mode,
 )
-from pvga.errors import ConfigError, IllConditioned
+from pvga.errors import ConfigError, IllConditioned, NotPositiveDefinite
 from pvga.formats import substream_seed
 from pvga.model import _PriorStructure, make_prior, make_test_problem
 
@@ -98,8 +102,9 @@ def test_newton_zero_operator_one_step(rng):
 def test_fixed_point_scalar_hand_value():
     A, data, prior = scalar_problem()
     state = GaussianState(np.zeros(1), np.eye(1))
-    C1 = fixed_point_step_cov(state, A, data, prior, VgaConfig())
+    C1, logdet_c = fixed_point_step_cov(state, A, data, prior, VgaConfig())
     np.testing.assert_allclose(C1, [[1.0 / (1.0 + np.exp(0.5))]], rtol=1e-14)
+    assert logdet_c == pytest.approx(-np.log(1.0 + np.exp(0.5)), rel=1e-14)
 
 
 def test_fixed_point_zero_operator(rng):
@@ -110,7 +115,7 @@ def test_fixed_point_zero_operator(rng):
 
     prior = random_prior(rng, m)
     state = random_state(rng, m)
-    C1 = fixed_point_step_cov(state, A, data, prior, VgaConfig())
+    C1, _ = fixed_point_step_cov(state, A, data, prior, VgaConfig())
     np.testing.assert_allclose(C1, prior.cov_dense(), rtol=1e-12, atol=1e-14)
 
 
@@ -119,11 +124,12 @@ def test_fixed_point_dense_vs_lowrank_full_rank(rng):
         m = int(rng.integers(3, 41))
         A, data, prior = random_problem(rng, m=m, n=m + 3)
         state = random_state(rng, m)
-        dense = fixed_point_step_cov(state, A, data, prior, VgaConfig())
-        low = fixed_point_step_cov(
+        dense, ld_dense = fixed_point_step_cov(state, A, data, prior, VgaConfig())
+        low, ld_low = fixed_point_step_cov(
             state, A, data, prior, VgaConfig(mode="lowrank", rank=m)
         )
         np.testing.assert_allclose(low, dense, rtol=1e-8, atol=1e-10)
+        assert ld_low == pytest.approx(ld_dense, rel=1e-8, abs=1e-10)
 
 
 def test_fixed_point_ill_conditioned_system():
@@ -221,8 +227,8 @@ def test_covariance_iterates_stay_below_prior(rng):
         for _ in range(3):
             x, _ = newton_step_mean(state, A, data, prior, cfg)
             state = state.replace_mean(x)
-            C = fixed_point_step_cov(state, A, data, prior, cfg)
-            state = state.replace_cov(C)
+            C, logdet_c = fixed_point_step_cov(state, A, data, prior, cfg)
+            state = state.replace_cov(C, logdet_c)
             assert np.min(np.linalg.eigvalsh(C0 - C)) >= -1e-10
             assert np.max(np.linalg.eigvalsh(C)) <= lam0 + 1e-10
 
@@ -331,6 +337,67 @@ def test_warm_start_is_held_on_the_run_mask(rng):
     back, report = run_vga(A, data, prior, initial_state=fit)
     assert back.mask is None and report.converged
     np.testing.assert_allclose(back.cov, dense_fit.cov, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["dense", "lowrank", "lowrank_sparse"])
+def test_returned_state_carries_the_last_bound(mode):
+    # the state carries the ln|C| of its last fixed-point step, so the bound
+    # of the returned state is the last trace entry in every mode (masked
+    # included, where the zero-filled projection has no ln|C| of its own)
+    side = 16
+    A, x_true = make_test_problem("blur2d", side)
+    data = sample_poisson_data(A, x_true, seed=0)
+    prior = make_prior("H1_2D", 1.0, side * side)
+    mask = SparsityMask.grid4(side) if mode == "lowrank_sparse" else None
+    cfg = VgaConfig(mode=mode, rank=None if mode == "dense" else 51, mask=mask)
+    state, report = run_vga(A, data, prior, cfg)
+    assert report.converged
+    F = elbo(state, A, data, prior).total
+    assert F == pytest.approx(report.elbo_trace[-1], rel=1e-12, abs=0.0)
+
+
+def test_masked_state_without_a_logdet_refuses_the_bound():
+    A, data, prior = random_problem(np.random.default_rng(3), m=6, n=8)
+    mask = SparsityMask.banded(6, 3)
+    with pytest.raises(NotPositiveDefinite, match="masked state"):
+        elbo(GaussianState(np.zeros(6), np.eye(6), mask), A, data, prior)
+    carried = GaussianState(np.zeros(6), np.eye(6), mask, logdet=0.0)
+    dense = GaussianState(np.zeros(6), np.eye(6))
+    assert elbo(carried, A, data, prior).total == pytest.approx(elbo(dense, A, data, prior).total, rel=1e-12)
+
+
+def test_dense_run_never_refactors_its_covariance(rng, monkeypatch):
+    # ln|C| comes from the fixed-point step's factor of the precision, not
+    # from a second Cholesky factorization of C per bound evaluation
+    elbo_module = importlib.import_module("pvga.elbo")  # pvga.elbo is the function
+    calls = []
+    real = elbo_module.cholesky
+    monkeypatch.setattr(elbo_module, "cholesky", lambda M: calls.append(1) or real(M))
+    A, x_true = make_test_problem("phillips", 100)
+    data = sample_poisson_data(A, x_true, seed=0)
+    _, report = run_vga(A, data, make_prior("L2", 10.0, 100), VgaConfig(mode="dense"))
+    assert report.converged and len(report.elbo_trace) > 2
+    assert calls == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mode=st.sampled_from(["dense", "lowrank"]),
+    init_cov=st.sampled_from(["identity", "prior"]),
+    m=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bound_rises_on_every_sweep(mode, init_cov, m, seed):
+    # dense mode, and low-rank mode at full rank; a warm restart from the
+    # returned state continues the trace from that state's own bound
+    A, data, prior = random_problem(np.random.default_rng(seed), m=m)
+    rank = min(A.n_rows, m) if mode == "lowrank" else None
+    cfg = VgaConfig(mode=mode, rank=rank, init_cov=init_cov)
+    state, report = run_vga(A, data, prior, cfg)
+    _, again = run_vga(A, data, prior, cfg, initial_state=state)
+    trace = np.array(report.elbo_trace + again.elbo_trace)
+    steps = np.diff(trace)
+    assert np.all(steps >= -1e-12 * np.maximum(1.0, np.abs(trace[1:]))), steps
 
 
 def test_dense_newton_pcg_is_preconditioned_by_the_current_covariance():
