@@ -144,7 +144,7 @@ def _solver_config(cfg: dict, A) -> VgaConfig:
     mode = s["mode"]
     rank = s.get("rank")
     if mode != "dense" and rank is None:
-        _, rank = select_mode(A, m, A.n_rows)
+        _, rank = select_mode(A)
     mask = _build_mask(s.get("sparsity"), m) if mode == "lowrank_sparse" else None
     if mode == "lowrank_sparse" and mask is None:
         raise ConfigError("mode 'lowrank_sparse' requires solver.sparsity")
@@ -294,6 +294,11 @@ def cmd_hyper(cfg: dict) -> int:
 
 
 def cmd_validate(cfg: dict) -> int:
+    if cfg["solver"]["mode"] == "lowrank_sparse":
+        raise ConfigError(
+            "validate needs a full covariance for the sampler; mode 'lowrank_sparse' "
+            "keeps only the masked entries"
+        )
     out = _prepare_out(cfg)
     A, _x_true, data = _build_problem(cfg)
     prior = make_prior(cfg["prior"]["kind"], float(cfg["prior"]["alpha"]), A.n_cols)

@@ -23,7 +23,6 @@ from .errors import (
     ConfigError,
 )
 from . import _kernels
-from .linalg import LowRankFactor
 
 __all__ = [
     "ForwardOperator",
@@ -46,24 +45,23 @@ _DENSE_LIMIT_ELEMS = 64_000_000  # ~0.5 GB; guard for materializing structured o
 
 
 class ForwardOperator:
-    """The linear map x -> Ax, in dense, low-rank, or structured kernel form.
+    """The linear map x -> Ax, held in one of two representations:
 
-    Representations:
+    * an explicit n x m array (``from_dense``; ``from_toeplitz`` builds the
+      Toeplitz array of a quadrature-discretized convolution kernel once, at
+      construction);
+    * the 1-d circulant factor T of a separable circular blur on a square
+      image (``gaussian_blur_2d``), A = T kron T, applied as T X T^t and
+      formed only when :meth:`dense` is asked for.
 
-    * ``dense``   -- an explicit n x m array;
-    * ``lowrank`` -- a :class:`LowRankFactor` U diag(S) V^t;
-    * ``conv1d``  -- a Toeplitz matrix given by its first column and row
-      (quadrature discretizations of convolution kernels k(s - t));
-    * ``blur2d``  -- separable circular Gaussian blur on a square image,
-      applied as T X T^t with the 1-d circulant factor T.
+    The solver uses A through products, row quadratic forms diag(A C A^t)
+    and :meth:`dense`; ``kron_factor`` is T for the blur and None otherwise.
     """
 
-    def __init__(self, kind: str, n: int, m: int, payload):
-        self.kind = kind
-        self._n = int(n)
-        self._m = int(m)
-        self._payload = payload
-        self._dense_cache: np.ndarray | None = None
+    def __init__(self, array: np.ndarray | None = None, kron_factor: np.ndarray | None = None):
+        self._array = array
+        self.kron_factor = kron_factor
+        self.shape = array.shape if array is not None else (kron_factor.size,) * 2
 
     # -- constructors ------------------------------------------------------
 
@@ -72,24 +70,22 @@ class ForwardOperator:
         A = np.asarray(A, dtype=float)
         if A.ndim != 2:
             raise DimensionMismatch("dense operator must be 2-d")
-        op = cls("dense", A.shape[0], A.shape[1], A)
-        op._dense_cache = A
-        return op
-
-    @classmethod
-    def from_lowrank(cls, F: LowRankFactor) -> "ForwardOperator":
-        n, m = F.shape
-        return cls("lowrank", n, m, F)
+        return cls(array=A)
 
     @classmethod
     def from_toeplitz(cls, col, row) -> "ForwardOperator":
+        """The n x m Toeplitz array with first column ``col`` and first row ``row``."""
         col = np.asarray(col, dtype=float)
         row = np.asarray(row, dtype=float)
         if col[0] != row[0]:
             raise InvalidData("Toeplitz first column/row disagree at (0,0)")
-        # taps[p] = T[i, j] for i - j = p - (m - 1)
-        taps = np.concatenate([row[:0:-1], col])
-        return cls("conv1d", col.size, row.size, (col, row, taps))
+        _check_dense_size(col.size, row.size)
+        # T[i, j] = vals[n - 1 - i + j]: a strided view of vals, copied once
+        # (np.ndarray directly; as_strided's Python wrapper costs more here)
+        vals = np.concatenate([col[::-1], row[1:]])
+        s = vals.strides[0]
+        T = np.ndarray((col.size, row.size), buffer=vals, offset=(col.size - 1) * s, strides=(-s, s))
+        return cls(array=T.copy())
 
     @classmethod
     def gaussian_blur_2d(cls, side: int, width: int = 99, variance: float = 1.5) -> "ForwardOperator":
@@ -104,24 +100,17 @@ class ForwardOperator:
         for j, w in enumerate(taps):
             kc[(j - c) % side] += w
         i = np.arange(side)
-        T = kc[(i[:, None] - i[None, :]) % side]
-        m = side * side
-        op = cls("blur2d", m, m, {"T": T, "side": side, "width": width, "variance": variance})
-        return op
+        return cls(kron_factor=kc[(i[:, None] - i[None, :]) % side])
 
     # -- basic services ----------------------------------------------------
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self._n, self._m)
-
-    @property
     def n_rows(self) -> int:
-        return self._n
+        return self.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return self._m
+        return self.shape[1]
 
     def _check_vec(self, x, length):
         x = np.asarray(x, dtype=float)
@@ -130,41 +119,23 @@ class ForwardOperator:
         return x
 
     def matvec(self, x) -> np.ndarray:
-        x = self._check_vec(x, self._m)
-        if self.kind == "dense":
-            return self._payload @ x
-        if self.kind == "lowrank":
-            F = self._payload
-            return F.U @ (F.S * (F.V.T @ x))
-        if self.kind == "conv1d":
-            _, _, taps = self._payload
-            return np.convolve(taps, x)[self._m - 1 : self._m - 1 + self._n]
-        T = self._payload["T"]
-        side = self._payload["side"]
-        X = x.reshape(side, side)
-        return (T @ X @ T.T).ravel()
+        x = self._check_vec(x, self.n_cols)
+        if self._array is not None:
+            return self._array @ x
+        T = self.kron_factor
+        return (T @ x.reshape(T.shape) @ T.T).ravel()
 
     def rmatvec(self, y) -> np.ndarray:
-        y = self._check_vec(y, self._n)
-        if self.kind == "dense":
-            return self._payload.T @ y
-        if self.kind == "lowrank":
-            F = self._payload
-            return F.V @ (F.S * (F.U.T @ y))
-        if self.kind == "conv1d":
-            col, row, _ = self._payload
-            # transpose of a Toeplitz swaps the roles of first column and row
-            taps_t = np.concatenate([col[:0:-1], row])
-            return np.convolve(taps_t, y)[self._n - 1 : self._n - 1 + self._m]
-        T = self._payload["T"]
-        side = self._payload["side"]
-        Y = y.reshape(side, side)
-        return (T.T @ Y @ T).ravel()
+        y = self._check_vec(y, self.n_rows)
+        if self._array is not None:
+            return self._array.T @ y
+        T = self.kron_factor
+        return (T.T @ y.reshape(T.shape) @ T).ravel()
 
     def _blur_stack(self, X, T) -> np.ndarray:
         """T X_k T^t for every column X_k of X read as a side x side image,
         as one stacked product (``matmat`` passes T, ``rmatmat`` T^t)."""
-        side = self._payload["side"]
+        side = T.shape[0]
         if X.ndim != 2 or X.shape[0] != side * side:
             raise DimensionMismatch(f"expected {side * side} rows, got shape {X.shape}")
         k = X.shape[1]
@@ -172,54 +143,40 @@ class ForwardOperator:
 
     def matmat(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if self.kind == "dense":
-            return self._payload @ X
-        if self.kind == "lowrank":
-            F = self._payload
-            return F.U @ (F.S[:, None] * (F.V.T @ X))
-        if self.kind == "blur2d":
-            return self._blur_stack(X, self._payload["T"])
-        return np.column_stack([self.matvec(X[:, j]) for j in range(X.shape[1])])
+        if self._array is not None:
+            return self._array @ X
+        return self._blur_stack(X, self.kron_factor)
 
     def rmatmat(self, Y) -> np.ndarray:
         Y = np.asarray(Y, dtype=float)
-        if self.kind == "dense":
-            return self._payload.T @ Y
-        if self.kind == "lowrank":
-            F = self._payload
-            return F.V @ (F.S[:, None] * (F.U.T @ Y))
-        if self.kind == "blur2d":
-            return self._blur_stack(Y, self._payload["T"].T)
-        return np.column_stack([self.rmatvec(Y[:, j]) for j in range(Y.shape[1])])
+        if self._array is not None:
+            return self._array.T @ Y
+        return self._blur_stack(Y, self.kron_factor.T)
 
     def masked_quad(self, mask, vals) -> np.ndarray:
         """diag(A C A^t) for C given by its values on a mask (aligned with
         ``mask.rows``/``mask.cols``, zero elsewhere).
 
-        The blur operator works from its Kronecker factor (no dense A); every
-        other kind gathers from ``dense()``.
+        The blur works from its Kronecker factor (no dense A); an explicit
+        array is gathered from directly.
         """
-        if self.kind == "blur2d":
-            side = self._payload["side"]
-            return _kernels.rowwise_quad_kron_masked(self._payload["T"], mask.grid_offsets(side), vals)
-        return _kernels.rowwise_quad_masked(self.dense(), mask.rows, mask.cols, vals)
+        if self._array is not None:
+            return _kernels.rowwise_quad_masked(self._array, mask.rows, mask.cols, vals)
+        side = self.kron_factor.shape[0]
+        return _kernels.rowwise_quad_kron_masked(self.kron_factor, mask.grid_offsets(side), vals)
 
     def dense(self) -> np.ndarray:
-        """Materialize A as a dense array (cached)."""
-        if self._dense_cache is None:
-            if self._n * self._m > _DENSE_LIMIT_ELEMS:
-                raise DimensionTooLarge(
-                    f"refusing to materialize a {self._n} x {self._m} dense operator"
-                )
-            if self.kind == "lowrank":
-                self._dense_cache = self._payload.dense()
-            elif self.kind == "conv1d":
-                col, row, _ = self._payload
-                self._dense_cache = scipy.linalg.toeplitz(col, row)
-            else:
-                T = self._payload["T"]
-                self._dense_cache = np.kron(T, T)
-        return self._dense_cache
+        """A as a dense array: the held array, or the blur's T kron T (formed
+        on each call)."""
+        if self._array is not None:
+            return self._array
+        _check_dense_size(*self.shape)
+        return np.kron(self.kron_factor, self.kron_factor)
+
+
+def _check_dense_size(n: int, m: int) -> None:
+    if n * m > _DENSE_LIMIT_ELEMS:
+        raise DimensionTooLarge(f"refusing to materialize a {n} x {m} dense operator")
 
 
 class PoissonData:

@@ -45,13 +45,19 @@ __all__ = [
 
 _MODES = ("dense", "lowrank", "lowrank_sparse")
 _COND_LIMIT = 1e14
+# A sweep that leaves the covariance at its fixed point ends the run once the
+# bound moves less than its own round-off, which grows with |F| and so with m
+# (the absolute outer_tol_elbo alone can sit below it).
+_STALL_COV_RESIDUAL = 1e-10
+_STALL_REL_ELBO = 1e-11
 
 
 @dataclass
 class VgaConfig:
     """Solver settings; the defaults are the ones the algorithm is tuned for
     (five Newton updates and one fixed-point update per outer sweep, stopping
-    when the bound moves less than 1e-10).
+    when the bound moves less than 1e-10, or less than 1e-11 |F| once the
+    covariance residual is below 1e-10).
 
     Each Newton step's PCG solve runs until its relative residual is below
     ``pcg_tol``; ``pcg_maxit`` is only a safety ceiling, and a solve that
@@ -251,21 +257,28 @@ def run_vga(
     cfg: VgaConfig | None = None,
     initial_state: GaussianState | None = None,
 ) -> tuple[GaussianState, SolverReport]:
-    """Run the alternating scheme until the bound stalls below outer_tol_elbo.
+    """Run the alternating scheme until the bound stalls: it moves less than
+    outer_tol_elbo, or the covariance residual is below 1e-10 and the bound
+    moves less than 1e-11 |F|.
 
     Returns the final state and a report; a run that exhausts max_outer comes
     back with ``converged=False`` rather than raising.  ``initial_state``
     overrides the configured initialization (used for warm starts); one held
     on another mask, or on none, is re-held on this run's and keeps its
-    ln|C|.  Every mode evaluates the bound alike: ln|C| is the state's own at
-    entry and the fixed-point step's after each sweep.
+    ln|C|.  A masked state warm-starting an unmasked run gives its mean only:
+    its projection need not be positive definite, so the covariance and ln|C|
+    come from the configured start.  Every mode evaluates the bound alike:
+    ln|C| is the state's own at entry and the fixed-point step's after each
+    sweep.
     """
     cfg = cfg or VgaConfig()
     cfg.validate()
     t0 = time.perf_counter()
     state = initial_state if initial_state is not None else _initial_state(A, prior, cfg)
     mask = cfg.mask if cfg.mode == "lowrank_sparse" else None
-    if state.mask is not mask:
+    if state.mask is not None and mask is None:
+        state = _initial_state(A, prior, cfg).replace_mean(state.mean)
+    elif state.mask is not mask:
         state = GaussianState(state.mean, state.cov, mask, logdet=state.logdet)
     factor = basis = None
     if cfg.mode != "dense":
@@ -305,7 +318,10 @@ def run_vga(
         report.mean_residual_trace.append(delta)
         report.cov_residual_trace.append(cov_residual)
         report.inner_counts.append(counts)
-        if abs(F_new - F) < cfg.outer_tol_elbo:
+        dF = abs(F_new - F)
+        if dF < cfg.outer_tol_elbo or (
+            cov_residual < _STALL_COV_RESIDUAL and dF < _STALL_REL_ELBO * abs(F_new)
+        ):
             report.converged = True
             F = F_new
             break
@@ -325,14 +341,15 @@ def run_vga(
     return state, report
 
 
-def select_mode(A: ForwardOperator, m: int, n: int, memory_budget: float | None = None):
-    """Pick an execution mode (and a rank for the factored modes).
+def select_mode(A: ForwardOperator, memory_budget: float | None = None):
+    """Pick an execution mode (and a rank for the factored modes) for A.
 
     Dense covariance algebra up to m = 1000 (unless the budget forbids the
     m x m footprint); factored above, switching to the masked variant once
     dense intermediates get large.  The rank suggestion probes the spectrum
     and cuts at a 1e-6 relative singular-value threshold.
     """
+    n, m = A.shape
     dense_bytes = 8.0 * m * m
     if m <= 1000 and (memory_budget is None or dense_bytes <= memory_budget):
         return "dense", None

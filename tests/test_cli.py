@@ -147,6 +147,18 @@ def test_validate_schema_and_metrics(tmp_path):
     assert chain.shape == (comp["n_kept"], 40)
 
 
+def test_validate_masked_mode_is_config_error(tmp_path, capsys):
+    # the sampler draws from the fit's full covariance, which a masked fit
+    # does not have; the mode is refused before any fit or artifact
+    cfg = write_cfg(tmp_path, problem={"name": "blur2d", "size": 16}, prior={"kind": "H1_2D"})
+    out = tmp_path / "v"
+    assert run("validate", cfg, out, "--mode", "lowrank_sparse", "--rank", "51", "--sparsity", "grid4") == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert "full covariance" in err["message"] and "lowrank_sparse" in err["message"]
+    assert not out.exists()
+
+
 # -- bench -------------------------------------------------------------------
 
 

@@ -66,7 +66,7 @@ def test_kron_masked_quad_matches_dense_kernel(side, kind, seed):
     vals = rng.standard_normal(mask.nnz)
     Ad = A.dense()
     expect = _kernels.rowwise_quad_masked(Ad, mask.rows, mask.cols, vals)
-    got = _kernels.rowwise_quad_kron_masked(A._payload["T"], mask.grid_offsets(side), vals)
+    got = _kernels.rowwise_quad_kron_masked(A.kron_factor, mask.grid_offsets(side), vals)
     # round-off is relative to the sum of the absolute terms
     bound = _kernels.rowwise_quad_masked(np.abs(Ad), mask.rows, mask.cols, np.abs(vals))
     assert np.all(np.abs(got - expect) <= 1e-13 * bound)

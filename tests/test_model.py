@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from pvga import (
     make_test_problem,
     sample_poisson_data,
 )
-from pvga.errors import InvalidAlpha, InvalidData, RateOverflow, UnknownProblem
+from pvga.errors import DimensionTooLarge, InvalidAlpha, InvalidData, RateOverflow, UnknownProblem
 
 from conftest import random_operator, random_prior
 
@@ -180,23 +181,50 @@ def test_sample_goodness_of_fit():
 
 
 def test_all_representations_match_dense(rng):
+    # n != m and a col/row pair that is not symmetric; m = 9 is a 3 x 3 grid
     col = rng.standard_normal(6)
-    row = rng.standard_normal(6)
+    row = rng.standard_normal(9)
     row[0] = col[0]
     ops = [
-        random_operator(rng, 7, 5),
-        ForwardOperator.from_lowrank(pvga.rsvd(rng.standard_normal((8, 6)), 3, seed=0)),
+        random_operator(rng, 7, 9),
         ForwardOperator.from_toeplitz(col, row),
         ForwardOperator.gaussian_blur_2d(5, width=5, variance=0.8),
     ]
     for A in ops:
         dense = A.dense()
+        assert dense.shape == A.shape
         x = rng.standard_normal(A.n_cols)
         u = rng.standard_normal(A.n_rows)
         np.testing.assert_allclose(A.matvec(x), dense @ x, atol=1e-10)
         np.testing.assert_allclose(A.rmatvec(u), dense.T @ u, atol=1e-10)
         X = rng.standard_normal((A.n_cols, 3))
         np.testing.assert_allclose(A.matmat(X), dense @ X, atol=1e-10)
+        Y = rng.standard_normal((A.n_rows, 3))
+        np.testing.assert_allclose(A.rmatmat(Y), dense.T @ Y, atol=1e-10)
+        side = int(round(np.sqrt(A.n_cols)))
+        for mask in (pvga.SparsityMask.grid4(side), pvga.SparsityMask.banded(A.n_cols, 3)):
+            vals = rng.standard_normal(mask.nnz)
+            C = np.zeros((A.n_cols, A.n_cols))
+            np.add.at(C, (mask.rows, mask.cols), vals)
+            np.testing.assert_allclose(
+                A.masked_quad(mask, vals), np.einsum("ij,jk,ik->i", dense, C, dense), atol=1e-10
+            )
+
+
+def test_toeplitz_equals_scipy_bit_for_bit(rng):
+    for n, m in ((1, 1), (1, 5), (5, 1), (6, 9), (9, 6), (100, 100)):
+        col = rng.standard_normal(n)
+        row = rng.standard_normal(m)
+        row[0] = col[0]
+        np.testing.assert_array_equal(
+            ForwardOperator.from_toeplitz(col, row).dense(), scipy.linalg.toeplitz(col, row)
+        )
+
+
+def test_oversized_toeplitz_refused_at_construction():
+    # 9000^2 entries exceed the materialization limit; the zero taps cost nothing
+    with pytest.raises(DimensionTooLarge):
+        ForwardOperator.from_toeplitz(np.zeros(9000), np.zeros(9000))
 
 
 def test_phillips_square_symmetric():
@@ -254,9 +282,12 @@ def test_blur2d_stacked_products_equal_the_column_loop_bit_for_bit():
 def test_blur2d_descriptor_size_128():
     A = ForwardOperator.gaussian_blur_2d(128)
     assert A.shape == (16384, 16384)
-    desc = A._payload
-    assert desc["T"].shape == (128, 128)  # separable: only the 1-D factor is stored
-    assert desc["width"] == 99 and desc["variance"] == 1.5
+    T = A.kron_factor
+    assert T.shape == (128, 128)  # separable: only the 1-D factor is stored
+    # width 99, variance 1.5: normalized Gaussian taps at circular offsets |k| <= 49
+    k = np.minimum(np.arange(128), 128 - np.arange(128))
+    taps = np.where(k <= 49, np.exp(-(k**2) / 3.0), 0.0)
+    np.testing.assert_allclose(T[:, 0], taps / taps.sum(), rtol=1e-12, atol=0.0)
 
 
 def test_problem_rate_scaling():
