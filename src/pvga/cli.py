@@ -40,7 +40,7 @@ from .validate import (
     laplace_approximation,
     mh_independence_sampler,
 )
-from .vga import VgaConfig, run_vga, select_mode
+from .vga import VgaConfig, run_vga
 
 __all__ = ["main", "cmd_solve", "cmd_hyper", "cmd_validate", "cmd_bench", "DEFAULTS"]
 
@@ -49,25 +49,13 @@ DEFAULTS: dict = {
     "out": "runs/out",
     "problem": {"name": "phillips", "size": 100, "rate_scale": [0.5, 50.0]},
     "prior": {"kind": "L2", "alpha": 10.0},
-    "solver": {
-        "max_outer": 50,
-        "newton_steps_per_outer": 5,
-        "fixedpoint_steps_per_outer": 1,
-        "outer_tol_elbo": 1e-10,
-        "pcg_tol": 1e-6,
-        "pcg_maxit": 200,
-        "mode": "dense",
-        "rank": None,
-        "sparsity": None,
-        "init_cov": "identity",
-        "mean_step_tol": 1e-8,
-    },
+    "solver": {"max_outer": 50, "mode": "dense", "rank": None, "sparsity": None},
     "hyper": {
         "a": 1.0,
         "b": 1e-4,
         "alpha_init": 1.0,
-        # the alpha iteration is linearly convergent (rate ~0.9 on the default
-        # problem), so the runner allows more sweeps than the library default
+        # a ceiling on E-step solves, accepted and rejected trials alike; the
+        # bracketed root search takes 8 on the default problem
         "max_em": 400,
         "alpha_tol": 1e-8,
         "grid_points": 30,
@@ -75,17 +63,20 @@ DEFAULTS: dict = {
     },
     "mcmc": {"chain_length": 200_000, "burn_in": 100_000, "gamma": 0.9},
     "bench": {"study": "lowrank", "ranks": [2, 4, 6, 8, 10, 20], "sparsities": [1, 3, 5], "rank": 50},
-    "emit": {"csv": True, "json": True, "binary": True},
 }
 
 _CONFIG_ERRORS = (ConfigError, UnknownProblem, InvalidAlpha, InvalidData, KeyError, TypeError, ValueError)
 
 
-def _deep_merge(base: dict, extra: dict) -> dict:
+def _deep_merge(base: dict, extra: dict, prefix: str = "") -> dict:
+    """``base`` updated from ``extra``, whose keys must all exist in ``base``."""
     out = copy.deepcopy(base)
     for key, val in extra.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
+        if key not in out:
+            dotted = [k for k, _ in formats._flatten({key: val}, prefix)] or [prefix + key]
+            raise ConfigError(f"unknown config key {', '.join(dotted)}")
+        if isinstance(val, dict) and isinstance(out[key], dict):
+            out[key] = _deep_merge(out[key], val, f"{prefix}{key}.")
         else:
             out[key] = copy.deepcopy(val)
     return out
@@ -119,7 +110,7 @@ def _prepare_out(cfg: dict) -> Path:
 
 def _build_problem(cfg: dict):
     p = cfg["problem"]
-    rate_scale = p.get("rate_scale")
+    rate_scale = p["rate_scale"]
     if rate_scale is not None:
         rate_scale = (float(rate_scale[0]), float(rate_scale[1]))
     A, x_true = make_test_problem(p["name"], int(p["size"]), rate_scale=rate_scale)
@@ -140,26 +131,15 @@ def _build_mask(spec, m: int) -> SparsityMask | None:
 
 def _solver_config(cfg: dict, A) -> VgaConfig:
     s = cfg["solver"]
-    m = A.n_cols
     mode = s["mode"]
-    rank = s.get("rank")
-    if mode != "dense" and rank is None:
-        _, rank = select_mode(A)
-    mask = _build_mask(s.get("sparsity"), m) if mode == "lowrank_sparse" else None
+    mask = _build_mask(s["sparsity"], A.n_cols) if mode == "lowrank_sparse" else None
     if mode == "lowrank_sparse" and mask is None:
         raise ConfigError("mode 'lowrank_sparse' requires solver.sparsity")
     vcfg = VgaConfig(
         max_outer=int(s["max_outer"]),
-        newton_steps_per_outer=int(s["newton_steps_per_outer"]),
-        fixedpoint_steps_per_outer=int(s["fixedpoint_steps_per_outer"]),
-        outer_tol_elbo=float(s["outer_tol_elbo"]),
-        pcg_tol=float(s["pcg_tol"]),
-        pcg_maxit=int(s["pcg_maxit"]),
         mode=mode,
-        rank=None if rank is None else int(rank),
+        rank=None if s["rank"] is None else int(s["rank"]),
         mask=mask,
-        init_cov=s.get("init_cov", "identity"),
-        mean_step_tol=float(s.get("mean_step_tol", 1e-8)),
         rsvd_seed=formats.substream_seed(cfg["seed"], "rsvd"),
     )
     vcfg.validate()
@@ -171,6 +151,7 @@ def _report_dict(report, **extra) -> dict:
     # byte-identical across reruns of the same config and seed
     out = {
         "converged": bool(report.converged),
+        "stop_rule": report.stop_rule,
         "elbo_trace": list(report.elbo_trace),
         "mean_residual_trace": list(report.mean_residual_trace),
         "cov_residual_trace": list(report.cov_residual_trace),
@@ -185,19 +166,12 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_state(out: Path, state: GaussianState, emit: dict) -> None:
-    if emit.get("csv", True):
-        idx = np.arange(state.dim)
-        formats.write_csv(out / "mean.csv", ["i", "mean"], [idx, state.mean])
+def _write_state(out: Path, state: GaussianState) -> None:
+    formats.write_csv(out / "mean.csv", ["i", "mean"], [np.arange(state.dim), state.mean])
     if state.mask is not None:
-        if emit.get("csv", True):
-            rows, cols = state.mask.rows, state.mask.cols
-            formats.write_csv(
-                out / "cov_masked.csv",
-                ["row", "col", "value"],
-                [rows, cols, state.values],
-            )
-    elif emit.get("binary", True):
+        rows, cols = state.mask.rows, state.mask.cols
+        formats.write_csv(out / "cov_masked.csv", ["row", "col", "value"], [rows, cols, state.values])
+    else:
         formats.write_vgam(out / "cov.vgam", state.cov)
 
 
@@ -217,19 +191,17 @@ def cmd_solve(cfg: dict) -> int:
     prior = make_prior(cfg["prior"]["kind"], float(cfg["prior"]["alpha"]), A.n_cols)
     vcfg = _solver_config(cfg, A)
     state, report = run_vga(A, data, prior, vcfg)
-    emit = cfg["emit"]
-    _write_state(out, state, emit)
-    if emit.get("json", True):
-        _write_json(
-            out / "report.json",
-            _report_dict(
-                report,
-                problem=cfg["problem"]["name"],
-                mode=vcfg.mode,
-                rank=vcfg.rank,
-                final_elbo=report.elbo_trace[-1],
-            ),
-        )
+    _write_state(out, state)
+    _write_json(
+        out / "report.json",
+        _report_dict(
+            report,
+            problem=cfg["problem"]["name"],
+            mode=vcfg.mode,
+            rank=vcfg.rank,
+            final_elbo=report.elbo_trace[-1],
+        ),
+    )
     print(f"solve: converged={report.converged} elbo={report.elbo_trace[-1]:.10g} out={out}")
     if not report.converged:
         return _fail(MaxIterationsExceeded("solver exhausted max_outer without converging"), 1)
@@ -257,38 +229,34 @@ def cmd_hyper(cfg: dict) -> int:
     except MaxIterationsExceeded as exc:
         state, alpha_star, trace = exc.partial
         failed = exc
-    emit = cfg["emit"]
-    if emit.get("csv", True):
-        k = np.arange(len(trace.psi_sequence))
-        formats.write_csv(
-            out / "hyper_trace.csv",
-            ["k", "alpha", "psi", "joint_bound"],
-            [k, np.asarray(trace.alpha_sequence[: k.size]), trace.psi_sequence, trace.joint_bound_sequence],
-        )
+    k = np.arange(len(trace.psi_sequence))
+    formats.write_csv(
+        out / "hyper_trace.csv",
+        ["k", "alpha", "psi", "joint_bound"],
+        [k, np.asarray(trace.alpha_sequence[: k.size]), trace.psi_sequence, trace.joint_bound_sequence],
+    )
     # profiled joint bound over a log-grid bracketing the attained alpha
-    pts = int(h.get("grid_points", 30))
-    dec = float(h.get("grid_decades", 1.0))
+    pts = int(h["grid_points"])
+    dec = float(h["grid_decades"])
     grid = alpha_star * np.logspace(-dec, dec, pts)
     bounds = []
     g_state = state
     for a_val in grid:
         g_state, _ = run_vga(A, data, structure.with_alpha(a_val), vcfg, initial_state=g_state)
         bounds.append(joint_lower_bound(g_state, a_val, A, data, structure, hcfg.a, hcfg.b))
-    if emit.get("csv", True):
-        formats.write_csv(out / "alpha_grid.csv", ["alpha", "joint_bound"], [grid, bounds])
-    _write_state(out, state, emit)
-    if emit.get("json", True):
-        _write_json(
-            out / "report.json",
-            {
-                "alpha_star": alpha_star,
-                "converged": trace.converged,
-                "em_iterations": len(trace.psi_sequence),
-                "flags": list(trace.flags),
-                "alpha_sequence": list(trace.alpha_sequence),
-                "rejected_alphas": list(trace.rejected_alphas),
-            },
-        )
+    formats.write_csv(out / "alpha_grid.csv", ["alpha", "joint_bound"], [grid, bounds])
+    _write_state(out, state)
+    _write_json(
+        out / "report.json",
+        {
+            "alpha_star": alpha_star,
+            "converged": trace.converged,
+            "em_iterations": len(trace.psi_sequence),
+            "flags": list(trace.flags),
+            "alpha_sequence": list(trace.alpha_sequence),
+            "rejected_alphas": list(trace.rejected_alphas),
+        },
+    )
     print(f"hyper: converged={trace.converged} alpha={alpha_star:.10g} out={out}")
     return _fail(failed, 1) if failed is not None else 0
 
@@ -311,7 +279,7 @@ def cmd_validate(cfg: dict) -> int:
         burn_in=int(mc["burn_in"]),
         seed=formats.substream_seed(cfg["seed"], "mcmc"),
     )
-    gamma = float(mc.get("gamma", 0.9))
+    gamma = float(mc["gamma"])
     summary = mh_independence_sampler(A, data, prior, vga_state, mcfg, gamma=gamma)
     mcmc_state = GaussianState(summary.mean, summary.covariance)
 
@@ -324,39 +292,35 @@ def cmd_validate(cfg: dict) -> int:
             "kl_reverse": kl_rev,
         }
 
-    emit = cfg["emit"]
-    if emit.get("json", True):
-        _write_json(
-            out / "compare.json",
-            {
-                "acceptance_rate": summary.acceptance_rate,
-                "gamma": gamma,
-                "n_kept": summary.n_kept,
-                "thin": summary.thin,
-                "mcmc_vs_vga": _metrics(mcmc_state, vga_state),
-                "laplace_vs_vga": _metrics(lap_state, vga_state),
-                "mcmc_vs_laplace": _metrics(mcmc_state, lap_state),
-                "vga_converged": report.converged,
-            },
-        )
-    if emit.get("csv", True):
-        vga_hpd = hpd_intervals(vga_state, gamma)
-        lap_hpd = hpd_intervals(lap_state, gamma)
-        formats.write_csv(
-            out / "hpd.csv",
-            ["i", "vga_low", "vga_high", "laplace_low", "laplace_high", "mcmc_low", "mcmc_high"],
-            [
-                np.arange(vga_state.dim),
-                vga_hpd[:, 0],
-                vga_hpd[:, 1],
-                lap_hpd[:, 0],
-                lap_hpd[:, 1],
-                summary.intervals[:, 0],
-                summary.intervals[:, 1],
-            ],
-        )
-    if emit.get("binary", True):
-        formats.write_vgam(out / "chain.vgam", summary.samples)
+    _write_json(
+        out / "compare.json",
+        {
+            "acceptance_rate": summary.acceptance_rate,
+            "gamma": gamma,
+            "n_kept": summary.n_kept,
+            "thin": summary.thin,
+            "mcmc_vs_vga": _metrics(mcmc_state, vga_state),
+            "laplace_vs_vga": _metrics(lap_state, vga_state),
+            "mcmc_vs_laplace": _metrics(mcmc_state, lap_state),
+            "vga_converged": report.converged,
+        },
+    )
+    vga_hpd = hpd_intervals(vga_state, gamma)
+    lap_hpd = hpd_intervals(lap_state, gamma)
+    formats.write_csv(
+        out / "hpd.csv",
+        ["i", "vga_low", "vga_high", "laplace_low", "laplace_high", "mcmc_low", "mcmc_high"],
+        [
+            np.arange(vga_state.dim),
+            vga_hpd[:, 0],
+            vga_hpd[:, 1],
+            lap_hpd[:, 0],
+            lap_hpd[:, 1],
+            summary.intervals[:, 0],
+            summary.intervals[:, 1],
+        ],
+    )
+    formats.write_vgam(out / "chain.vgam", summary.samples)
     print(
         f"validate: acceptance={summary.acceptance_rate:.4f} "
         f"mean_l2={float(np.linalg.norm(summary.mean - vga_state.mean)):.6g} out={out}"
@@ -409,7 +373,7 @@ def cmd_bench(cfg: dict) -> int:
             return c
     else:
         sweep = [int(s) for s in cfg["bench"]["sparsities"]]
-        rank = min(int(cfg["bench"].get("rank", 50)), min(A.shape))
+        rank = min(int(cfg["bench"]["rank"]), min(A.shape))
         names = ["sparsity"] + _BENCH_ERROR_COLUMNS
 
         def point_cfg(s):
@@ -426,16 +390,15 @@ def cmd_bench(cfg: dict) -> int:
         rows = list(pool.map(run_point, sweep))
     cols = [np.array([row[j] for row in rows]) for j in range(len(names))]
     formats.write_csv(out / "bench.csv", names, cols)
-    if cfg["emit"].get("json", True):
-        _write_json(
-            out / "report.json",
-            {
-                "study": study,
-                "reference_elbo": ref_report.elbo_trace[-1],
-                "reference_converged": ref_report.converged,
-                "points": len(rows),
-            },
-        )
+    _write_json(
+        out / "report.json",
+        {
+            "study": study,
+            "reference_elbo": ref_report.elbo_trace[-1],
+            "reference_converged": ref_report.converged,
+            "points": len(rows),
+        },
+    )
     print(f"bench: study={study} points={len(rows)} out={out}")
     return 0
 

@@ -47,7 +47,7 @@ class GaussianState:
 
     ``logdet`` is ln|C| of the covariance the state stands for.  Whoever
     builds a state from a known factor passes it in (the solver's fixed-point
-    step, the identity and prior starts).  An unmasked state without one
+    step and its identity start).  An unmasked state without one
     factors ``cov`` once; a masked state needs it given, because its
     projection need not be positive definite.
     """

@@ -45,50 +45,47 @@ __all__ = [
 
 _MODES = ("dense", "lowrank", "lowrank_sparse")
 _COND_LIMIT = 1e14
-# A sweep that leaves the covariance at its fixed point ends the run once the
-# bound moves less than its own round-off, which grows with |F| and so with m
-# (the absolute outer_tol_elbo alone can sit below it).
+# Each sweep takes up to _NEWTON_STEPS Newton steps on the mean, ending early
+# once a step is below _MEAN_STEP_TOL relative to the mean.  Each step's PCG
+# solve runs until its relative residual is below _PCG_TOL; _PCG_MAXIT is only
+# a safety ceiling, and a solve that reaches it is counted in the report's
+# ``pcg_unconverged``.
+_NEWTON_STEPS = 5
+_MEAN_STEP_TOL = 1e-8
+_PCG_TOL = 1e-6
+_PCG_MAXIT = 200
+# Stop rules: the bound moves less than _STALL_ELBO ("bound"), or a sweep
+# leaves the covariance at its fixed point and the bound moves less than its
+# own round-off, which grows with |F| and so with m ("fixed_point"; the
+# absolute _STALL_ELBO alone can sit below that round-off).
+_STALL_ELBO = 1e-10
 _STALL_COV_RESIDUAL = 1e-10
 _STALL_REL_ELBO = 1e-11
 
 
 @dataclass
 class VgaConfig:
-    """Solver settings; the defaults are the ones the algorithm is tuned for
-    (five Newton updates and one fixed-point update per outer sweep, stopping
-    when the bound moves less than 1e-10, or less than 1e-11 |F| once the
-    covariance residual is below 1e-10).
+    """Solver settings: the sweep budget, the execution mode, the rank of the
+    factored modes, the sparsity mask of ``lowrank_sparse`` and the seed of
+    the randomized factorization.
 
-    Each Newton step's PCG solve runs until its relative residual is below
-    ``pcg_tol``; ``pcg_maxit`` is only a safety ceiling, and a solve that
-    reaches it is counted in the report's ``pcg_unconverged``.
+    The algorithm's own step counts and tolerances are module constants: five
+    Newton updates and one fixed-point update per outer sweep, stopping when
+    the bound moves less than 1e-10, or less than 1e-11 |F| once the
+    covariance residual is below 1e-10.
     """
 
     max_outer: int = 50
-    newton_steps_per_outer: int = 5
-    fixedpoint_steps_per_outer: int = 1
-    outer_tol_elbo: float = 1e-10
-    pcg_tol: float = 1e-6
-    pcg_maxit: int = 200  # ceiling only; the solve stops at pcg_tol
     mode: str = "dense"
     rank: int | None = None
     mask: SparsityMask | None = None
-    init_mean: np.ndarray | None = None
-    init_cov: str = "identity"  # "identity" | "prior"
-    mean_step_tol: float = 1e-8  # early exit for the inner Newton loop
     rsvd_seed: int = 0
 
     def validate(self) -> None:
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.init_cov not in ("identity", "prior"):
-            raise ConfigError(f"init_cov must be 'identity' or 'prior', got {self.init_cov!r}")
-        for name in ("outer_tol_elbo", "pcg_tol", "mean_step_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("max_outer", "newton_steps_per_outer", "fixedpoint_steps_per_outer", "pcg_maxit"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
+        if self.max_outer < 1:
+            raise ConfigError("max_outer must be at least 1")
         if self.mode != "dense" and self.rank is None:
             raise ConfigError(f"mode {self.mode!r} requires an explicit rank")
         if self.mode == "lowrank_sparse" and self.mask is None:
@@ -109,9 +106,14 @@ class SolverReport:
     mean_residual_trace: list = field(default_factory=list)
     cov_residual_trace: list = field(default_factory=list)
     inner_counts: list = field(default_factory=list)
-    converged: bool = False
+    # "bound", "fixed_point", or None when the run used up max_outer
+    stop_rule: str | None = None
     wall_time: float = 0.0
     flags: list = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_rule is not None
 
 
 def _check_conditioning(apply_J, prior: PriorSpec, m: int) -> None:
@@ -143,7 +145,6 @@ def newton_step_mean(
     A: ForwardOperator,
     data: PoissonData,
     prior: PriorSpec,
-    cfg: VgaConfig,
 ) -> tuple[np.ndarray, MeanStepReport]:
     """One Newton step on the mean: solve (A^t D A + C0^{-1}) dx = -G by PCG,
     then backtrack on ||G||.
@@ -175,7 +176,7 @@ def newton_step_mean(
         _check_conditioning(apply_J, prior, state.dim)
 
     precond = prior.cov_apply if state.mask is not None else state.cov
-    res = pcg_solve(apply_J, -G, precond=precond, tol=cfg.pcg_tol, maxit=cfg.pcg_maxit)
+    res = pcg_solve(apply_J, -G, precond=precond, tol=_PCG_TOL, maxit=_PCG_MAXIT)
     step = res.x
     if not np.all(np.isfinite(step)):
         raise PcgBreakdown("non-finite Newton step")
@@ -204,7 +205,6 @@ def newton_step_mean(
 def fixed_point_step_cov(
     state: GaussianState,
     A: ForwardOperator,
-    data: PoissonData,
     prior: PriorSpec,
     cfg: VgaConfig,
     factor: LowRankFactor | None = None,
@@ -239,15 +239,10 @@ def fixed_point_step_cov(
     return C_new, -prior.logdet_prec() - inner_logdet
 
 
-def _initial_state(A: ForwardOperator, prior: PriorSpec, cfg: VgaConfig) -> GaussianState:
-    m = A.n_cols
-    x0 = np.zeros(m) if cfg.init_mean is None else np.asarray(cfg.init_mean, dtype=float)
-    mask = cfg.mask if cfg.mode == "lowrank_sparse" else None
-    if cfg.init_cov == "identity":
-        cov = np.eye(m) if mask is None else (mask.rows == mask.cols).astype(float)
-        return GaussianState(x0, cov, mask, logdet=0.0)
-    cov = prior.cov_dense() if mask is None else prior.cov_entries(mask.rows, mask.cols)
-    return GaussianState(x0, cov, mask, logdet=-prior.logdet_prec())
+def _initial_state(m: int, mask: SparsityMask | None) -> GaussianState:
+    """The identity start: zero mean, C = I (ln|C| = 0), held on ``mask``."""
+    cov = np.eye(m) if mask is None else (mask.rows == mask.cols).astype(float)
+    return GaussianState(np.zeros(m), cov, mask, logdet=0.0)
 
 
 def run_vga(
@@ -258,26 +253,26 @@ def run_vga(
     initial_state: GaussianState | None = None,
 ) -> tuple[GaussianState, SolverReport]:
     """Run the alternating scheme until the bound stalls: it moves less than
-    outer_tol_elbo, or the covariance residual is below 1e-10 and the bound
-    moves less than 1e-11 |F|.
+    1e-10, or the covariance residual is below 1e-10 and the bound moves less
+    than 1e-11 |F|.  The report's ``stop_rule`` names the rule that fired.
 
     Returns the final state and a report; a run that exhausts max_outer comes
-    back with ``converged=False`` rather than raising.  ``initial_state``
-    overrides the configured initialization (used for warm starts); one held
-    on another mask, or on none, is re-held on this run's and keeps its
-    ln|C|.  A masked state warm-starting an unmasked run gives its mean only:
-    its projection need not be positive definite, so the covariance and ln|C|
-    come from the configured start.  Every mode evaluates the bound alike:
-    ln|C| is the state's own at entry and the fixed-point step's after each
-    sweep.
+    back with ``converged=False`` rather than raising.  The run starts from
+    ``initial_state`` (any start, e.g. a warm start), or else from the zero
+    mean and identity covariance.  A state held on another mask, or on none,
+    is re-held on this run's and keeps its ln|C|.  A masked state
+    warm-starting an unmasked run gives its mean only: its projection need
+    not be positive definite, so the covariance and ln|C| come from the
+    identity start.  Every mode evaluates the bound alike: ln|C| is the
+    state's own at entry and the fixed-point step's after each sweep.
     """
     cfg = cfg or VgaConfig()
     cfg.validate()
     t0 = time.perf_counter()
-    state = initial_state if initial_state is not None else _initial_state(A, prior, cfg)
     mask = cfg.mask if cfg.mode == "lowrank_sparse" else None
+    state = initial_state if initial_state is not None else _initial_state(A.n_cols, mask)
     if state.mask is not None and mask is None:
-        state = _initial_state(A, prior, cfg).replace_mean(state.mean)
+        state = _initial_state(A.n_cols, None).replace_mean(state.mean)
     elif state.mask is not mask:
         state = GaussianState(state.mean, state.cov, mask, logdet=state.logdet)
     factor = basis = None
@@ -290,42 +285,38 @@ def run_vga(
 
     cov_prev = cov_two_ago = None
     for _ in range(cfg.max_outer):
-        counts = {"newton": 0, "pcg": 0, "pcg_unconverged": 0, "fixed_point": 0, "halvings": 0}
+        counts = {"newton": 0, "pcg": 0, "pcg_unconverged": 0, "fixed_point": 1, "halvings": 0}
         delta = 0.0
-        for _ in range(cfg.newton_steps_per_outer):
-            x_new, step = newton_step_mean(state, A, data, prior, cfg)
+        for _ in range(_NEWTON_STEPS):
+            x_new, step = newton_step_mean(state, A, data, prior)
             state = state.replace_mean(x_new)
             counts["newton"] += 1
             counts["pcg"] += step.pcg_iterations
             counts["pcg_unconverged"] += not step.pcg_converged
             counts["halvings"] += step.halvings
             delta = step.delta_norm
-            if delta <= cfg.mean_step_tol * max(1.0, float(np.linalg.norm(x_new))):
+            if delta <= _MEAN_STEP_TOL * max(1.0, float(np.linalg.norm(x_new))):
                 break
-        cov_residual = 0.0
-        for _ in range(cfg.fixedpoint_steps_per_outer):
-            C_new, logdet_c = fixed_point_step_cov(state, A, data, prior, cfg, factor=factor, basis=basis)
-            # masked: the values, whose norms are those of the zero-filled matrices
-            C_old = state.values
-            scale = max(1.0, float(np.linalg.norm(C_old)))
-            cov_residual = float(np.linalg.norm(C_new - C_old)) / scale
-            cov_two_ago = cov_prev
-            cov_prev = C_old
-            state = state.replace_cov(C_new, logdet_c)
-            counts["fixed_point"] += 1
+        C_new, logdet_c = fixed_point_step_cov(state, A, prior, cfg, factor=factor, basis=basis)
+        # masked: the values, whose norms are those of the zero-filled matrices
+        C_old = state.values
+        scale = max(1.0, float(np.linalg.norm(C_old)))
+        cov_residual = float(np.linalg.norm(C_new - C_old)) / scale
+        cov_two_ago, cov_prev = cov_prev, C_old
+        state = state.replace_cov(C_new, logdet_c)
         F_new = _bound_with_logdet(state, A, data, prior, logdet_c).total
         report.elbo_trace.append(F_new)
         report.mean_residual_trace.append(delta)
         report.cov_residual_trace.append(cov_residual)
         report.inner_counts.append(counts)
         dF = abs(F_new - F)
-        if dF < cfg.outer_tol_elbo or (
-            cov_residual < _STALL_COV_RESIDUAL and dF < _STALL_REL_ELBO * abs(F_new)
-        ):
-            report.converged = True
-            F = F_new
-            break
         F = F_new
+        if dF < _STALL_ELBO:
+            report.stop_rule = "bound"
+        elif cov_residual < _STALL_COV_RESIDUAL and dF < _STALL_REL_ELBO * abs(F_new):
+            report.stop_rule = "fixed_point"
+        if report.converged:
+            break
     # period-2 limit diagnosis: consecutive covariance iterates stay apart
     # while the every-other-step change has collapsed
     if cov_two_ago is not None:

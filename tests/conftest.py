@@ -35,6 +35,12 @@ def random_state(rng, m, cov_scale=1.0):
     return GaussianState(0.5 * rng.standard_normal(m), random_spd(rng, m, cov_scale))
 
 
+def prior_start(prior, mean, mask=None):
+    """A solver start at (mean, C0) with ln|C0|; masked, C0's mask entries."""
+    cov = prior.cov_dense() if mask is None else prior.cov_entries(mask.rows, mask.cols)
+    return GaussianState(mean, cov, mask, logdet=-prior.logdet_prec())
+
+
 def random_problem(rng, m=None, n=None, alpha=None):
     """Returns (A, data, prior) with counts sampled from the model itself."""
     m = m if m is not None else int(rng.integers(2, 7))

@@ -50,7 +50,7 @@ from pvga.validate import (
 )
 from pvga.vga import VgaConfig, newton_step_mean, run_vga
 
-from conftest import random_problem, random_state
+from conftest import prior_start, random_problem, random_state
 
 
 def _sign_off(tag, ok, msg):
@@ -167,7 +167,7 @@ def test_a03_fast_outer_convergence_and_newton_decay(phillips100):
     cur = state.replace_mean(np.zeros(100))
     deltas = []
     for _ in range(8):
-        x_new, info = newton_step_mean(cur, A, data, prior, cfg)
+        x_new, info = newton_step_mean(cur, A, data, prior)
         cur = cur.replace_mean(x_new)
         if info.delta_norm < 1e-11:  # below this the floats go flat
             break
@@ -194,12 +194,9 @@ def test_a04_initialization_independence_and_stationarity(phillips100):
     t0 = time.perf_counter()
     A, data, _ = phillips100
     prior = make_prior("L2", 10.0, 100)
-    st_a, rep_a = run_vga(A, data, prior, VgaConfig(mode="dense", init_cov="identity"))
+    st_a, rep_a = run_vga(A, data, prior, VgaConfig(mode="dense"))
     st_b, rep_b = run_vga(
-        A,
-        data,
-        prior,
-        VgaConfig(mode="dense", init_cov="prior", init_mean=0.5 * np.ones(100)),
+        A, data, prior, VgaConfig(mode="dense"), initial_state=prior_start(prior, 0.5 * np.ones(100))
     )
     d_mean = float(np.linalg.norm(st_a.mean - st_b.mean))
     d_cov = float(np.linalg.norm(st_a.cov - st_b.cov, "fro"))

@@ -5,11 +5,13 @@ checks artifacts, exit codes, and the byte-level determinism contract.
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pvga.cli import main
+from pvga.cli import _build_parser, _resolve_config, main
 from pvga.formats import read_csv, read_vgam
 
 
@@ -49,7 +51,7 @@ def test_solve_artifacts_and_rerun_identical(tmp_path):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     report = json.loads((out1 / "report.json").read_text())
-    assert report["converged"] is True
+    assert report["converged"] is True and report["stop_rule"] in ("bound", "fixed_point")
     assert report["problem"] == "phillips"
     assert "wall_time" not in report  # timings would break the determinism contract
 
@@ -75,12 +77,47 @@ def test_solve_inconsistent_mode_is_usage_error(tmp_path):
     assert run("solve", cfg, tmp_path / "o", "--mode", "lowrank") == 2  # rank missing
 
 
+def test_solve_masked_mode_without_rank_is_usage_error_at_every_size(tmp_path, capsys):
+    # m = 1600 is above the size where a rank used to be picked silently
+    cfg = write_cfg(tmp_path, problem={"name": "blur2d", "size": 40}, prior={"kind": "H1_2D"})
+    assert run("solve", cfg, tmp_path / "o", "--mode", "lowrank_sparse", "--sparsity", "grid4") == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "requires an explicit rank" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("solver", "pcg_tol", 1e-3), ("slover", "mode", "lowrank"), ("emit", "csv", False)],
+)
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, section, key, value):
+    # removed settings, misspelled sections and keys fail loudly, before the
+    # output directory is created, instead of being copied and ignored
+    cfg = write_cfg(tmp_path, **{section: {key: value}})
+    out = tmp_path / "o"
+    assert run("solve", cfg, out) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and f"{section}.{key}" in err["message"]
+    assert not out.exists()
+
+
+def test_readme_configs_resolve(tmp_path):
+    # every documented config names only keys the CLI accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme{i}.cfg"
+        path.write_text(block)
+        cfg = _resolve_config(_build_parser().parse_args(["solve", "--config", str(path)]))
+        assert cfg["problem"]["name"] in block and cfg["solver"]["mode"] in block
+
+
 def test_solve_budget_exhaustion_is_solver_failure(tmp_path):
     cfg = write_cfg(tmp_path, solver={"max_outer": 1})
     out = tmp_path / "o"
     assert run("solve", cfg, out) == 1
     report = json.loads((out / "report.json").read_text())
-    assert report["converged"] is False
+    assert report["converged"] is False and report["stop_rule"] is None
 
 
 def test_solve_masked_mode(tmp_path):

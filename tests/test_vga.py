@@ -33,7 +33,9 @@ from pvga.errors import ConfigError, IllConditioned, NotPositiveDefinite
 from pvga.formats import substream_seed
 from pvga.model import _PriorStructure, make_prior, make_test_problem
 
-from conftest import random_problem, random_state
+from conftest import prior_start, random_problem, random_state
+
+vga_module = importlib.import_module("pvga.vga")
 
 
 def scalar_problem(y=1):
@@ -49,7 +51,7 @@ def scalar_problem(y=1):
 def test_newton_scalar_hand_value():
     A, data, prior = scalar_problem(y=1)
     state = GaussianState(np.zeros(1), np.eye(1))
-    x1, report = newton_step_mean(state, A, data, prior, VgaConfig())
+    x1, report = newton_step_mean(state, A, data, prior)
     e = np.exp(0.5)
     np.testing.assert_allclose(x1, [-(e - 1) / (e + 1)], rtol=1e-12)
     assert report.halvings == 0
@@ -61,11 +63,10 @@ def test_newton_iterates_to_bisection_root():
     # frozen at 1), located independently by bisection
     root = bisect(lambda x: np.exp(x + 0.5) + x - 1.0, -1.0, 1.0, xtol=1e-15)
     A, data, prior = scalar_problem(y=1)
-    cfg = VgaConfig()
     state = GaussianState(np.zeros(1), np.eye(1))
     deltas = []
     for _ in range(30):
-        x_new, report = newton_step_mean(state, A, data, prior, cfg)
+        x_new, report = newton_step_mean(state, A, data, prior)
         state = state.replace_mean(x_new)
         deltas.append(report.delta_norm)
         if report.delta_norm < 1e-13:
@@ -81,7 +82,7 @@ def test_newton_no_move_at_root():
     root = bisect(lambda x: np.exp(x + 0.5) + x - 1.0, -1.0, 1.0, xtol=1e-15)
     A, data, prior = scalar_problem(y=1)
     state = GaussianState(np.array([root]), np.eye(1))
-    _, report = newton_step_mean(state, A, data, prior, VgaConfig())
+    _, report = newton_step_mean(state, A, data, prior)
     assert report.delta_norm <= 1e-12
 
 
@@ -91,7 +92,7 @@ def test_newton_zero_operator_one_step(rng):
     data = PoissonData(np.zeros(3, dtype=int))
     prior = PriorSpec(rng.standard_normal(m), np.eye(m), 1.7)
     state = GaussianState(rng.standard_normal(m), np.eye(m))
-    x1, report = newton_step_mean(state, A, data, prior, VgaConfig())
+    x1, report = newton_step_mean(state, A, data, prior)
     np.testing.assert_allclose(x1, prior.mu0, atol=1e-12)
     assert report.halvings == 0
 
@@ -102,7 +103,7 @@ def test_newton_zero_operator_one_step(rng):
 def test_fixed_point_scalar_hand_value():
     A, data, prior = scalar_problem()
     state = GaussianState(np.zeros(1), np.eye(1))
-    C1, logdet_c = fixed_point_step_cov(state, A, data, prior, VgaConfig())
+    C1, logdet_c = fixed_point_step_cov(state, A, prior, VgaConfig())
     np.testing.assert_allclose(C1, [[1.0 / (1.0 + np.exp(0.5))]], rtol=1e-14)
     assert logdet_c == pytest.approx(-np.log(1.0 + np.exp(0.5)), rel=1e-14)
 
@@ -115,7 +116,7 @@ def test_fixed_point_zero_operator(rng):
 
     prior = random_prior(rng, m)
     state = random_state(rng, m)
-    C1, _ = fixed_point_step_cov(state, A, data, prior, VgaConfig())
+    C1, _ = fixed_point_step_cov(state, A, prior, VgaConfig())
     np.testing.assert_allclose(C1, prior.cov_dense(), rtol=1e-12, atol=1e-14)
 
 
@@ -124,10 +125,8 @@ def test_fixed_point_dense_vs_lowrank_full_rank(rng):
         m = int(rng.integers(3, 41))
         A, data, prior = random_problem(rng, m=m, n=m + 3)
         state = random_state(rng, m)
-        dense, ld_dense = fixed_point_step_cov(state, A, data, prior, VgaConfig())
-        low, ld_low = fixed_point_step_cov(
-            state, A, data, prior, VgaConfig(mode="lowrank", rank=m)
-        )
+        dense, ld_dense = fixed_point_step_cov(state, A, prior, VgaConfig())
+        low, ld_low = fixed_point_step_cov(state, A, prior, VgaConfig(mode="lowrank", rank=m))
         np.testing.assert_allclose(low, dense, rtol=1e-8, atol=1e-10)
         assert ld_low == pytest.approx(ld_dense, rel=1e-8, abs=1e-10)
 
@@ -138,7 +137,7 @@ def test_fixed_point_ill_conditioned_system():
     prior = PriorSpec(np.zeros(2), np.diag([1.0, 1e10]), 1.0)  # cov spread 1e20
     state = GaussianState(np.zeros(2), np.eye(2))
     with pytest.raises(IllConditioned):
-        fixed_point_step_cov(state, A, data, prior, VgaConfig())
+        fixed_point_step_cov(state, A, prior, VgaConfig())
 
 
 # -- full solver -------------------------------------------------------------
@@ -225,9 +224,9 @@ def test_covariance_iterates_stay_below_prior(rng):
         state = GaussianState(np.zeros(prior.m), np.eye(prior.m))
         cfg = VgaConfig()
         for _ in range(3):
-            x, _ = newton_step_mean(state, A, data, prior, cfg)
+            x, _ = newton_step_mean(state, A, data, prior)
             state = state.replace_mean(x)
-            C, logdet_c = fixed_point_step_cov(state, A, data, prior, cfg)
+            C, logdet_c = fixed_point_step_cov(state, A, prior, cfg)
             state = state.replace_cov(C, logdet_c)
             assert np.min(np.linalg.eigvalsh(C0 - C)) >= -1e-10
             assert np.max(np.linalg.eigvalsh(C)) <= lam0 + 1e-10
@@ -236,9 +235,8 @@ def test_covariance_iterates_stay_below_prior(rng):
 def test_unique_limit_from_two_initializations(rng):
     for _ in range(10):
         A, data, prior = random_problem(rng)
-        s1, r1 = run_vga(A, data, prior, VgaConfig(init_cov="identity"))
-        cfg2 = VgaConfig(init_mean=rng.standard_normal(prior.m), init_cov="prior")
-        s2, r2 = run_vga(A, data, prior, cfg2)
+        s1, r1 = run_vga(A, data, prior)
+        s2, r2 = run_vga(A, data, prior, initial_state=prior_start(prior, rng.standard_normal(prior.m)))
         assert r1.converged and r2.converged
         np.testing.assert_allclose(s1.mean, s2.mean, atol=1e-6)
         np.testing.assert_allclose(s1.cov, s2.cov, atol=1e-5)
@@ -258,7 +256,7 @@ def test_lowrank_full_rank_matches_dense(rng):
 def test_run_vga_budget_exhausted_returns_partial(rng):
     A, data, prior = random_problem(rng, m=6, n=8)
     state, report = run_vga(A, data, prior, VgaConfig(max_outer=1))
-    assert not report.converged
+    assert not report.converged and report.stop_rule is None
     assert len(report.elbo_trace) == 2
     assert np.all(np.isfinite(state.mean))
 
@@ -277,7 +275,7 @@ def test_report_bookkeeping(rng):
         assert counts["fixed_point"] == 1
 
 
-def test_default_newton_steps_solve_to_tolerance_and_truncation_is_reported():
+def test_default_newton_steps_solve_to_tolerance_and_truncation_is_reported(monkeypatch):
     side = 16
     A, x_true = make_test_problem("blur2d", side)
     data = sample_poisson_data(A, x_true, seed=0)
@@ -286,7 +284,8 @@ def test_default_newton_steps_solve_to_tolerance_and_truncation_is_reported():
     _, report = run_vga(A, data, prior, VgaConfig(**cfg))
     assert report.converged
     assert sum(c["pcg_unconverged"] for c in report.inner_counts) == 0
-    _, capped = run_vga(A, data, prior, VgaConfig(pcg_maxit=2, max_outer=3, **cfg))
+    monkeypatch.setattr(vga_module, "_PCG_MAXIT", 2)
+    _, capped = run_vga(A, data, prior, VgaConfig(max_outer=3, **cfg))
     assert sum(c["pcg_unconverged"] for c in capped.inner_counts) > 0
 
 
@@ -312,8 +311,8 @@ def test_masked_blur_fit_builds_no_dense_operator_or_prior_covariance(monkeypatc
     # the final bound of the implementation that densified A and C0 and held
     # the masked covariance as a zero-filled m x m array
     assert report.elbo_trace[-1] == pytest.approx(-557.2582926978919, rel=1e-9)
-    warm, _ = run_vga(A, data, prior, VgaConfig(mode="lowrank_sparse", rank=51, mask=mask,
-                                                 init_cov="prior", max_outer=1))
+    warm, _ = run_vga(A, data, prior, VgaConfig(mode="lowrank_sparse", rank=51, mask=mask, max_outer=1),
+                      initial_state=prior_start(prior, np.zeros(side * side), mask))
     assert warm._cov is None
     monkeypatch.undo()
     C = state.cov
@@ -353,7 +352,8 @@ def test_masked_fit_warm_starts_an_unmasked_run_with_its_mean(mode):
     assert np.linalg.eigvalsh(masked.cov)[0] < 0.0
     rank = None if mode == "dense" else 51
     warm, report = run_vga(A, data, prior, VgaConfig(mode=mode, rank=rank), initial_state=masked)
-    cold, cold_report = run_vga(A, data, prior, VgaConfig(mode=mode, rank=rank, init_mean=masked.mean))
+    cold, cold_report = run_vga(A, data, prior, VgaConfig(mode=mode, rank=rank),
+                                initial_state=GaussianState(masked.mean, np.eye(side * side), logdet=0.0))
     assert report.converged and warm.mask is None
     assert report.elbo_trace == cold_report.elbo_trace
     np.testing.assert_array_equal(warm.mean, cold.mean)
@@ -371,11 +371,23 @@ def test_run_stops_at_the_first_sweep_at_the_fixed_point_within_roundoff():
     _, report = run_vga(A, data, prior, cfg)
     F = np.asarray(report.elbo_trace)
     dF = np.abs(np.diff(F))
-    stall = (dF < cfg.outer_tol_elbo) | (
+    stall = (dF < 1e-10) | (
         (np.asarray(report.cov_residual_trace) < 1e-10) & (dF < 1e-11 * np.abs(F[1:]))
     )
-    assert report.converged
+    assert report.converged and report.stop_rule == "fixed_point"
     assert stall[-1] and not stall[:-1].any()
+
+
+def test_dense_phillips_run_stops_on_the_absolute_bound_rule():
+    # phillips n=100, L2 prior at alpha 10, the CLI's seed-0 data: the last
+    # sweep moves the bound by 4.5e-13 while the covariance residual (1.9e-10)
+    # is still above the fixed-point rule's 1e-10
+    A, x_true = make_test_problem("phillips", 100, rate_scale=(0.5, 50.0))
+    data = sample_poisson_data(A, x_true, seed=substream_seed(0, "data"))
+    _, report = run_vga(A, data, make_prior("L2", 10.0, 100), VgaConfig(mode="dense"))
+    assert report.converged and report.stop_rule == "bound"
+    assert abs(report.elbo_trace[-1] - report.elbo_trace[-2]) < 1e-10
+    assert report.cov_residual_trace[-1] >= 1e-10
 
 
 @pytest.mark.parametrize("mode", ["dense", "lowrank", "lowrank_sparse"])
@@ -431,8 +443,9 @@ def test_bound_rises_on_every_sweep(mode, init_cov, m, seed):
     # returned state continues the trace from that state's own bound
     A, data, prior = random_problem(np.random.default_rng(seed), m=m)
     rank = min(A.n_rows, m) if mode == "lowrank" else None
-    cfg = VgaConfig(mode=mode, rank=rank, init_cov=init_cov)
-    state, report = run_vga(A, data, prior, cfg)
+    cfg = VgaConfig(mode=mode, rank=rank)
+    start = prior_start(prior, np.zeros(m)) if init_cov == "prior" else None
+    state, report = run_vga(A, data, prior, cfg, initial_state=start)
     _, again = run_vga(A, data, prior, cfg, initial_state=state)
     trace = np.array(report.elbo_trace + again.elbo_trace)
     steps = np.diff(trace)
@@ -494,13 +507,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         VgaConfig(mode="banded").validate()
     with pytest.raises(ConfigError):
-        VgaConfig(outer_tol_elbo=0.0).validate()
-    with pytest.raises(ConfigError):
         VgaConfig(max_outer=0).validate()
     with pytest.raises(ConfigError):
         VgaConfig(mode="lowrank").validate()  # rank required
     with pytest.raises(ConfigError):
         VgaConfig(mode="lowrank_sparse", rank=5).validate()  # mask required
-    with pytest.raises(ConfigError):
-        VgaConfig(init_cov="zeros").validate()
     VgaConfig().validate()
