@@ -102,6 +102,9 @@ def _resolve_config(args) -> dict:
 
 
 def _prepare_out(cfg: dict) -> Path:
+    """Create the output directory and write config.txt.  Commands call it
+    only after building the problem and their settings, so a config error
+    leaves nothing behind."""
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(formats.dump_config_text(cfg))
@@ -186,10 +189,10 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def cmd_solve(cfg: dict) -> int:
-    out = _prepare_out(cfg)
     A, _x_true, data = _build_problem(cfg)
     prior = make_prior(cfg["prior"]["kind"], float(cfg["prior"]["alpha"]), A.n_cols)
     vcfg = _solver_config(cfg, A)
+    out = _prepare_out(cfg)
     state, report = run_vga(A, data, prior, vcfg)
     _write_state(out, state)
     _write_json(
@@ -209,7 +212,6 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def cmd_hyper(cfg: dict) -> int:
-    out = _prepare_out(cfg)
     A, _x_true, data = _build_problem(cfg)
     m = A.n_cols
     structure = make_prior(cfg["prior"]["kind"], 1.0, m)
@@ -223,6 +225,8 @@ def cmd_hyper(cfg: dict) -> int:
         alpha_tol=float(h["alpha_tol"]),
         inner=vcfg,
     )
+    hcfg.validate()
+    out = _prepare_out(cfg)
     failed = None
     try:
         state, alpha_star, trace = run_hierarchical(A, data, structure, hcfg)
@@ -267,19 +271,22 @@ def cmd_validate(cfg: dict) -> int:
             "validate needs a full covariance for the sampler; mode 'lowrank_sparse' "
             "keeps only the masked entries"
         )
-    out = _prepare_out(cfg)
     A, _x_true, data = _build_problem(cfg)
     prior = make_prior(cfg["prior"]["kind"], float(cfg["prior"]["alpha"]), A.n_cols)
     vcfg = _solver_config(cfg, A)
-    vga_state, report = run_vga(A, data, prior, vcfg)
-    lap_state = laplace_approximation(A, data, prior)
     mc = cfg["mcmc"]
     mcfg = McmcConfig(
         chain_length=int(mc["chain_length"]),
         burn_in=int(mc["burn_in"]),
         seed=formats.substream_seed(cfg["seed"], "mcmc"),
     )
+    mcfg.validate()
     gamma = float(mc["gamma"])
+    if not 0.0 < gamma < 1.0:
+        raise ConfigError(f"mcmc.gamma must lie in (0, 1), got {gamma}")
+    out = _prepare_out(cfg)
+    vga_state, report = run_vga(A, data, prior, vcfg)
+    lap_state = laplace_approximation(A, data, prior)
     summary = mh_independence_sampler(A, data, prior, vga_state, mcfg, gamma=gamma)
     mcmc_state = GaussianState(summary.mean, summary.covariance)
 
@@ -351,7 +358,6 @@ _BENCH_ERROR_COLUMNS = ["e_mean", "e_mean_rel", "e_cov_fro", "e_cov_fro_rel", "e
 
 
 def cmd_bench(cfg: dict) -> int:
-    out = _prepare_out(cfg)
     study = cfg["bench"]["study"]
     if study not in ("lowrank", "sparsity"):
         raise ConfigError(f"bench study must be 'lowrank' or 'sparsity', got {study!r}")
@@ -359,6 +365,7 @@ def cmd_bench(cfg: dict) -> int:
     m = A.n_cols
     prior = make_prior(cfg["prior"]["kind"], float(cfg["prior"]["alpha"]), m)
     base = _solver_config(cfg, A)
+    out = _prepare_out(cfg)
     dense_cfg = copy.deepcopy(base)
     dense_cfg.mode, dense_cfg.rank, dense_cfg.mask = "dense", None, None
     ref_state, ref_report = run_vga(A, data, prior, dense_cfg)

@@ -1,6 +1,7 @@
 """Reference estimators and posterior validation tools.
 
-MAP/Laplace give the classical Gaussian baseline; a Metropolis-Hastings
+MAP/Laplace give the classical Gaussian baseline, built from the solver's own
+mean step and covariance map; a Metropolis-Hastings
 independence sampler driven by a Gaussian proposal (typically the variational
 solution) corrects it toward the exact posterior; HPD intervals and Gaussian
 comparison metrics quantify the differences.
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import logsumexp, ndtri
 
 from . import _kernels
@@ -24,8 +24,10 @@ from .errors import (
     InsufficientSamples,
     MaxIterationsExceeded,
 )
-from .linalg import cholesky, logdet, spd_inverse, symmetrize
+# cholesky, spd_inverse: unused here, kept as names perfbench's tracer wraps
+from .linalg import SparsityMask, cholesky, logdet, spd_inverse, symmetrize  # noqa: F401
 from .model import LOG_RATE_LIMIT, ForwardOperator, PoissonData, PriorSpec
+from .vga import VgaConfig, fixed_point_step_cov, newton_step_mean
 
 __all__ = [
     "McmcConfig",
@@ -43,6 +45,8 @@ __all__ = [
 _MH_CHUNK = 8192
 _THIN_ABOVE = 1000
 _DENSIFY_LIMIT = 5000
+_MAP_GRAD_TOL = 1e-10
+_MAP_MAXIT = 100
 
 
 @dataclass
@@ -69,72 +73,42 @@ class ChainSummary:
     samples: np.ndarray  # kept (post burn-in, thinned) samples, time-ordered
 
 
-def _posterior_parts(A: ForwardOperator, data: PoissonData, prior: PriorSpec):
-    Ad = A.dense()
-    prec = prior.prec_dense()
-
-    def neg_log_post(x):
-        z = Ad @ x
-        with np.errstate(over="ignore"):
-            e = np.exp(z)
-        v = x - prior.mu0
-        return float(e.sum() - data.y @ z + 0.5 * prior.alpha * prior.quad_base(v))
-
-    def gradient(x):
-        z = Ad @ x
-        return Ad.T @ (np.exp(np.minimum(z, LOG_RATE_LIMIT)) - data.y) + prior.prec_apply(
-            x - prior.mu0
-        )
-
-    def hessian(x):
-        r = np.exp(np.minimum(Ad @ x, LOG_RATE_LIMIT))
-        return Ad.T @ (r[:, None] * Ad) + prec
-
-    return neg_log_post, gradient, hessian
+def _point_mass(x: np.ndarray) -> GaussianState:
+    """N(x, 0) held as zero values on the diagonal mask: its row quadratic
+    form diag(A C A^t) is 0, and, being masked, the solver's mean step
+    preconditions with C0."""
+    return GaussianState(x, np.zeros(x.size), SparsityMask.banded(x.size, 1))
 
 
-def map_estimate(
-    A: ForwardOperator,
-    data: PoissonData,
-    prior: PriorSpec,
-    tol: float = 1e-10,
-    maxit: int = 100,
-) -> np.ndarray:
-    """Posterior mode by damped Newton; returns with gradient norm <= tol."""
-    obj, grad, hess = _posterior_parts(A, data, prior)
-    x = prior.mu0.copy()
-    f = obj(x)
-    for _ in range(maxit):
-        g = grad(x)
-        if np.linalg.norm(g) <= tol:
+def map_estimate(A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> np.ndarray:
+    """Posterior mode: the solver's mean step at C = 0.
+
+    With C = 0 the log-rates are Ax and the bound's mean objective is the
+    log-posterior, so :func:`newton_step_mean` repeated on the point mass
+    N(x, 0) from x = mu0 climbs to the mode, with products by A and prior
+    solves only (no dense operator).  Returns once the gradient norm at the
+    returned mean is at most 1e-10; raises MaxIterationsExceeded after 100
+    steps.
+    """
+    state = _point_mass(prior.mu0.copy())
+    for _ in range(_MAP_MAXIT):
+        x, step = newton_step_mean(state, A, data, prior)
+        if step.grad_norm <= _MAP_GRAD_TOL:
             return x
-        step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(hess(x), lower=True), g)
-        # full steps that contract the gradient are always taken; near the
-        # mode the objective decrease drops below float resolution and an
-        # f-monotone test alone would freeze short of the gradient tolerance
-        full = x - step
-        if np.linalg.norm(grad(full)) <= 0.5 * np.linalg.norm(g):
-            x = full
-            f = obj(x)
-            continue
-        t = 1.0
-        for _ in range(30):
-            f_new = obj(x - t * step)
-            if np.isfinite(f_new) and f_new <= f:
-                break
-            t /= 2.0
-        x = x - t * step
-        f = obj(x)
-    if np.linalg.norm(grad(x)) <= tol:
-        return x
-    raise MaxIterationsExceeded(f"posterior mode not located within {maxit} Newton steps")
+        state = state.replace_mean(x)
+    raise MaxIterationsExceeded(f"posterior mode not located within {_MAP_MAXIT} Newton steps")
 
 
 def laplace_approximation(A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> GaussianState:
-    """Gaussian N(xhat, H^{-1}) from the second-order expansion at the mode."""
+    """Gaussian N(xhat, H^{-1}) from the second-order expansion at the mode.
+
+    H^{-1} = (C0^{-1} + A^t diag(e^{A xhat}) A)^{-1} is one dense application
+    of the solver's covariance map at the point mass N(xhat, 0); the state
+    carries the map's ln|H^{-1}|.
+    """
     x_hat = map_estimate(A, data, prior)
-    _, _, hess = _posterior_parts(A, data, prior)
-    return GaussianState(x_hat, spd_inverse(symmetrize(hess(x_hat))))
+    cov, logdet_cov = fixed_point_step_cov(_point_mass(x_hat), A, prior, VgaConfig())
+    return GaussianState(x_hat, cov, logdet=logdet_cov)
 
 
 def _log_joint_rows(X: np.ndarray, Ad: np.ndarray, data: PoissonData, prior: PriorSpec) -> np.ndarray:
@@ -168,10 +142,9 @@ def evidence_quadrature(A: ForwardOperator, data: PoissonData, prior: PriorSpec,
     if m > 3:
         raise DimensionTooLarge(f"tensor quadrature supports m <= 3, got {m}")
     Ad = A.dense()
-    xhat = map_estimate(A, data, prior)
-    _, _, hess = _posterior_parts(A, data, prior)
-    Lh = cholesky(np.linalg.inv(hess(xhat)))
-    base = 0.5 * m * np.log(2.0) + float(np.sum(np.log(np.diag(Lh))))
+    lap = laplace_approximation(A, data, prior)
+    xhat, Lh = lap.mean, lap.chol()
+    base = 0.5 * m * np.log(2.0) + 0.5 * lap.logdet
 
     def _value(deg: int) -> float:
         nodes, weights = np.polynomial.hermite.hermgauss(deg)
@@ -332,17 +305,17 @@ def orbit_check(
 ) -> OrbitDiagnostics:
     """Iterate the covariance map from C0 with the mean frozen and test the
     alternating Loewner structure: even iterates descend, odd iterates climb,
-    and the odd limit sits below the even limit."""
-    Ad = A.dense()
-    prec = prior.prec_dense()
-    z = Ad @ np.asarray(xbar, dtype=float)
-    C = prior.cov_dense()
-    iterates = [C]
+    and the odd limit sits below the even limit.
+
+    Each iterate is one dense :func:`fixed_point_step_cov`, so a numerically
+    singular system raises IllConditioned, as it does in the solver.
+    """
+    state = GaussianState(np.asarray(xbar, dtype=float), prior.cov_dense())
+    cfg = VgaConfig()
+    iterates = [state.cov]
     for _ in range(k_max):
-        q = _kernels.rowwise_quad_full(Ad, iterates[-1])
-        rates = np.exp(np.minimum(z + 0.5 * q, LOG_RATE_LIMIT))
-        M = symmetrize(Ad.T @ (rates[:, None] * Ad) + prec)
-        iterates.append(spd_inverse(M))
+        state = state.replace_cov(*fixed_point_step_cov(state, A, prior, cfg))
+        iterates.append(state.cov)
 
     worst = 0.0
 

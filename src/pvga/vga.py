@@ -95,6 +95,7 @@ class VgaConfig:
 @dataclass
 class MeanStepReport:
     delta_norm: float
+    grad_norm: float  # ||G|| at the returned mean, from the accepted trial
     pcg_iterations: int
     pcg_converged: bool
     halvings: int
@@ -147,7 +148,8 @@ def newton_step_mean(
     prior: PriorSpec,
 ) -> tuple[np.ndarray, MeanStepReport]:
     """One Newton step on the mean: solve (A^t D A + C0^{-1}) dx = -G by PCG,
-    then backtrack on ||G||.
+    then backtrack on ||G||.  The report's ``grad_norm`` is ||G|| at the
+    returned mean, read off the accepted trial.
 
     The preconditioner is the current covariance C when it is stored whole
     (dense and low-rank modes).  After a fixed-point step C = (A^t D' A +
@@ -186,15 +188,18 @@ def newton_step_mean(
     for _ in range(20):
         x_new = x + t * step
         trial_rates = np.exp(np.minimum(A.matvec(x_new) + 0.5 * q, LOG_RATE_LIMIT))
-        if scipy.linalg.norm(gradient(x_new, trial_rates), check_finite=False) <= g_norm:
+        trial_norm = scipy.linalg.norm(gradient(x_new, trial_rates), check_finite=False)
+        if trial_norm <= g_norm:
             break
         t *= 0.5
         halvings += 1
     else:
         x_new = x  # no decrease found; keep the current point
         t = 0.0
+        trial_norm = g_norm
     report = MeanStepReport(
         delta_norm=float(np.linalg.norm(t * step)),
+        grad_norm=float(trial_norm),
         pcg_iterations=res.iterations,
         pcg_converged=res.converged,
         halvings=halvings,

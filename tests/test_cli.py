@@ -72,9 +72,27 @@ def test_solve_missing_config_is_usage_error(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
-def test_solve_inconsistent_mode_is_usage_error(tmp_path):
-    cfg = write_cfg(tmp_path)
-    assert run("solve", cfg, tmp_path / "o", "--mode", "lowrank") == 2  # rank missing
+_COMMANDS = ("solve", "hyper", "bench", "validate")
+
+
+@pytest.mark.parametrize(
+    "cmd, sections, extra",
+    [pytest.param(c, {}, ("--mode", "lowrank"), id=f"{c}-no_rank") for c in _COMMANDS]
+    + [pytest.param(c, {"problem": {"name": "nope"}}, (), id=f"{c}-unknown_problem")
+       for c in _COMMANDS]
+    + [
+        pytest.param("hyper", {"hyper": {"a": 0.0}}, (), id="hyper-bad_a"),
+        pytest.param("validate", {"mcmc": {"gamma": 1.5}}, (), id="validate-bad_gamma"),
+        pytest.param("bench", {"bench": {"study": "nope"}}, (), id="bench-unknown_study"),
+    ],
+)
+def test_solve_inconsistent_mode_is_usage_error(tmp_path, cmd, sections, extra):
+    # config errors, also those found only once the problem is built, fail
+    # before anything is written
+    cfg = write_cfg(tmp_path, **sections)
+    out = tmp_path / "o"
+    assert run(cmd, cfg, out, *extra) == 2
+    assert not out.exists()
 
 
 def test_solve_masked_mode_without_rank_is_usage_error_at_every_size(tmp_path, capsys):

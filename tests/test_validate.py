@@ -7,6 +7,8 @@ batch-means error bars computed here in the test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 from scipy.special import ndtri
@@ -32,8 +34,10 @@ from pvga.errors import (
     DimensionMismatch,
     InsufficientSamples,
 )
+from pvga.elbo import grad_mean
 from pvga.linalg import SparsityMask
-from pvga.model import make_prior, make_test_problem
+from pvga.model import make_prior, make_test_problem, sample_poisson_data
+from pvga.vga import newton_step_mean
 
 from conftest import mh_scan_reference, random_problem, random_state
 
@@ -66,12 +70,43 @@ def test_map_scalar_root_is_zero():
     np.testing.assert_allclose(map_estimate(A, data, prior), [0.0], atol=1e-12)
 
 
-def test_map_stationarity(rng):
-    for _ in range(5):
-        A, data, prior = random_problem(rng)
-        xhat = map_estimate(A, data, prior)
-        grad = A.rmatvec(np.exp(A.matvec(xhat)) - data.y) + prior.prec_apply(xhat - prior.mu0)
-        assert np.linalg.norm(grad) <= 1e-10
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_map_stationarity(m, seed):
+    # MAP and Laplace come from the solver's mean step and covariance map;
+    # the dense posterior Hessian is the reference, kept here in the test
+    A, data, prior = random_problem(np.random.default_rng(seed), m=m)
+    xhat = map_estimate(A, data, prior)
+    Ad = A.dense()
+    z = Ad @ xhat
+    grad = Ad.T @ (np.exp(z) - data.y) + prior.prec_apply(xhat - prior.mu0)
+    assert np.linalg.norm(grad) <= 1e-10
+    ref = np.linalg.inv(Ad.T @ (np.exp(z)[:, None] * Ad) + prior.prec_dense())
+    lap = laplace_approximation(A, data, prior)
+    np.testing.assert_array_equal(lap.mean, xhat)
+    assert np.linalg.norm(lap.cov - ref) <= 1e-10 * np.linalg.norm(ref)
+    sign, ld = np.linalg.slogdet(lap.cov)
+    assert sign == 1.0 and abs(lap.logdet - ld) <= 1e-10 * max(1.0, abs(ld))
+    # the step reports the gradient norm at the mean it returns
+    state = GaussianState(prior.mu0, prior.cov_dense())
+    x_new, step = newton_step_mean(state, A, data, prior)
+    g_new = np.linalg.norm(grad_mean(state.replace_mean(x_new), A, data, prior))
+    np.testing.assert_allclose(step.grad_norm, g_new, rtol=1e-12, atol=0.0)
+
+
+def test_map_runs_without_a_dense_operator(monkeypatch):
+    side = 16
+    A, x_true = make_test_problem("blur2d", side)
+    data = sample_poisson_data(A, x_true, seed=0)
+    prior = make_prior("H1_2D", 1.0, side * side)
+
+    def refuse(self):
+        raise AssertionError("map_estimate formed the dense operator")
+
+    monkeypatch.setattr(ForwardOperator, "dense", refuse)
+    xhat = map_estimate(A, data, prior)
+    grad = A.rmatvec(np.exp(A.matvec(xhat)) - data.y) + prior.prec_apply(xhat - prior.mu0)
+    assert np.linalg.norm(grad) <= 1e-10
 
 
 def test_laplace_zero_operator(rng):
