@@ -22,7 +22,6 @@ from .errors import (
     AlphaCollapse,
     BreakdownError,
     ConfigError,
-    CovTooLargeForSampling,
     DimensionMismatch,
     DimensionTooLarge,
     IllConditioned,
@@ -104,7 +103,6 @@ from .vga import (
     fixed_point_step_cov,
     newton_step_mean,
     run_vga,
-    select_mode,
 )
 
 __version__ = "0.1.0"

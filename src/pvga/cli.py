@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -134,15 +135,11 @@ def _build_mask(spec, m: int) -> SparsityMask | None:
 
 def _solver_config(cfg: dict, A) -> VgaConfig:
     s = cfg["solver"]
-    mode = s["mode"]
-    mask = _build_mask(s["sparsity"], A.n_cols) if mode == "lowrank_sparse" else None
-    if mode == "lowrank_sparse" and mask is None:
-        raise ConfigError("mode 'lowrank_sparse' requires solver.sparsity")
     vcfg = VgaConfig(
         max_outer=int(s["max_outer"]),
-        mode=mode,
+        mode=s["mode"],
         rank=None if s["rank"] is None else int(s["rank"]),
-        mask=mask,
+        mask=_build_mask(s["sparsity"], A.n_cols),
         rsvd_seed=formats.substream_seed(cfg["seed"], "rsvd"),
     )
     vcfg.validate()
@@ -366,8 +363,7 @@ def cmd_bench(cfg: dict) -> int:
     prior = make_prior(cfg["prior"]["kind"], float(cfg["prior"]["alpha"]), m)
     base = _solver_config(cfg, A)
     out = _prepare_out(cfg)
-    dense_cfg = copy.deepcopy(base)
-    dense_cfg.mode, dense_cfg.rank, dense_cfg.mask = "dense", None, None
+    dense_cfg = dataclasses.replace(base, mode="dense", rank=None, mask=None)
     ref_state, ref_report = run_vga(A, data, prior, dense_cfg)
 
     if study == "lowrank":
@@ -375,18 +371,15 @@ def cmd_bench(cfg: dict) -> int:
         names = ["rank"] + _BENCH_ERROR_COLUMNS
 
         def point_cfg(r):
-            c = copy.deepcopy(base)
-            c.mode, c.rank, c.mask = "lowrank", min(r, min(A.shape)), None
-            return c
+            return dataclasses.replace(base, mode="lowrank", rank=min(r, min(A.shape)), mask=None)
     else:
         sweep = [int(s) for s in cfg["bench"]["sparsities"]]
         rank = min(int(cfg["bench"]["rank"]), min(A.shape))
         names = ["sparsity"] + _BENCH_ERROR_COLUMNS
 
         def point_cfg(s):
-            c = copy.deepcopy(base)
-            c.mode, c.rank, c.mask = "lowrank_sparse", rank, SparsityMask.banded(m, s)
-            return c
+            mask = SparsityMask.banded(m, s)
+            return dataclasses.replace(base, mode="lowrank_sparse", rank=rank, mask=mask)
 
     def run_point(p):
         state, _ = run_vga(A, data, prior, point_cfg(p))

@@ -36,14 +36,13 @@ __all__ = [
 class GaussianState:
     """A Gaussian q = N(mean, cov), with per-operator caches for the log-rates.
 
-    ``values`` holds the covariance: unmasked, the dense SPD array itself;
-    with a mask (sparse mode), a vector aligned with ``mask.rows``/
-    ``mask.cols``, zero off the mask, given as that vector or as a dense
-    array whose mask entries are taken.  Row-wise quadratic forms and the
-    prior trace read the values; a masked state's ``cov`` is a dense view
-    built on first access and cached.  The two pieces of the log-rate vector
-    are cached separately: A @ mean survives a covariance update, the
-    quadratic part survives a mean update.
+    ``values`` holds the covariance as given: unmasked, the dense SPD array
+    itself; with a mask (sparse mode), only the vector of its entries
+    aligned with ``mask.rows``/``mask.cols``, zero off the mask.  Row-wise
+    quadratic forms and the prior trace read the values; a masked state's
+    ``cov`` is a zero-filled dense view built on first access and cached.
+    The two pieces of the log-rate vector are cached separately: A @ mean
+    survives a covariance update, the quadratic part survives a mean update.
 
     ``logdet`` is ln|C| of the covariance the state stands for.  Whoever
     builds a state from a known factor passes it in (the solver's fixed-point
@@ -59,13 +58,13 @@ class GaussianState:
         mean = np.asarray(mean, dtype=float)
         cov = np.asarray(cov, dtype=float)
         m = mean.size
-        if mean.ndim != 1 or (cov.shape != (m, m) and (mask is None or cov.shape != (mask.nnz,))):
+        if mean.ndim != 1 or cov.shape != ((m, m) if mask is None else (mask.nnz,)):
             raise DimensionMismatch("mean/cov shapes disagree")
         if mask is not None and mask.dim != m:
             raise DimensionMismatch("mask/mean dimensions disagree")
         self.mean = mean
         self.mask = mask
-        self.values = cov if mask is None or cov.ndim == 1 else cov[mask.rows, mask.cols]
+        self.values = cov
         self.saturated = False  # set when a rate evaluation hit the overflow clamp
         self._cov: np.ndarray | None = None  # masked: the zero-filled dense view
         self._z_cache: tuple | None = None  # (A, A @ mean)

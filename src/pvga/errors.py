@@ -77,10 +77,6 @@ class InsufficientSamples(PvgaError):
     """Too few samples to form the requested summary (< 100)."""
 
 
-class CovTooLargeForSampling(PvgaError):
-    """Densifying a masked covariance for sampling was refused (dimension too large)."""
-
-
 class DimensionTooLarge(PvgaError):
     """Operation only supported at small dimension (e.g. quadrature oracle, dense materialization)."""
 

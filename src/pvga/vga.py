@@ -40,7 +40,6 @@ __all__ = [
     "newton_step_mean",
     "fixed_point_step_cov",
     "run_vga",
-    "select_mode",
 ]
 
 _MODES = ("dense", "lowrank", "lowrank_sparse")
@@ -67,7 +66,9 @@ _STALL_REL_ELBO = 1e-11
 class VgaConfig:
     """Solver settings: the sweep budget, the execution mode, the rank of the
     factored modes, the sparsity mask of ``lowrank_sparse`` and the seed of
-    the randomized factorization.
+    the randomized factorization.  :meth:`validate` refuses a setting the
+    mode would ignore: a rank in dense mode, or a mask outside
+    ``lowrank_sparse``.
 
     The algorithm's own step counts and tolerances are module constants: five
     Newton updates and one fixed-point update per outer sweep, stopping when
@@ -88,8 +89,12 @@ class VgaConfig:
             raise ConfigError("max_outer must be at least 1")
         if self.mode != "dense" and self.rank is None:
             raise ConfigError(f"mode {self.mode!r} requires an explicit rank")
+        if self.mode == "dense" and self.rank is not None:
+            raise ConfigError("mode 'dense' takes no rank")
         if self.mode == "lowrank_sparse" and self.mask is None:
             raise ConfigError("mode 'lowrank_sparse' requires a sparsity mask")
+        if self.mode != "lowrank_sparse" and self.mask is not None:
+            raise ConfigError(f"a sparsity mask needs mode 'lowrank_sparse', not {self.mode!r}")
 
 
 @dataclass
@@ -211,17 +216,17 @@ def fixed_point_step_cov(
     state: GaussianState,
     A: ForwardOperator,
     prior: PriorSpec,
-    cfg: VgaConfig,
     factor: LowRankFactor | None = None,
     basis: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float]:
     """One application of the covariance map T(C) = (C0^{-1} + A^t D A)^{-1}.
 
-    Dense mode inverts directly; the low-rank modes use the Woodbury form on a
-    factorization of A (computed here once if not supplied) and its
-    rate-free ``basis = (C0 V, R)`` from :func:`woodbury_basis` (likewise).
-    In masked mode only the mask entries of the result are computed, and
-    they are returned as values aligned with ``mask.rows``/``mask.cols``.
+    The inputs choose the form.  Without a ``factor`` of A the map is
+    inverted densely.  With one it takes the Woodbury form, using the
+    rate-free ``basis = (C0 V, R)`` from :func:`woodbury_basis` (built here
+    when not supplied); for a masked state only the entries on
+    ``state.mask`` are computed, returned as values aligned with
+    ``mask.rows``/``mask.cols``.
 
     Returns the new covariance and ln|T(C)| of the *unprojected* map, a
     byproduct of either path (Cholesky of the precision, or the determinant
@@ -229,7 +234,7 @@ def fixed_point_step_cov(
     """
     d = rate_vector(state, A)
     rates = _exp_rates(state, d)
-    if cfg.mode == "dense":
+    if factor is None:
         Ad = A.dense()
         M = Ad.T @ (rates[:, None] * Ad) + prior.prec_dense()
         M = symmetrize(M)
@@ -237,10 +242,7 @@ def fixed_point_step_cov(
         if spd_rcond(M, chol=L) < 1.0 / _COND_LIMIT:
             raise IllConditioned("covariance fixed-point system is numerically singular")
         return spd_inverse(M, chol=L), -2.0 * float(np.sum(np.log(np.diag(L))))
-    if factor is None:
-        factor = rsvd(A, cfg.rank, seed=cfg.rsvd_seed)
-    mask = cfg.mask if cfg.mode == "lowrank_sparse" else None
-    C_new, inner_logdet = woodbury_cov(prior, factor, rates, mask=mask, basis=basis)
+    C_new, inner_logdet = woodbury_cov(prior, factor, rates, mask=state.mask, basis=basis)
     return C_new, -prior.logdet_prec() - inner_logdet
 
 
@@ -262,24 +264,33 @@ def run_vga(
     than 1e-11 |F|.  The report's ``stop_rule`` names the rule that fired.
 
     Returns the final state and a report; a run that exhausts max_outer comes
-    back with ``converged=False`` rather than raising.  The run starts from
-    ``initial_state`` (any start, e.g. a warm start), or else from the zero
-    mean and identity covariance.  A state held on another mask, or on none,
-    is re-held on this run's and keeps its ln|C|.  A masked state
-    warm-starting an unmasked run gives its mean only: its projection need
-    not be positive definite, so the covariance and ln|C| come from the
-    identity start.  Every mode evaluates the bound alike: ln|C| is the
-    state's own at entry and the fixed-point step's after each sweep.
+    back with ``converged=False`` rather than raising.  This is the one place
+    a :class:`VgaConfig` becomes a factor of A (with its Woodbury basis) and
+    a mask; the steps below read the mode from those.
+
+    The run starts from the zero mean and identity covariance, or from
+    ``initial_state`` (e.g. a warm start):
+    - a state on this run's mask (the same object), or unmasked for an
+      unmasked run, is used as it is;
+    - an unmasked state warm-starting a masked run gives its entries on the
+      mask and its ln|C|;
+    - a masked state warm-starting any other run gives its mean only: its
+      projection need not be positive definite, so the covariance and ln|C|
+      come from the identity start.
+    Every mode evaluates the bound alike: ln|C| is the state's own at entry
+    and the fixed-point step's after each sweep.
     """
     cfg = cfg or VgaConfig()
     cfg.validate()
     t0 = time.perf_counter()
-    mask = cfg.mask if cfg.mode == "lowrank_sparse" else None
-    state = initial_state if initial_state is not None else _initial_state(A.n_cols, mask)
-    if state.mask is not None and mask is None:
-        state = _initial_state(A.n_cols, None).replace_mean(state.mean)
+    mask = cfg.mask
+    state = initial_state
+    if state is None:
+        state = _initial_state(A.n_cols, mask)
+    elif state.mask is None and mask is not None:
+        state = GaussianState(state.mean, state.values[mask.rows, mask.cols], mask, logdet=state.logdet)
     elif state.mask is not mask:
-        state = GaussianState(state.mean, state.cov, mask, logdet=state.logdet)
+        state = _initial_state(A.n_cols, mask).replace_mean(state.mean)
     factor = basis = None
     if cfg.mode != "dense":
         factor = rsvd(A, cfg.rank, seed=cfg.rsvd_seed)
@@ -302,7 +313,7 @@ def run_vga(
             delta = step.delta_norm
             if delta <= _MEAN_STEP_TOL * max(1.0, float(np.linalg.norm(x_new))):
                 break
-        C_new, logdet_c = fixed_point_step_cov(state, A, prior, cfg, factor=factor, basis=basis)
+        C_new, logdet_c = fixed_point_step_cov(state, A, prior, factor, basis)
         # masked: the values, whose norms are those of the zero-filled matrices
         C_old = state.values
         scale = max(1.0, float(np.linalg.norm(C_old)))
@@ -335,25 +346,3 @@ def run_vga(
         report.flags.append("NumericallySaturated")
     report.wall_time = time.perf_counter() - t0
     return state, report
-
-
-def select_mode(A: ForwardOperator, memory_budget: float | None = None):
-    """Pick an execution mode (and a rank for the factored modes) for A.
-
-    Dense covariance algebra up to m = 1000 (unless the budget forbids the
-    m x m footprint); factored above, switching to the masked variant once
-    dense intermediates get large.  The rank suggestion probes the spectrum
-    and cuts at a 1e-6 relative singular-value threshold.
-    """
-    n, m = A.shape
-    dense_bytes = 8.0 * m * m
-    if m <= 1000 and (memory_budget is None or dense_bytes <= memory_budget):
-        return "dense", None
-    probe = rsvd(A, min(200, m, n), oversample=10, power_iters=2, seed=0)
-    s = probe.S
-    below = np.nonzero(s < 1e-6 * s[0])[0]
-    rank = int(below[0]) if below.size else int(s.size)
-    rank = max(rank, 1)
-    if m > 4096:
-        return "lowrank_sparse", rank
-    return "lowrank", rank

@@ -80,6 +80,9 @@ _COMMANDS = ("solve", "hyper", "bench", "validate")
     [pytest.param(c, {}, ("--mode", "lowrank"), id=f"{c}-no_rank") for c in _COMMANDS]
     + [pytest.param(c, {"problem": {"name": "nope"}}, (), id=f"{c}-unknown_problem")
        for c in _COMMANDS]
+    + [pytest.param(c, {}, ("--rank", "10"), id=f"{c}-dense_rank") for c in _COMMANDS]
+    + [pytest.param(c, {}, ("--mode", "lowrank", "--rank", "10", "--sparsity", "3"),
+                    id=f"{c}-lowrank_mask") for c in _COMMANDS]
     + [
         pytest.param("hyper", {"hyper": {"a": 0.0}}, (), id="hyper-bad_a"),
         pytest.param("validate", {"mcmc": {"gamma": 1.5}}, (), id="validate-bad_gamma"),
@@ -88,7 +91,7 @@ _COMMANDS = ("solve", "hyper", "bench", "validate")
 )
 def test_solve_inconsistent_mode_is_usage_error(tmp_path, cmd, sections, extra):
     # config errors, also those found only once the problem is built, fail
-    # before anything is written
+    # before anything is written; so do settings the mode would ignore
     cfg = write_cfg(tmp_path, **sections)
     out = tmp_path / "o"
     assert run(cmd, cfg, out, *extra) == 2

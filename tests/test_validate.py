@@ -30,7 +30,6 @@ from pvga import (
 )
 from pvga.errors import (
     ConfigError,
-    CovTooLargeForSampling,
     DimensionMismatch,
     InsufficientSamples,
 )
@@ -207,15 +206,14 @@ def test_mh_deterministic_given_seed(rng):
 
 
 def test_mh_refuses_huge_masked_proposal():
-    m = 5001
-    A = ForwardOperator.from_dense(np.zeros((2, m)))
-    data = PoissonData(np.zeros(2, dtype=int))
-    prior = PriorSpec(np.zeros(m), np.eye(m), 1.0)
-    cov = np.zeros((m, m))
-    np.fill_diagonal(cov, 1.0)
-    proposal = GaussianState(np.zeros(m), cov, mask=SparsityMask.banded(m, 1))
-    with pytest.raises(CovTooLargeForSampling):
-        mh_independence_sampler(A, data, prior, proposal)
+    # a masked proposal is refused at every size, not densified below one
+    for m in (3, 5001):
+        A = ForwardOperator.from_dense(np.zeros((2, m)))
+        data = PoissonData(np.zeros(2, dtype=int))
+        prior = make_prior("L2", 1.0, m)
+        proposal = GaussianState(np.zeros(m), np.ones(m), mask=SparsityMask.banded(m, 1))
+        with pytest.raises(ConfigError, match="masked"):
+            mh_independence_sampler(A, data, prior, proposal)
 
 
 def test_mh_refuses_short_chain_before_drawing(monkeypatch):

@@ -25,9 +25,10 @@ from pvga import (
     fixed_point_step_cov,
     newton_step_mean,
     optimality_residual,
+    rate_vector,
+    rsvd,
     run_vga,
     sample_poisson_data,
-    select_mode,
 )
 from pvga.errors import ConfigError, IllConditioned, NotPositiveDefinite
 from pvga.formats import substream_seed
@@ -103,7 +104,7 @@ def test_newton_zero_operator_one_step(rng):
 def test_fixed_point_scalar_hand_value():
     A, data, prior = scalar_problem()
     state = GaussianState(np.zeros(1), np.eye(1))
-    C1, logdet_c = fixed_point_step_cov(state, A, prior, VgaConfig())
+    C1, logdet_c = fixed_point_step_cov(state, A, prior)
     np.testing.assert_allclose(C1, [[1.0 / (1.0 + np.exp(0.5))]], rtol=1e-14)
     assert logdet_c == pytest.approx(-np.log(1.0 + np.exp(0.5)), rel=1e-14)
 
@@ -116,19 +117,39 @@ def test_fixed_point_zero_operator(rng):
 
     prior = random_prior(rng, m)
     state = random_state(rng, m)
-    C1, _ = fixed_point_step_cov(state, A, prior, VgaConfig())
+    C1, _ = fixed_point_step_cov(state, A, prior)
     np.testing.assert_allclose(C1, prior.cov_dense(), rtol=1e-12, atol=1e-14)
 
 
-def test_fixed_point_dense_vs_lowrank_full_rank(rng):
-    for _ in range(6):
-        m = int(rng.integers(3, 41))
-        A, data, prior = random_problem(rng, m=m, n=m + 3)
-        state = random_state(rng, m)
-        dense, ld_dense = fixed_point_step_cov(state, A, prior, VgaConfig())
-        low, ld_low = fixed_point_step_cov(state, A, prior, VgaConfig(mode="lowrank", rank=m))
-        np.testing.assert_allclose(low, dense, rtol=1e-8, atol=1e-10)
-        assert ld_low == pytest.approx(ld_dense, rel=1e-8, abs=1e-10)
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_fixed_point_dense_vs_lowrank_full_rank(m, seed):
+    # the step reads its form from its inputs: no factor is the dense
+    # inverse, a full-rank factor the same map in Woodbury form, and a masked
+    # state the mask entries of the step on the zero-filled matrix
+    rng = np.random.default_rng(seed)
+    A, _, prior = random_problem(rng, m=m)
+    state = random_state(rng, m)
+    Ad = A.dense()
+    direct = np.linalg.inv(Ad.T @ (np.exp(rate_vector(state, A))[:, None] * Ad) + prior.prec_dense())
+    dense, ld_dense = fixed_point_step_cov(state, A, prior)
+    np.testing.assert_allclose(dense, direct, rtol=1e-9, atol=1e-12)
+    assert ld_dense == pytest.approx(np.linalg.slogdet(direct)[1], rel=1e-9, abs=1e-12)
+
+    factor = rsvd(A, min(A.n_rows, m))
+    low, ld_low = fixed_point_step_cov(state, A, prior, factor)
+    np.testing.assert_allclose(low, dense, rtol=1e-8, atol=1e-10)
+    assert ld_low == pytest.approx(ld_dense, rel=1e-8, abs=1e-10)
+
+    mask = SparsityMask(m, rng.integers(0, m, m), rng.integers(0, m, m))
+    zero_filled = np.zeros((m, m))
+    zero_filled[mask.rows, mask.cols] = state.cov[mask.rows, mask.cols]
+    masked = GaussianState(state.mean, zero_filled[mask.rows, mask.cols], mask)
+    values, ld_masked = fixed_point_step_cov(masked, A, prior, factor)
+    full, ld_full = fixed_point_step_cov(GaussianState(state.mean, zero_filled), A, prior, factor)
+    assert values.shape == (mask.nnz,)
+    np.testing.assert_allclose(values, full[mask.rows, mask.cols], rtol=1e-10, atol=1e-12)
+    assert ld_masked == pytest.approx(ld_full, rel=1e-10, abs=1e-12)
 
 
 def test_fixed_point_ill_conditioned_system():
@@ -137,7 +158,7 @@ def test_fixed_point_ill_conditioned_system():
     prior = PriorSpec(np.zeros(2), np.diag([1.0, 1e10]), 1.0)  # cov spread 1e20
     state = GaussianState(np.zeros(2), np.eye(2))
     with pytest.raises(IllConditioned):
-        fixed_point_step_cov(state, A, prior, VgaConfig())
+        fixed_point_step_cov(state, A, prior)
 
 
 # -- full solver -------------------------------------------------------------
@@ -222,11 +243,10 @@ def test_covariance_iterates_stay_below_prior(rng):
         C0 = prior.cov_dense()
         lam0 = float(np.max(np.linalg.eigvalsh(C0)))
         state = GaussianState(np.zeros(prior.m), np.eye(prior.m))
-        cfg = VgaConfig()
         for _ in range(3):
             x, _ = newton_step_mean(state, A, data, prior)
             state = state.replace_mean(x)
-            C, logdet_c = fixed_point_step_cov(state, A, prior, cfg)
+            C, logdet_c = fixed_point_step_cov(state, A, prior)
             state = state.replace_cov(C, logdet_c)
             assert np.min(np.linalg.eigvalsh(C0 - C)) >= -1e-10
             assert np.max(np.linalg.eigvalsh(C)) <= lam0 + 1e-10
@@ -336,6 +356,15 @@ def test_warm_start_is_held_on_the_run_mask(rng):
     back, report = run_vga(A, data, prior, initial_state=fit)
     assert back.mask is None and report.converged
     np.testing.assert_allclose(back.cov, dense_fit.cov, rtol=1e-5, atol=1e-6)
+    # a masked fit warm-starting a run on another mask gives its mean only
+    other = SparsityMask.banded(6, 5)
+    other_cfg = VgaConfig(mode="lowrank_sparse", rank=6, mask=other)
+    moved, report = run_vga(A, data, prior, other_cfg, initial_state=fit)
+    cold_start = GaussianState(fit.mean, (other.rows == other.cols).astype(float), other, logdet=0.0)
+    cold, cold_report = run_vga(A, data, prior, other_cfg, initial_state=cold_start)
+    assert moved.mask is other and report.converged
+    assert report.elbo_trace == cold_report.elbo_trace
+    np.testing.assert_array_equal(moved.values, cold.values)
 
 
 @pytest.mark.parametrize("mode", ["dense", "lowrank"])
@@ -410,9 +439,10 @@ def test_returned_state_carries_the_last_bound(mode):
 def test_masked_state_without_a_logdet_refuses_the_bound():
     A, data, prior = random_problem(np.random.default_rng(3), m=6, n=8)
     mask = SparsityMask.banded(6, 3)
+    identity = (mask.rows == mask.cols).astype(float)
     with pytest.raises(NotPositiveDefinite, match="masked state"):
-        elbo(GaussianState(np.zeros(6), np.eye(6), mask), A, data, prior)
-    carried = GaussianState(np.zeros(6), np.eye(6), mask, logdet=0.0)
+        elbo(GaussianState(np.zeros(6), identity, mask), A, data, prior)
+    carried = GaussianState(np.zeros(6), identity, mask, logdet=0.0)
     dense = GaussianState(np.zeros(6), np.eye(6))
     assert elbo(carried, A, data, prior).total == pytest.approx(elbo(dense, A, data, prior).total, rel=1e-12)
 
@@ -464,43 +494,7 @@ def test_dense_newton_pcg_is_preconditioned_by_the_current_covariance():
     assert sum(c["pcg"] for c in later) <= 4 * sum(c["newton"] for c in later)
 
 
-# -- mode selection and config -----------------------------------------------
-
-
-def test_select_mode_small_problem(rng):
-    A, _, _ = random_problem(rng, m=10, n=12)
-    assert select_mode(A) == ("dense", None)
-
-
-def lowrank_operator(m, n, r, smin, seed):
-    from pvga.linalg import LowRankFactor
-
-    gen = np.random.default_rng(seed)
-    U, _ = np.linalg.qr(gen.standard_normal((n, r)))
-    V, _ = np.linalg.qr(gen.standard_normal((m, r)))
-    return ForwardOperator.from_dense(LowRankFactor(U, np.geomspace(1.0, smin, r), V).dense())
-
-
-def test_select_mode_large_masked():
-    m, n, r = 16384, 300, 24
-    A = lowrank_operator(m, n, r, 1e-8, seed=3)  # crosses the 1e-6 relative cutoff
-    mode, rank = select_mode(A)
-    assert mode == "lowrank_sparse"
-    assert 1 <= rank <= r
-
-
-def test_select_mode_midsize_lowrank():
-    m, n = 1500, 200
-    A = lowrank_operator(m, n, 12, 1e-2, seed=4)
-    mode, rank = select_mode(A)
-    assert mode == "lowrank"
-    assert rank >= 1
-
-
-def test_select_mode_respects_memory_budget(rng):
-    A, _, _ = random_problem(rng, m=100, n=120)
-    mode, _ = select_mode(A, memory_budget=1000.0)
-    assert mode != "dense"
+# -- config -----------------------------------------------------------------
 
 
 def test_config_validation():
@@ -512,4 +506,10 @@ def test_config_validation():
         VgaConfig(mode="lowrank").validate()  # rank required
     with pytest.raises(ConfigError):
         VgaConfig(mode="lowrank_sparse", rank=5).validate()  # mask required
+    with pytest.raises(ConfigError):
+        VgaConfig(rank=10).validate()  # dense mode takes no rank
+    with pytest.raises(ConfigError):
+        VgaConfig(mode="lowrank", rank=10, mask=SparsityMask.banded(20, 3)).validate()
+    with pytest.raises(ConfigError):
+        VgaConfig(mask=SparsityMask.banded(20, 3)).validate()
     VgaConfig().validate()
