@@ -240,6 +240,15 @@ class SparsityMask:
     def nnz(self) -> int:
         return self.rows.size
 
+    def same_pattern(self, other: "SparsityMask") -> bool:
+        """Whether ``other`` retains the same entries (rows/cols are sorted,
+        so equal patterns give equal arrays and aligned values)."""
+        return other is self or (
+            other.dim == self.dim
+            and np.array_equal(other.rows, self.rows)
+            and np.array_equal(other.cols, self.cols)
+        )
+
     def mirror(self) -> tuple[np.ndarray, np.ndarray]:
         """(upper, idx): the positions of the pairs with row <= col, and for
         every pair the index into ``upper`` of itself or its transpose, so

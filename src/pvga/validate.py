@@ -268,8 +268,9 @@ def hpd_intervals(obj, gamma: float) -> np.ndarray:
     h = int(np.ceil(gamma * N))
     h = min(max(h, 2), N)
     # one coordinate per contiguous row: sorting along the strided sample
-    # axis is about twice as slow
-    s = np.ascontiguousarray(samples.T)
+    # axis is about twice as slow. np.array always copies, so the caller's
+    # draws keep their order whatever their layout.
+    s = np.array(samples.T, order="C")
     s.sort(axis=1)
     widths = s[:, h - 1 :] - s[:, : N - h + 1]
     starts = np.argmin(widths, axis=1)

@@ -222,11 +222,12 @@ def fixed_point_step_cov(
     """One application of the covariance map T(C) = (C0^{-1} + A^t D A)^{-1}.
 
     The inputs choose the form.  Without a ``factor`` of A the map is
-    inverted densely.  With one it takes the Woodbury form, using the
-    rate-free ``basis = (C0 V, R)`` from :func:`woodbury_basis` (built here
-    when not supplied); for a masked state only the entries on
-    ``state.mask`` are computed, returned as values aligned with
-    ``mask.rows``/``mask.cols``.
+    inverted densely and the result is the dense m x m matrix, even for a
+    masked state (its mask is then ignored; only its rates are read).  With
+    a factor it takes the Woodbury form, using the rate-free
+    ``basis = (C0 V, R)`` from :func:`woodbury_basis` (built here when not
+    supplied); for a masked state only the entries on ``state.mask`` are
+    computed, returned as values aligned with ``mask.rows``/``mask.cols``.
 
     Returns the new covariance and ln|T(C)| of the *unprojected* map, a
     byproduct of either path (Cholesky of the precision, or the determinant
@@ -270,13 +271,13 @@ def run_vga(
 
     The run starts from the zero mean and identity covariance, or from
     ``initial_state`` (e.g. a warm start):
-    - a state on this run's mask (the same object), or unmasked for an
-      unmasked run, is used as it is;
+    - a state on this run's mask, or unmasked for an unmasked run, is used
+      as it is (on an equal mask built apart, re-held on this run's);
     - an unmasked state warm-starting a masked run gives its entries on the
       mask and its ln|C|;
-    - a masked state warm-starting any other run gives its mean only: its
-      projection need not be positive definite, so the covariance and ln|C|
-      come from the identity start.
+    - a masked state warm-starting a run on another pattern, or an unmasked
+      run, gives its mean only: its projection need not be positive
+      definite, so the covariance and ln|C| come from the identity start.
     Every mode evaluates the bound alike: ln|C| is the state's own at entry
     and the fixed-point step's after each sweep.
     """
@@ -287,10 +288,13 @@ def run_vga(
     state = initial_state
     if state is None:
         state = _initial_state(A.n_cols, mask)
-    elif state.mask is None and mask is not None:
-        state = GaussianState(state.mean, state.values[mask.rows, mask.cols], mask, logdet=state.logdet)
     elif state.mask is not mask:
-        state = _initial_state(A.n_cols, mask).replace_mean(state.mean)
+        if state.mask is None:
+            state = GaussianState(state.mean, state.values[mask.rows, mask.cols], mask, logdet=state.logdet)
+        elif mask is not None and mask.same_pattern(state.mask):
+            state = GaussianState(state.mean, state.values, mask, logdet=state.logdet)
+        else:
+            state = _initial_state(A.n_cols, mask).replace_mean(state.mean)
     factor = basis = None
     if cfg.mode != "dense":
         factor = rsvd(A, cfg.rank, seed=cfg.rsvd_seed)

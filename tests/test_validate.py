@@ -161,6 +161,13 @@ def test_mh_scalar_mean_matches_quadrature():
     )
     assert abs(out.mean[0] - quad_mean) <= 3.0 * out.mean_stderr[0]
     assert out.acceptance_rate > 0.8
+    # the draws stay in chain order (m = 1 once got them sorted in place by
+    # the interval estimate, inflating the batch-means error)
+    assert np.any(np.diff(out.samples[:, 0]) < 0.0)
+    nb = 20
+    bm = out.samples.reshape(nb, -1).mean(axis=1)
+    assert out.mean_stderr[0] == bm.std(ddof=1) / np.sqrt(nb)
+    assert out.mean_stderr[0] < 0.01
 
 
 def batch_stderr(values, n_batches=25):
@@ -334,6 +341,19 @@ def test_hpd_empirical_matches_analytic():
     analytic = 2.0 * ndtri(0.95)
     widths = iv[:, 1] - iv[:, 0]
     assert np.all(np.abs(widths - analytic) / analytic < 0.05)
+
+
+@pytest.mark.parametrize("layout", ["1d", "column", "fortran"])
+def test_hpd_leaves_the_draws_unchanged(layout):
+    # the layouts whose transpose is already C-contiguous: the sort must
+    # still work on a copy
+    draws = np.random.default_rng(5).standard_normal((500, 3))
+    arr = {"1d": draws[:, 0].copy(), "column": draws[:, :1].copy(),
+           "fortran": np.asfortranarray(draws)}[layout]
+    before = arr.copy()
+    iv = hpd_intervals(arr, 0.9)
+    np.testing.assert_array_equal(arr, before)
+    np.testing.assert_array_equal(iv, hpd_intervals(np.ascontiguousarray(before), 0.9))
 
 
 def test_hpd_guards():

@@ -353,6 +353,14 @@ def test_warm_start_is_held_on_the_run_mask(rng):
     fresh, _ = run_vga(A, data, prior, masked_cfg)
     assert fit.mask is mask and report.converged
     np.testing.assert_allclose(fit.values, fresh.values, rtol=1e-5, atol=1e-6)
+    # a masked fit on an equal mask built apart is used as it is, re-held on
+    # this run's mask: the same run as the same-object warm start
+    again, report = run_vga(A, data, prior, masked_cfg, initial_state=fit)
+    equal_cfg = VgaConfig(mode="lowrank_sparse", rank=6, mask=SparsityMask.banded(6, 3))
+    equal, equal_report = run_vga(A, data, prior, equal_cfg, initial_state=fit)
+    assert equal.mask is equal_cfg.mask
+    assert equal_report.elbo_trace == report.elbo_trace
+    np.testing.assert_array_equal(equal.values, again.values)
     back, report = run_vga(A, data, prior, initial_state=fit)
     assert back.mask is None and report.converged
     np.testing.assert_allclose(back.cov, dense_fit.cov, rtol=1e-5, atol=1e-6)
