@@ -62,6 +62,7 @@ from .linalg import (
     LowRankFactor,
     PcgResult,
     SparsityMask,
+    WoodburyBasis,
     cholesky,
     logdet,
     pcg_solve,

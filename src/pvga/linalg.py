@@ -10,6 +10,7 @@ package contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -27,6 +28,7 @@ from .errors import (
 __all__ = [
     "LowRankFactor",
     "SparsityMask",
+    "WoodburyBasis",
     "PcgResult",
     "cholesky",
     "logdet",
@@ -97,31 +99,21 @@ class PcgResult:
     relative_residual: float
 
 
-def _as_operator(op):
-    if op is None:
-        return lambda v: v
-    if isinstance(op, np.ndarray):
-        return lambda v, _M=op: _M @ v
-    return op
+def pcg_solve(apply_M, b, precond=None, tol: float = 1e-6, maxit: int = 10) -> PcgResult:
+    """Preconditioned conjugate gradients for SPD operators, from x = 0.
 
-
-def pcg_solve(apply_M, b, precond=None, tol: float = 1e-6, maxit: int = 10, x0=None) -> PcgResult:
-    """Preconditioned conjugate gradients for SPD operators.
-
-    ``apply_M`` and ``precond`` are either m x m arrays or callables v -> Mv;
-    ``precond`` applies the *inverse* of the preconditioning matrix to a
-    residual.  Stops when ||Mx - b|| <= tol * ||b|| or after ``maxit``
+    ``apply_M`` and ``precond`` are callables v -> Mv; ``precond`` applies
+    the *inverse* of the preconditioning matrix to a residual (the identity
+    when None).  Stops when ||Mx - b|| <= tol * ||b|| or after ``maxit``
     iterations.  Raises BreakdownError when a denominator p^t M p becomes
     nonpositive, which signals a non-SPD operator.
     """
-    A = _as_operator(apply_M)
-    P = _as_operator(precond)
+    P = precond if precond is not None else (lambda v: v)
     b = np.asarray(b, dtype=float)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - A(x) if x.any() else b.copy()
-    bnorm = float(np.linalg.norm(b))
+    x = np.zeros_like(b)
+    r = b.copy()
+    bnorm = rnorm = float(np.linalg.norm(b))
     tol_abs = tol * bnorm
-    rnorm = float(np.linalg.norm(r))
     if rnorm <= tol_abs:
         return PcgResult(x, 0, True, rnorm / bnorm if bnorm > 0 else 0.0)
     z = P(r)
@@ -131,7 +123,7 @@ def pcg_solve(apply_M, b, precond=None, tol: float = 1e-6, maxit: int = 10, x0=N
     for _ in range(maxit):
         if gamma <= 0.0:
             raise BreakdownError(f"preconditioned inner product nonpositive ({gamma:.3e})")
-        q = A(p)
+        q = apply_M(p)
         denom = float(p @ q)
         if denom <= 0.0:
             raise BreakdownError(f"PCG denominator nonpositive ({denom:.3e}); operator not SPD")
@@ -320,18 +312,12 @@ def rsvd(A, r: int, oversample: int = 10, power_iters: int = 2, seed=0) -> LowRa
     scipy can each load their own threaded OpenBLAS, and a threaded call into
     one right after a call into the other runs up to twice as slow, so the
     factorizations stay on one LAPACK runtime.  Deterministic for a fixed
-    seed; ``A`` and the arrays its products return are never written.  ``A``
-    is a dense array or any object with ``matmat``/``rmatmat`` and ``shape``
-    services.
+    seed; the arrays ``A``'s products return are never written.  ``A`` is an
+    operator with ``matmat``/``rmatmat`` and ``shape`` (a dense array goes
+    through ``ForwardOperator.from_dense``).
     """
-    if isinstance(A, np.ndarray):
-        n, m = A.shape
-        matmat = lambda X: A @ X
-        rmatmat = lambda X: A.T @ X
-    else:
-        n, m = A.shape
-        matmat = A.matmat
-        rmatmat = A.rmatmat
+    n, m = A.shape
+    matmat, rmatmat = A.matmat, A.rmatmat
     if not 1 <= r <= min(m, n):
         raise RankTooLarge(f"rank {r} outside [1, {min(m, n)}]")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -351,58 +337,54 @@ def _lu_basis(Y: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu(Y, permute_l=True)[0]
 
 
-class _CovServices:
-    """Adapter giving uniform access to prior covariance products/entries."""
+class WoodburyBasis(NamedTuple):
+    """The rate-free half of the Woodbury update, built by
+    :func:`woodbury_basis` from a prior and a rank-r factor U diag(S) V^t of
+    A: the factor's U (n x r) and S, W = C0 V (m x r), and the upper
+    Cholesky factor R of G = V^t C0 V = R^t R.  V itself is not kept."""
 
-    def __init__(self, C0):
-        if isinstance(C0, np.ndarray):
-            self._dense = C0
-            self.matmat = lambda X: C0 @ X
-            self.entries = lambda rows, cols: C0[rows, cols]
-            self.dense = lambda: C0
-        else:
-            self.matmat = C0.cov_matmat
-            self.entries = C0.cov_entries
-            self.dense = C0.cov_dense
+    U: np.ndarray
+    S: np.ndarray
+    W: np.ndarray
+    R: np.ndarray
 
 
-def woodbury_basis(C0, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rate-free half of the Woodbury update: W = C0 V and the upper
-    Cholesky factor R of G = V^t C0 V = R^t R.
+def woodbury_basis(prior, factor: LowRankFactor) -> WoodburyBasis:
+    """The basis that every Woodbury step at any rates reuses.
 
-    Both depend only on the prior and the factor's right singular vectors,
-    so a solver computes them once and reuses them on every covariance step.
-    Raises SingularInnerSystem when G is not positive definite.
+    It depends only on the prior and the factor, so a solver builds it once
+    and drops the factor's V.  Raises SingularInnerSystem when G = V^t C0 V
+    is not positive definite.
     """
-    W = _CovServices(C0).matmat(V)
+    W = prior.cov_matmat(factor.V)
     try:
-        return W, cholesky(V.T @ W).T
+        R = cholesky(factor.V.T @ W).T
     except NotPositiveDefinite as exc:
         raise SingularInnerSystem(f"V^t C0 V: {exc}") from exc
+    return WoodburyBasis(factor.U, factor.S, W, R)
 
 
 def woodbury_cov(
-    C0,
-    F: LowRankFactor,
+    prior,
+    basis: WoodburyBasis,
     d: np.ndarray,
     mask: SparsityMask | None = None,
-    basis: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Covariance (C0^{-1} + A^t D A)^{-1} for A = U diag(S) V^t, D = diag(d).
+    """Covariance (C0^{-1} + A^t D A)^{-1} for A = U diag(S) V^t, D = diag(d),
+    with C0 the covariance of ``prior`` and (U, S, W, R) its ``basis``.
 
     Evaluated without inverting C0, as C0 - W M W^t with W = C0 V,
     K = S U^t D U S and M = K (I + G K)^{-1}, G = V^t C0 V.  With G = R^t R
-    (``basis = (W, R)`` from :func:`woodbury_basis`, built here when not
-    given) the inner system is the SPD matrix I + R K R^t = Li Li^t, so
+    the inner system is the SPD matrix I + R K R^t = Li Li^t, so
 
         M = K - B^t B,   B = Li^{-1} R K,
 
     and one Cholesky factor gives M, the determinant and a ``pocon``
-    singularity guard; cost O(r^2 (m + n) + r^3) per call once the basis is
-    known.  With a mask, only the masked entries are computed and returned,
-    as a vector aligned with ``mask.rows``/``mask.cols``: each pair i <= j is
-    computed once and mirrored, and equals the corresponding entry of the
-    unmasked update.  No m x m array is formed.
+    singularity guard; cost O(r^2 (m + n) + r^3) per call.  With a mask,
+    only the masked entries are computed and returned, as a vector aligned
+    with ``mask.rows``/``mask.cols``: each pair i <= j is computed once and
+    mirrored, and equals the corresponding entry of the unmasked update.  No
+    m x m array is formed.
 
     Returns the covariance and ln det(I + K G) = 2 sum ln diag(Li), which by
     the determinant lemma gives the log-determinant of the *unmasked* update
@@ -413,12 +395,10 @@ def woodbury_cov(
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise InvalidData("d must be strictly positive")
-    U, s, V = F.U, F.S, F.V
-    cov = _CovServices(C0)
-    W, R = woodbury_basis(C0, V) if basis is None else basis
+    U, s, W, R = basis
     K = symmetrize((s[:, None] * (U.T @ (d[:, None] * U))) * s[None, :])
     RK = R @ K
-    inner = np.eye(F.rank) + RK @ R.T
+    inner = np.eye(s.size) + RK @ R.T
     try:
         Li = cholesky(inner)
     except NotPositiveDefinite as exc:
@@ -429,11 +409,11 @@ def woodbury_cov(
     B = scipy.linalg.solve_triangular(Li, RK, lower=True)
     M = K - B.T @ B
     if mask is None:
-        C = symmetrize(cov.dense() - W @ M @ W.T)
+        C = symmetrize(prior.cov_dense() - W @ M @ W.T)
     else:
         upper, idx = mask.mirror()
         rows, cols = mask.rows[upper], mask.cols[upper]
-        vals = cov.entries(rows, cols) - lowrank_masked_dots(
+        vals = prior.cov_entries(rows, cols) - lowrank_masked_dots(
             np.ascontiguousarray(W @ M), np.ascontiguousarray(W), rows, cols, mask.diagonal_offsets()
         )
         C = vals[idx]

@@ -20,8 +20,8 @@ import scipy.linalg
 from .elbo import GaussianState, elbo, rate_vector, _bound_with_logdet, _exp_rates
 from .errors import ConfigError, IllConditioned, PcgBreakdown
 from .linalg import (
-    LowRankFactor,
     SparsityMask,
+    WoodburyBasis,
     cholesky,
     pcg_solve,
     rsvd,
@@ -182,7 +182,7 @@ def newton_step_mean(
     if state.saturated:
         _check_conditioning(apply_J, prior, state.dim)
 
-    precond = prior.cov_apply if state.mask is not None else state.cov
+    precond = prior.cov_apply if state.mask is not None else (lambda v: state.cov @ v)
     res = pcg_solve(apply_J, -G, precond=precond, tol=_PCG_TOL, maxit=_PCG_MAXIT)
     step = res.x
     if not np.all(np.isfinite(step)):
@@ -216,17 +216,15 @@ def fixed_point_step_cov(
     state: GaussianState,
     A: ForwardOperator,
     prior: PriorSpec,
-    factor: LowRankFactor | None = None,
-    basis: tuple[np.ndarray, np.ndarray] | None = None,
+    basis: WoodburyBasis | None = None,
 ) -> tuple[np.ndarray, float]:
     """One application of the covariance map T(C) = (C0^{-1} + A^t D A)^{-1}.
 
-    The inputs choose the form.  Without a ``factor`` of A the map is
-    inverted densely and the result is the dense m x m matrix, even for a
-    masked state (its mask is then ignored; only its rates are read).  With
-    a factor it takes the Woodbury form, using the rate-free
-    ``basis = (C0 V, R)`` from :func:`woodbury_basis` (built here when not
-    supplied); for a masked state only the entries on ``state.mask`` are
+    The inputs choose the form.  Without a ``basis`` the map is inverted
+    densely and the result is the dense m x m matrix, even for a masked
+    state (its mask is then ignored; only its rates are read).  With the
+    :func:`woodbury_basis` of a rank-r factor of A it takes the Woodbury
+    form; for a masked state only the entries on ``state.mask`` are
     computed, returned as values aligned with ``mask.rows``/``mask.cols``.
 
     Returns the new covariance and ln|T(C)| of the *unprojected* map, a
@@ -235,7 +233,7 @@ def fixed_point_step_cov(
     """
     d = rate_vector(state, A)
     rates = _exp_rates(state, d)
-    if factor is None:
+    if basis is None:
         Ad = A.dense()
         M = Ad.T @ (rates[:, None] * Ad) + prior.prec_dense()
         M = symmetrize(M)
@@ -243,7 +241,7 @@ def fixed_point_step_cov(
         if spd_rcond(M, chol=L) < 1.0 / _COND_LIMIT:
             raise IllConditioned("covariance fixed-point system is numerically singular")
         return spd_inverse(M, chol=L), -2.0 * float(np.sum(np.log(np.diag(L))))
-    C_new, inner_logdet = woodbury_cov(prior, factor, rates, mask=state.mask, basis=basis)
+    C_new, inner_logdet = woodbury_cov(prior, basis, rates, mask=state.mask)
     return C_new, -prior.logdet_prec() - inner_logdet
 
 
@@ -266,8 +264,8 @@ def run_vga(
 
     Returns the final state and a report; a run that exhausts max_outer comes
     back with ``converged=False`` rather than raising.  This is the one place
-    a :class:`VgaConfig` becomes a factor of A (with its Woodbury basis) and
-    a mask; the steps below read the mode from those.
+    a :class:`VgaConfig` becomes a Woodbury basis (from a rank-r factor of A)
+    and a mask; the steps below read the mode from those.
 
     The run starts from the zero mean and identity covariance, or from
     ``initial_state`` (e.g. a warm start):
@@ -295,10 +293,9 @@ def run_vga(
             state = GaussianState(state.mean, state.values, mask, logdet=state.logdet)
         else:
             state = _initial_state(A.n_cols, mask).replace_mean(state.mean)
-    factor = basis = None
+    basis = None
     if cfg.mode != "dense":
-        factor = rsvd(A, cfg.rank, seed=cfg.rsvd_seed)
-        basis = woodbury_basis(prior, factor.V)
+        basis = woodbury_basis(prior, rsvd(A, cfg.rank, seed=cfg.rsvd_seed))
     report = SolverReport()
     F = elbo(state, A, data, prior).total
     report.elbo_trace.append(F)
@@ -317,7 +314,7 @@ def run_vga(
             delta = step.delta_norm
             if delta <= _MEAN_STEP_TOL * max(1.0, float(np.linalg.norm(x_new))):
                 break
-        C_new, logdet_c = fixed_point_step_cov(state, A, prior, factor, basis)
+        C_new, logdet_c = fixed_point_step_cov(state, A, prior, basis)
         # masked: the values, whose norms are those of the zero-filled matrices
         C_old = state.values
         scale = max(1.0, float(np.linalg.norm(C_old)))

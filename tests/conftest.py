@@ -9,6 +9,7 @@ searches) stay cheap.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pvga import ForwardOperator, GaussianState, PoissonData, PriorSpec
 
@@ -29,6 +30,14 @@ def random_spd(rng, m, scale=1.0):
     Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
     lam = rng.uniform(0.3, 2.0, m) * scale
     return (Q * lam) @ Q.T
+
+
+def prior_from_cov(C0):
+    """The zero-mean prior with covariance C0 (SPD) at alpha = 1: its
+    precision factor L inverts C0's lower Cholesky factor, so L^t L = C0^{-1}."""
+    C0 = np.asarray(C0, dtype=float)
+    L = scipy.linalg.solve_triangular(np.linalg.cholesky(C0), np.eye(C0.shape[0]), lower=True)
+    return PriorSpec(np.zeros(C0.shape[0]), L, 1.0)
 
 
 def random_state(rng, m, cov_scale=1.0):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvga import (
+    ForwardOperator,
     LowRankFactor,
+    PriorSpec,
     SparsityMask,
     cholesky,
     logdet,
@@ -25,7 +27,7 @@ from pvga.errors import (
 )
 from pvga.linalg import spd_inverse, spd_rcond, spd_solve, symmetrize
 
-from conftest import random_spd
+from conftest import prior_from_cov, random_spd
 
 
 # -- cholesky / logdet -------------------------------------------------------
@@ -149,19 +151,19 @@ def test_rsvd_recovers_exact_rank(rng):
     U = np.linalg.qr(rng.standard_normal((20, 2)))[0]
     V = np.linalg.qr(rng.standard_normal((15, 2)))[0]
     A = U @ np.diag([3.0, 1.5]) @ V.T
-    F = rsvd(A, 2, seed=1)
+    F = rsvd(ForwardOperator.from_dense(A), 2, seed=1)
     np.testing.assert_allclose(F.U @ np.diag(F.S) @ F.V.T, A, atol=1e-8)
 
 
 def test_rsvd_padded_diagonal_singular_values(rng):
     A = np.zeros((6, 5))
     A[:3, :3] = np.diag([3.0, 2.0, 1.0])
-    F = rsvd(A, 2, seed=0)
+    F = rsvd(ForwardOperator.from_dense(A), 2, seed=0)
     np.testing.assert_allclose(F.S, [3.0, 2.0], rtol=1e-10)
 
 
 def test_rsvd_deterministic_per_seed(rng):
-    A = rng.standard_normal((12, 9))
+    A = ForwardOperator.from_dense(rng.standard_normal((12, 9)))
     F1 = rsvd(A, 4, seed=7)
     F2 = rsvd(A, 4, seed=7)
     np.testing.assert_array_equal(F1.U, F2.U)
@@ -170,13 +172,13 @@ def test_rsvd_deterministic_per_seed(rng):
 
 
 def test_rsvd_singular_values_nonincreasing(rng):
-    A = rng.standard_normal((25, 18))
+    A = ForwardOperator.from_dense(rng.standard_normal((25, 18)))
     F = rsvd(A, 10, seed=3)
     assert np.all(np.diff(F.S) <= 1e-12)
 
 
 def test_rsvd_rank_bounds(rng):
-    A = rng.standard_normal((5, 4))
+    A = ForwardOperator.from_dense(rng.standard_normal((5, 4)))
     with pytest.raises(RankTooLarge):
         rsvd(A, 0)
     with pytest.raises(RankTooLarge):
@@ -239,7 +241,7 @@ def test_rsvd_contract(n, m, rank_frac, oversample, power_iters, gap, seed):
     A = (U * s) @ V.T
     A_before = A.copy()
     r = t if gap else int(rng.integers(t, p + 1))
-    F = rsvd(A, r, oversample=oversample, power_iters=power_iters, seed=seed)
+    F = rsvd(ForwardOperator.from_dense(A), r, oversample=oversample, power_iters=power_iters, seed=seed)
     np.testing.assert_array_equal(A, A_before)
     assert F.U.shape == (n, r) and F.V.shape == (m, r)
     approx = F.dense()
@@ -264,16 +266,20 @@ def full_rank_factor(A):
     return LowRankFactor(U, s, Vt.T)
 
 
+def woodbury_at(prior, A, d, mask=None):
+    """The Woodbury update for the full-rank factor of the array A."""
+    return woodbury_cov(prior, woodbury_basis(prior, full_rank_factor(A)), d, mask=mask)
+
+
 def test_woodbury_scalar_hand_value():
-    F = full_rank_factor(np.array([[1.0]]))
-    C, _ = woodbury_cov(np.array([[1.0]]), F, np.array([np.exp(0.5)]))
+    C, _ = woodbury_at(prior_from_cov([[1.0]]), np.array([[1.0]]), np.array([np.exp(0.5)]))
     np.testing.assert_allclose(C, [[1.0 / (1.0 + np.exp(0.5))]], rtol=1e-14)
 
 
 def test_woodbury_vanishing_data_limit(rng):
     C0 = random_spd(rng, 5)
     A = rng.standard_normal((6, 5))
-    C, _ = woodbury_cov(C0, full_rank_factor(A), np.full(6, 1e-14))
+    C, _ = woodbury_at(prior_from_cov(C0), A, np.full(6, 1e-14))
     np.testing.assert_allclose(C, C0, rtol=1e-10)
 
 
@@ -283,34 +289,38 @@ def test_woodbury_matches_direct_inverse(rng):
         C0 = random_spd(rng, m)
         A = rng.standard_normal((n, m))
         d = np.exp(rng.uniform(-1, 1, n))
-        C, _ = woodbury_cov(C0, full_rank_factor(A), d)
+        C, _ = woodbury_at(prior_from_cov(C0), A, d)
         direct = np.linalg.inv(np.linalg.inv(C0) + A.T @ (d[:, None] * A))
         np.testing.assert_allclose(C, direct, rtol=1e-8, atol=1e-12)
 
 
 def test_woodbury_rejects_nonpositive_weights(rng):
-    C0 = np.eye(3)
     A = rng.standard_normal((4, 3))
     with pytest.raises(InvalidData):
-        woodbury_cov(C0, full_rank_factor(A), np.array([1.0, 0.0, 1.0, 1.0]))
+        woodbury_at(prior_from_cov(np.eye(3)), A, np.array([1.0, 0.0, 1.0, 1.0]))
 
 
 def test_woodbury_singular_inner_system():
-    # C0 = -I makes G = V^t C0 V = -I and K = I, so I + K G is exactly zero
+    # identity prior, so G = R = I; weights 1e20 and 1 give the inner system
+    # I + K = diag(1 + 1e20, 2), far past the reciprocal-condition guard
+    prior = PriorSpec(np.zeros(4), None, 1.0)
     F = LowRankFactor(np.eye(4)[:, :2], np.ones(2), np.eye(4)[:, :2])
     with pytest.raises(SingularInnerSystem):
-        woodbury_cov(-np.eye(4), F, np.ones(4))
+        woodbury_cov(prior, woodbury_basis(prior, F), np.array([1e20, 1.0, 1.0, 1.0]))
+    # a factor whose V has a zero column makes G = V^t C0 V singular
+    F = LowRankFactor(np.eye(4)[:, :2], np.ones(2), np.eye(4)[:, [0, 0]] * [1.0, 0.0])
+    with pytest.raises(SingularInnerSystem):
+        woodbury_basis(prior, F)
 
 
 def test_woodbury_masked_entries_match_dense_path(rng):
     m, n = 12, 10
-    C0 = random_spd(rng, m)
+    prior = prior_from_cov(random_spd(rng, m))
     A = rng.standard_normal((n, m))
     d = np.exp(rng.uniform(-1, 1, n))
-    F = full_rank_factor(A)
-    dense, _ = woodbury_cov(C0, F, d)
+    dense, _ = woodbury_at(prior, A, d)
     mask = SparsityMask.banded(m, 3)
-    masked, _ = woodbury_cov(C0, F, d, mask=mask)
+    masked, _ = woodbury_at(prior, A, d, mask=mask)
     # masking selects entries, it does not approximate them; the values are
     # aligned with the mask's coordinates, both triangles included
     assert masked.shape == (mask.nnz,)
@@ -324,7 +334,7 @@ def test_woodbury_inner_logdet_matches_dense_slogdet(rng):
     C0 = random_spd(rng, m)
     A = rng.standard_normal((n, m))
     d = np.exp(rng.uniform(-1, 1, n))
-    C, inner_logdet = woodbury_cov(C0, full_rank_factor(A), d)
+    C, inner_logdet = woodbury_at(prior_from_cov(C0), A, d)
     # ln|C| = ln|C0| - ln det(I + K G)
     expect = np.linalg.slogdet(C)[1]
     got = np.linalg.slogdet(C0)[1] - inner_logdet
@@ -341,14 +351,16 @@ def test_woodbury_inner_logdet_matches_dense_slogdet(rng):
 def test_woodbury_contract(kind, m, n, seed):
     rng = np.random.default_rng(seed)
     if kind == "dense":
-        C0 = C0d = random_spd(rng, m)
+        C0d = random_spd(rng, m)
+        prior = prior_from_cov(C0d)
     else:
-        C0 = make_prior("H1", float(rng.uniform(0.2, 5.0)), m)
-        C0d = C0.cov_dense()
+        prior = make_prior("H1", float(rng.uniform(0.2, 5.0)), m)
+        C0d = prior.cov_dense()
     A = rng.standard_normal((n, m))
     d = np.exp(rng.uniform(-1, 1, n))
     F = full_rank_factor(A)
-    C, inner_logdet = woodbury_cov(C0, F, d)
+    basis = woodbury_basis(prior, F)
+    C, inner_logdet = woodbury_cov(prior, basis, d)
 
     # at full rank the update is the exact posterior-precision inverse
     direct = np.linalg.inv(np.linalg.inv(C0d) + A.T @ (d[:, None] * A))
@@ -363,18 +375,10 @@ def test_woodbury_contract(kind, m, n, seed):
 
     # each masked entry, in both triangles, is the unmasked update's entry
     mask = SparsityMask(m, rng.integers(0, m, 2 * m), rng.integers(0, m, 2 * m))
-    masked, masked_logdet = woodbury_cov(C0, F, d, mask=mask)
+    masked, masked_logdet = woodbury_cov(prior, basis, d, mask=mask)
     assert masked_logdet == inner_logdet  # the mask selects entries only
     assert masked.shape == (mask.nnz,)
     np.testing.assert_allclose(masked, C[mask.rows, mask.cols], rtol=1e-12, atol=1e-12 * scale)
-
-    # a precomputed (C0 V, R) basis reproduces a fresh call exactly
-    basis = woodbury_basis(C0, F.V)
-    for mk in (None, mask):
-        C_fresh, ld_fresh = woodbury_cov(C0, F, d, mask=mk)
-        C_reused, ld_reused = woodbury_cov(C0, F, d, mask=mk, basis=basis)
-        np.testing.assert_array_equal(C_reused, C_fresh)
-        assert ld_reused == ld_fresh
 
 
 # -- masks -------------------------------------------------------------------

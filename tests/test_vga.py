@@ -29,6 +29,7 @@ from pvga import (
     rsvd,
     run_vga,
     sample_poisson_data,
+    woodbury_basis,
 )
 from pvga.errors import ConfigError, IllConditioned, NotPositiveDefinite
 from pvga.formats import substream_seed
@@ -124,9 +125,9 @@ def test_fixed_point_zero_operator(rng):
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
 def test_fixed_point_dense_vs_lowrank_full_rank(m, seed):
-    # the step reads its form from its inputs: no factor is the dense
-    # inverse, a full-rank factor the same map in Woodbury form, and a masked
-    # state the mask entries of the step on the zero-filled matrix
+    # the step reads its form from its inputs: no basis is the dense
+    # inverse, the basis of a full-rank factor the same map in Woodbury form,
+    # and a masked state the mask entries of the step on the zero-filled matrix
     rng = np.random.default_rng(seed)
     A, _, prior = random_problem(rng, m=m)
     state = random_state(rng, m)
@@ -136,8 +137,8 @@ def test_fixed_point_dense_vs_lowrank_full_rank(m, seed):
     np.testing.assert_allclose(dense, direct, rtol=1e-9, atol=1e-12)
     assert ld_dense == pytest.approx(np.linalg.slogdet(direct)[1], rel=1e-9, abs=1e-12)
 
-    factor = rsvd(A, min(A.n_rows, m))
-    low, ld_low = fixed_point_step_cov(state, A, prior, factor)
+    basis = woodbury_basis(prior, rsvd(A, min(A.n_rows, m)))
+    low, ld_low = fixed_point_step_cov(state, A, prior, basis)
     np.testing.assert_allclose(low, dense, rtol=1e-8, atol=1e-10)
     assert ld_low == pytest.approx(ld_dense, rel=1e-8, abs=1e-10)
 
@@ -145,8 +146,8 @@ def test_fixed_point_dense_vs_lowrank_full_rank(m, seed):
     zero_filled = np.zeros((m, m))
     zero_filled[mask.rows, mask.cols] = state.cov[mask.rows, mask.cols]
     masked = GaussianState(state.mean, zero_filled[mask.rows, mask.cols], mask)
-    values, ld_masked = fixed_point_step_cov(masked, A, prior, factor)
-    full, ld_full = fixed_point_step_cov(GaussianState(state.mean, zero_filled), A, prior, factor)
+    values, ld_masked = fixed_point_step_cov(masked, A, prior, basis)
+    full, ld_full = fixed_point_step_cov(GaussianState(state.mean, zero_filled), A, prior, basis)
     assert values.shape == (mask.nnz,)
     np.testing.assert_allclose(values, full[mask.rows, mask.cols], rtol=1e-10, atol=1e-12)
     assert ld_masked == pytest.approx(ld_full, rel=1e-10, abs=1e-12)
