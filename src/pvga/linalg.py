@@ -107,12 +107,19 @@ def pcg_solve(apply_M, b, precond=None, tol: float = 1e-6, maxit: int = 10) -> P
     when None).  Stops when ||Mx - b|| <= tol * ||b|| or after ``maxit``
     iterations.  Raises BreakdownError when a denominator p^t M p becomes
     nonpositive, which signals a non-SPD operator.
+
+    The iteration runs on b / 2^e, with 2^e the power of two just above
+    ||b|| (taken by BLAS nrm2, which stays finite where sqrt(b.b) would
+    overflow), and scales the solution back.  Scaling by a power of two is
+    exact, so the iterates are those of b itself, while the inner products
+    stay finite for any finite b.
     """
     P = precond if precond is not None else (lambda v: v)
     b = np.asarray(b, dtype=float)
+    e = int(np.frexp(scipy.linalg.norm(b, check_finite=False))[1])
     x = np.zeros_like(b)
-    r = b.copy()
-    bnorm = rnorm = float(np.linalg.norm(b))
+    r = np.ldexp(b, -e)
+    bnorm = rnorm = float(np.linalg.norm(r))
     tol_abs = tol * bnorm
     if rnorm <= tol_abs:
         return PcgResult(x, 0, True, rnorm / bnorm if bnorm > 0 else 0.0)
@@ -138,7 +145,7 @@ def pcg_solve(apply_M, b, precond=None, tol: float = 1e-6, maxit: int = 10) -> P
         gamma_new = float(r @ z)
         p = z + (gamma_new / gamma) * p
         gamma = gamma_new
-    return PcgResult(x, iterations, rnorm <= tol_abs, rnorm / bnorm if bnorm > 0 else rnorm)
+    return PcgResult(np.ldexp(x, e), iterations, rnorm <= tol_abs, rnorm / bnorm if bnorm > 0 else rnorm)
 
 
 @dataclass

@@ -124,12 +124,13 @@ class SolverReport:
 
 def _check_conditioning(apply_J, prior: PriorSpec, m: int) -> None:
     """Cheap spectral guard: power-iterate J and bound its condition number
-    through lambda_min(J) >= lambda_min(C0^{-1})."""
+    through lambda_min(J) >= lambda_min(C0^{-1}).  The norms are BLAS nrm2,
+    which stays finite at the clamped rates where sqrt(w.w) overflows."""
     v = np.ones(m) / np.sqrt(m)
     lam = 0.0
     for _ in range(20):
         w = apply_J(v)
-        lam = float(np.linalg.norm(w))
+        lam = float(scipy.linalg.norm(w, check_finite=False))
         if lam == 0.0:
             return
         v = w / lam
@@ -137,7 +138,7 @@ def _check_conditioning(apply_J, prior: PriorSpec, m: int) -> None:
     u = np.ones(m) / np.sqrt(m)
     for _ in range(20):
         w = prior._s.solve(u)
-        mu = float(np.linalg.norm(w))
+        mu = float(scipy.linalg.norm(w, check_finite=False))
         u = w / mu
     cond_bound = lam * mu / prior.alpha
     if cond_bound > _COND_LIMIT:

@@ -503,6 +503,25 @@ def test_dense_newton_pcg_is_preconditioned_by_the_current_covariance():
     assert sum(c["pcg"] for c in later) <= 4 * sum(c["newton"] for c in later)
 
 
+def test_start_whose_gradient_norm_overflows_is_not_reported_as_converged():
+    # at a start mean of 650 the gradient is about e^650 ~ 1e282 and its
+    # square overflows; the Newton steps must still move the mean down
+    # rather than stop the run on the "bound" rule at the start
+    A, data, prior = scalar_problem(y=3)
+    state, report = run_vga(A, data, prior, initial_state=GaussianState(np.array([650.0]), np.eye(1)))
+    assert report.stop_rule is None
+    assert state.mean[0] < 450.0
+    assert np.all(np.diff(report.elbo_trace) > 0)
+
+
+def test_start_at_clamped_rates_is_refused_as_ill_conditioned():
+    # at 800 the rates hit the overflow clamp (about e^700) and the guard's
+    # power iteration sees a Newton system of norm about 1e304
+    A, data, prior = scalar_problem(y=3)
+    with pytest.raises(IllConditioned, match="1.01e\\+304"):
+        run_vga(A, data, prior, initial_state=GaussianState(np.array([800.0]), np.eye(1)))
+
+
 # -- config -----------------------------------------------------------------
 
 
