@@ -133,6 +133,15 @@ def _build_mask(spec, m: int) -> SparsityMask | None:
     return SparsityMask.banded(m, int(spec))
 
 
+def _checked(vcfg: VgaConfig, A) -> VgaConfig:
+    """``vcfg`` once it passes :meth:`VgaConfig.validate` and its rank is at
+    most min(n, m), the largest the factorization of A can take."""
+    vcfg.validate()
+    if vcfg.rank is not None and vcfg.rank > min(A.shape):
+        raise ConfigError(f"rank {vcfg.rank} exceeds min(n, m) = {min(A.shape)}")
+    return vcfg
+
+
 def _solver_config(cfg: dict, A) -> VgaConfig:
     s = cfg["solver"]
     vcfg = VgaConfig(
@@ -142,8 +151,7 @@ def _solver_config(cfg: dict, A) -> VgaConfig:
         mask=_build_mask(s["sparsity"], A.n_cols),
         rsvd_seed=formats.substream_seed(cfg["seed"], "rsvd"),
     )
-    vcfg.validate()
-    return vcfg
+    return _checked(vcfg, A)
 
 
 def _report_dict(report, **extra) -> dict:
@@ -362,32 +370,29 @@ def cmd_bench(cfg: dict) -> int:
     m = A.n_cols
     prior = make_prior(cfg["prior"]["kind"], float(cfg["prior"]["alpha"]), m)
     base = _solver_config(cfg, A)
+    # every point's settings are checked before anything is written
+    if study == "lowrank":
+        sweep = [int(r) for r in cfg["bench"]["ranks"]]
+        names = ["rank"] + _BENCH_ERROR_COLUMNS
+        points = [dataclasses.replace(base, mode="lowrank", rank=r, mask=None) for r in sweep]
+    else:
+        sweep = [int(s) for s in cfg["bench"]["sparsities"]]
+        rank = int(cfg["bench"]["rank"])
+        names = ["sparsity"] + _BENCH_ERROR_COLUMNS
+        points = [dataclasses.replace(base, mode="lowrank_sparse", rank=rank, mask=SparsityMask.banded(m, s))
+                  for s in sweep]
+    points = [_checked(p, A) for p in points]
     out = _prepare_out(cfg)
     dense_cfg = dataclasses.replace(base, mode="dense", rank=None, mask=None)
     ref_state, ref_report = run_vga(A, data, prior, dense_cfg)
 
-    if study == "lowrank":
-        sweep = [int(r) for r in cfg["bench"]["ranks"]]
-        names = ["rank"] + _BENCH_ERROR_COLUMNS
-
-        def point_cfg(r):
-            return dataclasses.replace(base, mode="lowrank", rank=min(r, min(A.shape)), mask=None)
-    else:
-        sweep = [int(s) for s in cfg["bench"]["sparsities"]]
-        rank = min(int(cfg["bench"]["rank"]), min(A.shape))
-        names = ["sparsity"] + _BENCH_ERROR_COLUMNS
-
-        def point_cfg(s):
-            mask = SparsityMask.banded(m, s)
-            return dataclasses.replace(base, mode="lowrank_sparse", rank=rank, mask=mask)
-
-    def run_point(p):
-        state, _ = run_vga(A, data, prior, point_cfg(p))
+    def run_point(p, vcfg):
+        state, _ = run_vga(A, data, prior, vcfg)
         return (p,) + _solution_errors(state, ref_state)
 
     # points are independent solver instances; results keep sweep order
     with ThreadPoolExecutor(max_workers=min(len(sweep), os.cpu_count() or 1)) as pool:
-        rows = list(pool.map(run_point, sweep))
+        rows = list(pool.map(run_point, sweep, points))
     cols = [np.array([row[j] for row in rows]) for j in range(len(names))]
     formats.write_csv(out / "bench.csv", names, cols)
     _write_json(

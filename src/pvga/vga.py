@@ -68,7 +68,7 @@ class VgaConfig:
     factored modes, the sparsity mask of ``lowrank_sparse`` and the seed of
     the randomized factorization.  :meth:`validate` refuses a setting the
     mode would ignore: a rank in dense mode, or a mask outside
-    ``lowrank_sparse``.
+    ``lowrank_sparse``; and a rank below 1.
 
     The algorithm's own step counts and tolerances are module constants: five
     Newton updates and one fixed-point update per outer sweep, stopping when
@@ -91,6 +91,8 @@ class VgaConfig:
             raise ConfigError(f"mode {self.mode!r} requires an explicit rank")
         if self.mode == "dense" and self.rank is not None:
             raise ConfigError("mode 'dense' takes no rank")
+        if self.rank is not None and self.rank < 1:
+            raise ConfigError(f"rank must be at least 1, got {self.rank}")
         if self.mode == "lowrank_sparse" and self.mask is None:
             raise ConfigError("mode 'lowrank_sparse' requires a sparsity mask")
         if self.mode != "lowrank_sparse" and self.mask is not None:

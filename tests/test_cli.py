@@ -83,10 +83,18 @@ _COMMANDS = ("solve", "hyper", "bench", "validate")
     + [pytest.param(c, {}, ("--rank", "10"), id=f"{c}-dense_rank") for c in _COMMANDS]
     + [pytest.param(c, {}, ("--mode", "lowrank", "--rank", "10", "--sparsity", "3"),
                     id=f"{c}-lowrank_mask") for c in _COMMANDS]
+    + [pytest.param(c, {}, ("--mode", "lowrank", "--rank", "0"), id=f"{c}-rank_zero")
+       for c in _COMMANDS]
+    + [pytest.param(c, {}, ("--mode", "lowrank", "--rank", "41"), id=f"{c}-rank_above_min_n_m")
+       for c in _COMMANDS]
     + [
         pytest.param("hyper", {"hyper": {"a": 0.0}}, (), id="hyper-bad_a"),
         pytest.param("validate", {"mcmc": {"gamma": 1.5}}, (), id="validate-bad_gamma"),
         pytest.param("bench", {"bench": {"study": "nope"}}, (), id="bench-unknown_study"),
+        pytest.param("bench", {"bench": {"ranks": [2, 0]}}, (), id="bench-rank_zero_in_sweep"),
+        pytest.param("bench", {"bench": {"ranks": [2, 41]}}, (), id="bench-rank_above_min_n_m_in_sweep"),
+        pytest.param("bench", {"bench": {"study": "sparsity", "rank": 41}}, (),
+                     id="bench-sparsity_rank_above_min_n_m"),
     ],
 )
 def test_solve_inconsistent_mode_is_usage_error(tmp_path, cmd, sections, extra):

@@ -537,6 +537,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         VgaConfig(rank=10).validate()  # dense mode takes no rank
     with pytest.raises(ConfigError):
+        VgaConfig(mode="lowrank", rank=0).validate()
+    with pytest.raises(ConfigError):
         VgaConfig(mode="lowrank", rank=10, mask=SparsityMask.banded(20, 3)).validate()
     with pytest.raises(ConfigError):
         VgaConfig(mask=SparsityMask.banded(20, 3)).validate()
