@@ -14,9 +14,7 @@ import argparse
 import copy
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -386,13 +384,8 @@ def cmd_bench(cfg: dict) -> int:
     dense_cfg = dataclasses.replace(base, mode="dense", rank=None, mask=None)
     ref_state, ref_report = run_vga(A, data, prior, dense_cfg)
 
-    def run_point(p, vcfg):
-        state, _ = run_vga(A, data, prior, vcfg)
-        return (p,) + _solution_errors(state, ref_state)
-
-    # points are independent solver instances; results keep sweep order
-    with ThreadPoolExecutor(max_workers=min(len(sweep), os.cpu_count() or 1)) as pool:
-        rows = list(pool.map(run_point, sweep, points))
+    rows = [(p,) + _solution_errors(run_vga(A, data, prior, vcfg)[0], ref_state)
+            for p, vcfg in zip(sweep, points)]
     cols = [np.array([row[j] for row in rows]) for j in range(len(names))]
     formats.write_csv(out / "bench.csv", names, cols)
     _write_json(
