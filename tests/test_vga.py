@@ -35,7 +35,7 @@ from pvga.errors import ConfigError, IllConditioned, NotPositiveDefinite
 from pvga.formats import substream_seed
 from pvga.model import _PriorStructure, make_prior, make_test_problem
 
-from conftest import prior_start, random_problem, random_state
+from conftest import prior_start, random_problem, random_spd, random_state
 
 vga_module = importlib.import_module("pvga.vga")
 
@@ -281,6 +281,26 @@ def test_run_vga_budget_exhausted_returns_partial(rng):
     assert len(report.elbo_trace) == 2
     assert np.all(np.isfinite(state.mean))
 
+
+def test_alternating_covariance_steps_raise_the_oscillation_flag(rng, monkeypatch):
+    A, data, prior = random_problem(rng, m=3, n=4)
+    _, report = run_vga(A, data, prior)
+    assert report.converged and "CovarianceOscillation" not in report.flags
+
+    # a planted covariance step that alternates between two SPD matrices:
+    # consecutive iterates stay apart while every other one repeats
+    covs = [random_spd(rng, 3), random_spd(rng, 3)]
+    calls = []
+
+    def alternate(state, A, prior, basis=None):
+        C = covs[len(calls) % 2]
+        calls.append(C)
+        return C, float(np.linalg.slogdet(C)[1])
+
+    monkeypatch.setattr(vga_module, "fixed_point_step_cov", alternate)
+    _, report = run_vga(A, data, prior, VgaConfig(max_outer=6))
+    assert len(calls) == 6 and not report.converged
+    assert report.flags == ["CovarianceOscillation"]
 
 def test_report_bookkeeping(rng):
     A, data, prior = random_problem(rng, m=4, n=5)
