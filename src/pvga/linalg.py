@@ -9,6 +9,7 @@ package contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -109,14 +110,14 @@ def pcg_solve(apply_M, b, precond=None, tol: float = 1e-6, maxit: int = 10) -> P
     nonpositive, which signals a non-SPD operator.
 
     The iteration runs on b / 2^e, with 2^e the power of two just above
-    ||b|| (taken by BLAS nrm2, which stays finite where sqrt(b.b) would
-    overflow), and scales the solution back.  Scaling by a power of two is
-    exact, so the iterates are those of b itself, while the inner products
-    stay finite for any finite b.
+    ||b|| (taken by BLAS nrm2, which stays finite and nonzero where
+    sqrt(b.b) would overflow or underflow), and scales the solution back.
+    Scaling by a power of two is exact, so the iterates are those of b
+    itself, while the inner products stay finite for any finite b.
     """
     P = precond if precond is not None else (lambda v: v)
     b = np.asarray(b, dtype=float)
-    e = int(np.frexp(scipy.linalg.norm(b, check_finite=False))[1])
+    e = math.frexp(scipy.linalg.norm(b, check_finite=False))[1]
     x = np.zeros_like(b)
     r = np.ldexp(b, -e)
     bnorm = rnorm = float(np.linalg.norm(r))
