@@ -66,9 +66,9 @@ _STALL_REL_ELBO = 1e-11
 class VgaConfig:
     """Solver settings: the sweep budget, the execution mode, the rank of the
     factored modes, the sparsity mask of ``lowrank_sparse`` and the seed of
-    the randomized factorization.  :meth:`validate` refuses a setting the
-    mode would ignore: a rank in dense mode, or a mask outside
-    ``lowrank_sparse``; and a rank below 1.
+    the randomized factorization.  :meth:`validate` refuses a rank below 1
+    and a setting the mode would ignore: a rank in dense mode, or a mask
+    outside ``lowrank_sparse``.
 
     The algorithm's own step counts and tolerances are module constants: five
     Newton updates and one fixed-point update per outer sweep, stopping when
