@@ -302,6 +302,7 @@ def test_alternating_covariance_steps_raise_the_oscillation_flag(rng, monkeypatc
     assert len(calls) == 6 and not report.converged
     assert report.flags == ["CovarianceOscillation"]
 
+
 def test_report_bookkeeping(rng):
     A, data, prior = random_problem(rng, m=4, n=5)
     _, report = run_vga(A, data, prior)
