@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from pathlib import Path
 
@@ -37,6 +38,7 @@ __all__ = [
 
 VGAM_MAGIC = b"VGAM"
 VGAM_VERSION = 1
+_VGAM_HEADER = 21  # magic, version byte, two uint64 dimensions
 CSV_VERSION = 1
 
 
@@ -51,20 +53,26 @@ def write_vgam(path, array) -> None:
         fh.write(VGAM_MAGIC)
         fh.write(bytes([VGAM_VERSION]))
         fh.write(np.array([rows, cols], dtype="<u8").tobytes())
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        # written from the array's buffer: no copy of the payload
+        fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def read_vgam(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if blob[:4] != VGAM_MAGIC:
+    with open(path, "rb") as fh:
+        head = fh.read(_VGAM_HEADER)
+        size = os.fstat(fh.fileno()).st_size
+    if head[:4] != VGAM_MAGIC:
         raise InvalidData(f"{path}: not a VGAM file")
-    if blob[4] != VGAM_VERSION:
-        raise InvalidData(f"{path}: unsupported VGAM version {blob[4]}")
-    rows, cols = np.frombuffer(blob[5:21], dtype="<u8")
-    data = np.frombuffer(blob[21:], dtype="<f8")
-    if data.size != rows * cols:
+    if len(head) < _VGAM_HEADER:
+        raise InvalidData(f"{path}: truncated VGAM header")
+    if head[4] != VGAM_VERSION:
+        raise InvalidData(f"{path}: unsupported VGAM version {head[4]}")
+    rows, cols = (int(v) for v in np.frombuffer(head[5:], dtype="<u8"))
+    if size - _VGAM_HEADER != 8 * rows * cols:
         raise InvalidData(f"{path}: payload size disagrees with header")
-    return data.reshape(int(rows), int(cols)).copy()
+    # read straight into the returned array: no copy of the file's bytes
+    data = np.fromfile(path, dtype="<f8", count=rows * cols, offset=_VGAM_HEADER)
+    return data.reshape(rows, cols)
 
 
 def _format_cell(v) -> str:

@@ -414,7 +414,9 @@ def woodbury_cov(
     rcond = spd_rcond(inner, chol=Li)
     if not rcond >= 1e-14:
         raise SingularInnerSystem(f"inner system reciprocal condition {rcond:.3e}")
-    B = scipy.linalg.solve_triangular(Li, RK, lower=True)
+    # numpy's solve, not scipy's triangular one: between numpy's GEMMs and
+    # Cholesky a scipy call switches OpenBLAS runtimes (README, Kernels)
+    B = np.linalg.solve(Li, RK)
     M = K - B.T @ B
     if mask is None:
         C = symmetrize(prior.cov_dense() - W @ M @ W.T)

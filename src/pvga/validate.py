@@ -41,7 +41,8 @@ __all__ = [
     "orbit_check",
 ]
 
-_MH_CHUNK = 8192
+_MH_CHUNK = 2048
+_BLOCK_DOUBLES = 1 << 20  # element budget of the chain summaries' working blocks
 _THIN_ABOVE = 1000
 _MAP_GRAD_TOL = 1e-10
 _MAP_MAXIT = 100
@@ -183,6 +184,10 @@ def mh_independence_sampler(
     next block is drawn.  Rate overflow in the likelihood rejects the proposal
     rather than erroring.  A masked proposal is refused (ConfigError): its
     zero-filled projection is not a covariance to draw from.
+
+    The kept samples are the only array that grows with the chain: the
+    covariance is summed over centered row blocks after the mean, and the HPD
+    intervals sort a few coordinates at a time.
     """
     cfg = cfg or McmcConfig()
     cfg.validate()
@@ -226,9 +231,7 @@ def mh_independence_sampler(
             cur_x, cur_w = X[idx[-1]].copy(), logw[idx[-1]]
 
     mean = samples.mean(axis=0)
-    centered = samples - mean
-    cov = symmetrize(centered.T @ centered / max(n_kept - 1, 1))
-    del centered  # release it before hpd_intervals makes its sorted copy
+    cov = _sample_covariance(samples, mean)
     intervals = hpd_intervals(samples, gamma)
     nb = min(20, max(2, n_kept // 50))
     bs = n_kept // nb
@@ -245,6 +248,20 @@ def mh_independence_sampler(
         thin=thin,
         samples=samples,
     )
+
+
+def _sample_covariance(samples: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Covariance of the rows about their ``mean`` (divisor N - 1), summed
+    over centered row blocks held in one reused buffer."""
+    N, m = samples.shape
+    scatter = np.zeros((m, m))
+    step = max(1, _BLOCK_DOUBLES // m)
+    buf = np.empty((min(step, N), m))
+    for lo in range(0, N, step):
+        block = buf[: min(step, N - lo)]
+        np.subtract(samples[lo : lo + step], mean, out=block)
+        scatter += block.T @ block
+    return symmetrize(scatter / max(N - 1, 1))
 
 
 def hpd_intervals(obj, gamma: float) -> np.ndarray:
@@ -267,15 +284,23 @@ def hpd_intervals(obj, gamma: float) -> np.ndarray:
         raise InsufficientSamples(f"{N} samples are too few for interval estimates")
     h = int(np.ceil(gamma * N))
     h = min(max(h, 2), N)
-    # one coordinate per contiguous row: sorting along the strided sample
-    # axis is about twice as slow. np.array always copies, so the caller's
-    # draws keep their order whatever their layout.
-    s = np.array(samples.T, order="C")
-    s.sort(axis=1)
-    widths = s[:, h - 1 :] - s[:, : N - h + 1]
-    starts = np.argmin(widths, axis=1)
-    rows = np.arange(s.shape[0])
-    return np.stack([s[rows, starts], s[rows, starts + h - 1]], axis=1)
+    # a few coordinates at a time, one per contiguous row of a reused
+    # buffer: sorting along the strided sample axis is about twice as slow,
+    # and sorting a copy leaves the caller's draws in their order.
+    dim = samples.shape[1]
+    out = np.empty((dim, 2))
+    step = max(1, _BLOCK_DOUBLES // N)
+    buf = np.empty((min(step, dim), N))
+    for lo in range(0, dim, step):
+        s = buf[: min(step, dim - lo)]
+        s[...] = samples[:, lo : lo + step].T
+        s.sort(axis=1)
+        widths = s[:, h - 1 :] - s[:, : N - h + 1]
+        starts = np.argmin(widths, axis=1)
+        rows = np.arange(s.shape[0])
+        out[lo : lo + step, 0] = s[rows, starts]
+        out[lo : lo + step, 1] = s[rows, starts + h - 1]
+    return out
 
 
 def compare_gaussians(g1: GaussianState, g2: GaussianState):

@@ -1,5 +1,7 @@
 """Binary matrix format, versioned CSV, config text, and seed substreams."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,29 @@ def test_vgam_round_trip(tmp_path, rng):
     p = tmp_path / "m.vgam"
     write_vgam(p, M)
     np.testing.assert_array_equal(read_vgam(p), M)  # bit-exact
+    write_vgam(p, np.asfortranarray(M))
+    np.testing.assert_array_equal(read_vgam(p), M)
+
+
+def test_vgam_io_makes_no_payload_copy(tmp_path, rng):
+    # the file is the header and the row-major payload byte for byte; writing
+    # allocates nothing near the payload's size and reading only the result
+    M = rng.standard_normal((2000, 50))
+    p = tmp_path / "big.vgam"
+    tracemalloc.start()
+    try:
+        write_vgam(p, M)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        out = read_vgam(p)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = b"VGAM" + bytes([1]) + np.array([2000, 50], dtype="<u8").tobytes()
+    assert p.read_bytes() == expected + M.astype("<f8").tobytes()
+    np.testing.assert_array_equal(out, M)
+    assert write_peak <= 0.1 * M.nbytes, write_peak
+    assert read_peak <= 1.1 * M.nbytes, read_peak
 
 
 def test_vgam_vector_becomes_column(tmp_path, rng):
@@ -62,9 +87,10 @@ def test_vgam_rejects_corruption(tmp_path):
         read_vgam(wrong_version)
 
     truncated = tmp_path / "trunc.vgam"
-    truncated.write_bytes(bytes(blob[:-8]))
-    with pytest.raises(InvalidData):
-        read_vgam(truncated)
+    for cut in (8, 3, len(blob) - 4, len(blob) - 10):
+        truncated.write_bytes(bytes(blob[:-cut]))
+        with pytest.raises(InvalidData):
+            read_vgam(truncated)
 
     with pytest.raises(InvalidData):
         write_vgam(tmp_path / "t.vgam", np.zeros((2, 2, 2)))

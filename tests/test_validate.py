@@ -5,6 +5,8 @@ the sampler is held against a five-times-longer reference chain with
 batch-means error bars computed here in the test.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,6 +306,39 @@ def test_mh_thinned_blocks_match_whole_chain_reference(monkeypatch):
     np.testing.assert_allclose(out.samples, ref_samples, rtol=0, atol=1e-12)
 
 
+def test_mh_covariance_matches_np_cov(monkeypatch):
+    # a 150-row block budget sums the 997 kept rows in six full blocks and a
+    # partial one
+    A, data, prior, fit = phillips20()
+    monkeypatch.setattr(validate, "_BLOCK_DOUBLES", 150 * 20)
+    cfg = McmcConfig(chain_length=2000, burn_in=1003, seed=5)
+    out = mh_independence_sampler(A, data, prior, fit, cfg)
+    ref = np.cov(out.samples, rowvar=False)
+    assert np.max(np.abs(out.covariance - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_mh_memory_beyond_the_samples_does_not_grow_with_the_chain():
+    # the kept samples are the one chain-sized array: from 20k to 100k kept
+    # rows the traced peak grows by the samples' growth alone (a second
+    # chain-sized temporary would double it)
+    A, x_true = make_test_problem("phillips", 100, rate_scale=(0.5, 50.0))
+    data = sample_poisson_data(A, x_true, seed=3)
+    prior = make_prior("L2", 10.0, 100)
+    fit, _ = run_vga(A, data, prior)
+    peaks, sizes = [], []
+    for kept in (20_000, 100_000):
+        cfg = McmcConfig(chain_length=2 * kept, burn_in=kept, seed=1)
+        tracemalloc.start()
+        try:
+            out = mh_independence_sampler(A, data, prior, fit, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(out.samples.nbytes)
+        del out
+    assert peaks[1] - peaks[0] <= 1.1 * (sizes[1] - sizes[0]), (peaks, sizes)
+
+
 def test_mcmc_config_validation():
     with pytest.raises(ConfigError):
         McmcConfig(chain_length=100, burn_in=100).validate()
@@ -354,6 +389,22 @@ def test_hpd_leaves_the_draws_unchanged(layout):
     iv = hpd_intervals(arr, 0.9)
     np.testing.assert_array_equal(arr, before)
     np.testing.assert_array_equal(iv, hpd_intervals(np.ascontiguousarray(before), 0.9))
+
+
+def test_hpd_blocks_match_one_shot_sort(monkeypatch):
+    # a three-coordinate budget splits ten coordinates 3 + 3 + 3 + 1; rounded
+    # draws put ties inside the windows
+    draws = np.round(np.random.default_rng(6).standard_normal((500, 10)), 1)
+    before = draws.copy()
+    monkeypatch.setattr(validate, "_BLOCK_DOUBLES", 3 * 500 + 499)
+    iv = hpd_intervals(draws, 0.9)
+    s = np.sort(before.T, axis=1)
+    h = int(np.ceil(0.9 * 500))
+    starts = np.argmin(s[:, h - 1 :] - s[:, : 500 - h + 1], axis=1)
+    rows = np.arange(10)
+    ref = np.stack([s[rows, starts], s[rows, starts + h - 1]], axis=1)
+    np.testing.assert_array_equal(iv, ref)
+    np.testing.assert_array_equal(draws, before)
 
 
 def test_hpd_guards():
