@@ -51,8 +51,7 @@ class GaussianState:
     projection need not be positive definite.
     """
 
-    __slots__ = ("mean", "mask", "values", "saturated", "_cov", "_z_cache", "_q_cache", "_chol",
-                 "_logdet")
+    __slots__ = ("mean", "mask", "values", "_cov", "_z_cache", "_q_cache", "_chol", "_logdet")
 
     def __init__(self, mean, cov, mask: SparsityMask | None = None, logdet: float | None = None):
         mean = np.asarray(mean, dtype=float)
@@ -65,7 +64,6 @@ class GaussianState:
         self.mean = mean
         self.mask = mask
         self.values = cov
-        self.saturated = False  # set when a rate evaluation hit the overflow clamp
         self._cov: np.ndarray | None = None  # masked: the zero-filled dense view
         self._z_cache: tuple | None = None  # (A, A @ mean)
         self._q_cache: tuple | None = None  # (A, rowwise a_i^t C a_i)
@@ -159,12 +157,14 @@ def rate_vector(state: GaussianState, A: ForwardOperator) -> np.ndarray:
     return state._z(A) + 0.5 * state._quad(A)
 
 
-def _exp_rates(state: GaussianState, d: np.ndarray) -> np.ndarray:
-    """e^d with the overflow clamp; a clamp event marks the state saturated."""
-    if d.size and float(d.max()) > LOG_RATE_LIMIT:
-        state.saturated = True
-        d = np.minimum(d, LOG_RATE_LIMIT)
-    return np.exp(d)
+def _saturates(d: np.ndarray) -> bool:
+    """Whether the log-rates ``d`` reach past the overflow clamp."""
+    return bool(d.size) and float(d.max()) > LOG_RATE_LIMIT
+
+
+def _exp_rates(d: np.ndarray) -> np.ndarray:
+    """e^d with d clamped at LOG_RATE_LIMIT."""
+    return np.exp(np.minimum(d, LOG_RATE_LIMIT) if _saturates(d) else d)
 
 
 def elbo(state: GaussianState, A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> ElboBreakdown:
@@ -172,23 +172,19 @@ def elbo(state: GaussianState, A: ForwardOperator, data: PoissonData, prior: Pri
     (raises NotPositiveDefinite when the state has none and cannot factor)."""
     if data.n != A.n_rows or prior.m != state.dim:
         raise DimensionMismatch("elbo arguments disagree in shape")
-    return _bound_with_logdet(state, A, data, prior, state.logdet)
+    return _bound_with_logdet(state, A, data, prior)
 
 
 def _bound_with_logdet(
-    state: GaussianState,
-    A: ForwardOperator,
-    data: PoissonData,
-    prior: PriorSpec,
-    logdet_C: float,
+    state: GaussianState, A: ForwardOperator, data: PoissonData, prior: PriorSpec
 ) -> ElboBreakdown:
-    """F with ln|C| supplied by the caller: :func:`elbo` passes
-    ``state.logdet``, the solver the ln|T(C)| of its fixed-point step.  Every
-    other term reads C through the row quadratic forms and the prior trace
-    only, so in masked mode they stay well defined on the mask values."""
+    """F without :func:`elbo`'s shape checks, with ln|C| from
+    ``state.logdet``.  Every other term reads C through the row quadratic
+    forms and the prior trace only, so in masked mode they stay well defined
+    on the mask values."""
     z = state._z(A)
     d = z + 0.5 * state._quad(A)
-    rates = _exp_rates(state, d)
+    rates = _exp_rates(d)
     fit = float(data.y @ z - rates.sum())
     v = state.mean - prior.mu0
     mean_penalty = 0.5 * prior.alpha * prior.quad_base(v)
@@ -198,12 +194,12 @@ def _bound_with_logdet(
         fit
         - mean_penalty
         - 0.5 * tr_term
-        + 0.5 * logdet_C
+        + 0.5 * state.logdet
         + 0.5 * prior.logdet_prec()
         + 0.5 * state.dim
         - data.log_factorial_term
     )
-    breg = tr_term - logdet_C - prior.logdet_prec() - state.dim
+    breg = tr_term - state.logdet - prior.logdet_prec() - state.dim
     if -1e-8 < breg < 0.0:
         breg = 0.0  # roundoff at C ~ C0; d(C, C0) is nonnegative
     return ElboBreakdown(fit=fit - data.log_factorial_term, mean_penalty=mean_penalty,
@@ -214,15 +210,13 @@ def grad_mean(state: GaussianState, A: ForwardOperator, data: PoissonData, prior
     """dF/dxbar = A^t y - A^t e^d - C0^{-1}(xbar - mu0)."""
     if data.n != A.n_rows or prior.m != state.dim:
         raise DimensionMismatch("grad_mean arguments disagree in shape")
-    d = rate_vector(state, A)
-    rates = _exp_rates(state, d)
+    rates = _exp_rates(rate_vector(state, A))
     return A.rmatvec(data.y - rates) - prior.prec_apply(state.mean - prior.mu0)
 
 
 def grad_cov(state: GaussianState, A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> np.ndarray:
     """dF/dC = 1/2 [C^{-1} - A^t D A - C0^{-1}], D = diag(e^d)."""
-    d = rate_vector(state, A)
-    rates = _exp_rates(state, d)
+    rates = _exp_rates(rate_vector(state, A))
     C_inv = spd_inverse(state.cov, chol=state.chol())
     Ad = A.dense()
     return 0.5 * (C_inv - Ad.T @ (rates[:, None] * Ad) - prior.prec_dense())

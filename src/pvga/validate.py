@@ -73,9 +73,8 @@ class ChainSummary:
 
 
 def _point_mass(x: np.ndarray) -> GaussianState:
-    """N(x, 0) held as zero values on the diagonal mask: its row quadratic
-    form diag(A C A^t) is 0, and, being masked, the solver's mean step
-    preconditions with C0."""
+    """N(x, 0) held as zero values on the diagonal mask, so that its row
+    quadratic form diag(A C A^t) is 0 without an m x m array."""
     return GaussianState(x, np.zeros(x.size), SparsityMask.banded(x.size, 1))
 
 
@@ -84,14 +83,14 @@ def map_estimate(A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> np.
 
     With C = 0 the log-rates are Ax and the bound's mean objective is the
     log-posterior, so :func:`newton_step_mean` repeated on the point mass
-    N(x, 0) from x = mu0 climbs to the mode, with products by A and prior
-    solves only (no dense operator).  Returns once the gradient norm at the
+    N(x, 0) from x = mu0, preconditioned with C0, climbs to the mode, with
+    products by A and prior solves only (no dense operator).  Returns once the gradient norm at the
     returned mean is at most 1e-10; raises MaxIterationsExceeded after 100
     steps.
     """
     state = _point_mass(prior.mu0.copy())
     for _ in range(_MAP_MAXIT):
-        x, step = newton_step_mean(state, A, data, prior)
+        x, step = newton_step_mean(state, A, data, prior, prior.cov_apply)
         if step.grad_norm <= _MAP_GRAD_TOL:
             return x
         state = state.replace_mean(x)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .elbo import GaussianState, elbo, rate_vector, _bound_with_logdet, _exp_rates
+from .elbo import GaussianState, elbo, rate_vector, _bound_with_logdet, _exp_rates, _saturates
 from .errors import ConfigError, IllConditioned, PcgBreakdown
 from .linalg import (
     SparsityMask,
@@ -31,7 +31,7 @@ from .linalg import (
     woodbury_basis,
     woodbury_cov,
 )
-from .model import LOG_RATE_LIMIT, ForwardOperator, PoissonData, PriorSpec
+from .model import ForwardOperator, PoissonData, PriorSpec
 
 __all__ = [
     "VgaConfig",
@@ -136,13 +136,13 @@ def _check_conditioning(apply_J, prior: PriorSpec, m: int) -> None:
         if lam == 0.0:
             return
         v = w / lam
-    # lambda_max(Cbar0) via a short power iteration through the prior factorization
+    # lambda_max(C0) via a short power iteration through the prior factorization
     u = np.ones(m) / np.sqrt(m)
     for _ in range(20):
-        w = prior._s.solve(u)
+        w = prior.cov_apply(u)
         mu = float(scipy.linalg.norm(w, check_finite=False))
         u = w / mu
-    cond_bound = lam * mu / prior.alpha
+    cond_bound = lam * mu
     if cond_bound > _COND_LIMIT:
         raise IllConditioned(
             f"Newton system condition estimate {cond_bound:.2e} exceeds {_COND_LIMIT:.0e}"
@@ -154,26 +154,23 @@ def newton_step_mean(
     A: ForwardOperator,
     data: PoissonData,
     prior: PriorSpec,
+    precond,
 ) -> tuple[np.ndarray, MeanStepReport]:
-    """One Newton step on the mean: solve (A^t D A + C0^{-1}) dx = -G by PCG,
-    then backtrack on ||G||.  The report's ``grad_norm`` is ||G|| at the
-    returned mean, read off the accepted trial.
-
-    The preconditioner is the current covariance C when it is stored whole
-    (dense and low-rank modes).  After a fixed-point step C = (A^t D' A +
-    C0^{-1})^{-1}, with A's rank-r factor in low-rank mode: the inverse of
-    this system at the rates C was built from, so PCG needs only a few
-    iterations once the rates settle.  Masked mode, whose C is only a
-    projection, preconditions with C0.
+    """One Newton step on the mean: solve (A^t D A + C0^{-1}) dx = -G by PCG
+    preconditioned with ``precond`` (a product v -> P v with P SPD), then
+    backtrack on ||G||.  The report's ``grad_norm`` is ||G|| at the returned
+    mean, read off the accepted trial.
 
     G(x) = A^t (e^d - y) + C0^{-1}(x - mu0) with d = Ax + 1/2 diag(A C A^t)
-    and the rates clamped at e^LOG_RATE_LIMIT.  Its norms are taken with
-    BLAS nrm2, which stays finite where sqrt(G.G) would overflow.
+    and the rates clamped at e^LOG_RATE_LIMIT; a clamp first runs the
+    conditioning guard.  Its norms are taken with BLAS nrm2, which stays
+    finite where sqrt(G.G) would overflow.
     """
     def gradient(v, rates):
         return A.rmatvec(rates - data.y) + prior.prec_apply(v - prior.mu0)
 
-    rates = _exp_rates(state, rate_vector(state, A))
+    d = rate_vector(state, A)
+    rates = _exp_rates(d)
     q = state._quad(A)
     x = state.mean
     G = gradient(x, rates)
@@ -182,10 +179,9 @@ def newton_step_mean(
     def apply_J(v):
         return A.rmatvec(rates * A.matvec(v)) + prior.prec_apply(v)
 
-    if state.saturated:
+    if _saturates(d):
         _check_conditioning(apply_J, prior, state.dim)
 
-    precond = prior.cov_apply if state.mask is not None else (lambda v: state.cov @ v)
     res = pcg_solve(apply_J, -G, precond=precond, tol=_PCG_TOL, maxit=_PCG_MAXIT)
     step = res.x
     if not np.all(np.isfinite(step)):
@@ -195,7 +191,7 @@ def newton_step_mean(
     halvings = 0
     for _ in range(20):
         x_new = x + t * step
-        trial_rates = np.exp(np.minimum(A.matvec(x_new) + 0.5 * q, LOG_RATE_LIMIT))
+        trial_rates = _exp_rates(A.matvec(x_new) + 0.5 * q)
         trial_norm = scipy.linalg.norm(gradient(x_new, trial_rates), check_finite=False)
         if trial_norm <= g_norm:
             break
@@ -234,8 +230,7 @@ def fixed_point_step_cov(
     byproduct of either path (Cholesky of the precision, or the determinant
     lemma on the low-rank inner system).
     """
-    d = rate_vector(state, A)
-    rates = _exp_rates(state, d)
+    rates = _exp_rates(rate_vector(state, A))
     if basis is None:
         Ad = A.dense()
         M = Ad.T @ (rates[:, None] * Ad) + prior.prec_dense()
@@ -279,8 +274,14 @@ def run_vga(
     - a masked state warm-starting a run on another pattern, or an unmasked
       run, gives its mean only: its projection need not be positive
       definite, so the covariance and ln|C| come from the identity start.
-    Every mode evaluates the bound alike: ln|C| is the state's own at entry
-    and the fixed-point step's after each sweep.
+    Every mode evaluates the bound alike, with the state's own ln|C|.
+
+    The Newton solves are preconditioned with the covariance the run holds:
+    C itself in dense and low-rank mode, where after a fixed-point step it
+    inverts the Newton system at the rates it was built from, so PCG needs
+    only a few iterations once the rates settle; C0 in masked mode, whose C
+    is only a projection.  The report flags NumericallySaturated when the
+    log-rates of any state of the run reached past the overflow clamp.
     """
     cfg = cfg or VgaConfig()
     cfg.validate()
@@ -304,11 +305,14 @@ def run_vga(
     report.elbo_trace.append(F)
 
     cov_prev = cov_two_ago = None
+    saturated = False  # read off each state's cached log-rates once evaluated
     for _ in range(cfg.max_outer):
         counts = {"newton": 0, "pcg": 0, "pcg_unconverged": 0, "fixed_point": 1, "halvings": 0}
         delta = 0.0
+        precond = prior.cov_apply if mask is not None else state.values.__matmul__
         for _ in range(_NEWTON_STEPS):
-            x_new, step = newton_step_mean(state, A, data, prior)
+            x_new, step = newton_step_mean(state, A, data, prior, precond)
+            saturated |= _saturates(rate_vector(state, A))
             state = state.replace_mean(x_new)
             counts["newton"] += 1
             counts["pcg"] += step.pcg_iterations
@@ -318,13 +322,14 @@ def run_vga(
             if delta <= _MEAN_STEP_TOL * max(1.0, float(np.linalg.norm(x_new))):
                 break
         C_new, logdet_c = fixed_point_step_cov(state, A, prior, basis)
+        saturated |= _saturates(rate_vector(state, A))
         # masked: the values, whose norms are those of the zero-filled matrices
         C_old = state.values
         scale = max(1.0, float(np.linalg.norm(C_old)))
         cov_residual = float(np.linalg.norm(C_new - C_old)) / scale
         cov_two_ago, cov_prev = cov_prev, C_old
         state = state.replace_cov(C_new, logdet_c)
-        F_new = _bound_with_logdet(state, A, data, prior, logdet_c).total
+        F_new = _bound_with_logdet(state, A, data, prior).total
         report.elbo_trace.append(F_new)
         report.mean_residual_trace.append(delta)
         report.cov_residual_trace.append(cov_residual)
@@ -346,7 +351,7 @@ def run_vga(
         far = float(np.linalg.norm(C_last - cov_prev)) / scale
         if far > 1e-8 and near < 1e-10:
             report.flags.append("CovarianceOscillation")
-    if state.saturated:
+    if saturated or _saturates(rate_vector(state, A)):
         report.flags.append("NumericallySaturated")
     report.wall_time = time.perf_counter() - t0
     return state, report

@@ -167,7 +167,7 @@ def test_a03_fast_outer_convergence_and_newton_decay(phillips100):
     cur = state.replace_mean(np.zeros(100))
     deltas = []
     for _ in range(8):
-        x_new, info = newton_step_mean(cur, A, data, prior)
+        x_new, info = newton_step_mean(cur, A, data, prior, cur.cov.__matmul__)
         cur = cur.replace_mean(x_new)
         if info.delta_norm < 1e-11:  # below this the floats go flat
             break

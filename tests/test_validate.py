@@ -90,7 +90,7 @@ def test_map_stationarity(m, seed):
     assert sign == 1.0 and abs(lap.logdet - ld) <= 1e-10 * max(1.0, abs(ld))
     # the step reports the gradient norm at the mean it returns
     state = GaussianState(prior.mu0, prior.cov_dense())
-    x_new, step = newton_step_mean(state, A, data, prior)
+    x_new, step = newton_step_mean(state, A, data, prior, state.cov.__matmul__)
     g_new = np.linalg.norm(grad_mean(state.replace_mean(x_new), A, data, prior))
     np.testing.assert_allclose(step.grad_norm, g_new, rtol=1e-12, atol=0.0)
 

@@ -53,7 +53,7 @@ def scalar_problem(y=1):
 def test_newton_scalar_hand_value():
     A, data, prior = scalar_problem(y=1)
     state = GaussianState(np.zeros(1), np.eye(1))
-    x1, report = newton_step_mean(state, A, data, prior)
+    x1, report = newton_step_mean(state, A, data, prior, state.cov.__matmul__)
     e = np.exp(0.5)
     np.testing.assert_allclose(x1, [-(e - 1) / (e + 1)], rtol=1e-12)
     assert report.halvings == 0
@@ -68,7 +68,7 @@ def test_newton_iterates_to_bisection_root():
     state = GaussianState(np.zeros(1), np.eye(1))
     deltas = []
     for _ in range(30):
-        x_new, report = newton_step_mean(state, A, data, prior)
+        x_new, report = newton_step_mean(state, A, data, prior, state.cov.__matmul__)
         state = state.replace_mean(x_new)
         deltas.append(report.delta_norm)
         if report.delta_norm < 1e-13:
@@ -84,7 +84,7 @@ def test_newton_no_move_at_root():
     root = bisect(lambda x: np.exp(x + 0.5) + x - 1.0, -1.0, 1.0, xtol=1e-15)
     A, data, prior = scalar_problem(y=1)
     state = GaussianState(np.array([root]), np.eye(1))
-    _, report = newton_step_mean(state, A, data, prior)
+    _, report = newton_step_mean(state, A, data, prior, state.cov.__matmul__)
     assert report.delta_norm <= 1e-12
 
 
@@ -94,7 +94,7 @@ def test_newton_zero_operator_one_step(rng):
     data = PoissonData(np.zeros(3, dtype=int))
     prior = PriorSpec(rng.standard_normal(m), np.eye(m), 1.7)
     state = GaussianState(rng.standard_normal(m), np.eye(m))
-    x1, report = newton_step_mean(state, A, data, prior)
+    x1, report = newton_step_mean(state, A, data, prior, state.cov.__matmul__)
     np.testing.assert_allclose(x1, prior.mu0, atol=1e-12)
     assert report.halvings == 0
 
@@ -245,7 +245,7 @@ def test_covariance_iterates_stay_below_prior(rng):
         lam0 = float(np.max(np.linalg.eigvalsh(C0)))
         state = GaussianState(np.zeros(prior.m), np.eye(prior.m))
         for _ in range(3):
-            x, _ = newton_step_mean(state, A, data, prior)
+            x, _ = newton_step_mean(state, A, data, prior, state.cov.__matmul__)
             state = state.replace_mean(x)
             C, logdet_c = fixed_point_step_cov(state, A, prior)
             state = state.replace_cov(C, logdet_c)
@@ -533,6 +533,18 @@ def test_start_whose_gradient_norm_overflows_is_not_reported_as_converged():
     assert report.stop_rule is None
     assert state.mean[0] < 450.0
     assert np.all(np.diff(report.elbo_trace) > 0)
+
+
+@pytest.mark.parametrize("start", [1e153, 7.05e152])
+def test_a_run_whose_rates_reach_the_clamp_is_flagged_saturated(start):
+    # log-rates start at 1000 and 705, past the clamp at 700; from 705 the
+    # run ends well below the clamp, so only its early states saw it
+    A = ForwardOperator.from_dense(np.array([[1e-150]]))
+    data = PoissonData(np.array([3]))
+    prior = PriorSpec(np.zeros(1), np.eye(1), 1.0)
+    start_state = GaussianState(np.array([start]), np.eye(1))
+    _, report = run_vga(A, data, prior, VgaConfig(max_outer=3), initial_state=start_state)
+    assert report.flags == ["NumericallySaturated"]
 
 
 def test_start_at_clamped_rates_is_refused_as_ill_conditioned():
