@@ -377,7 +377,7 @@ def woodbury_cov(
     basis: WoodburyBasis,
     d: np.ndarray,
     mask: SparsityMask | None = None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Covariance (C0^{-1} + A^t D A)^{-1} for A = U diag(S) V^t, D = diag(d),
     with C0 the covariance of ``prior`` and (U, S, W, R) its ``basis``.
 
@@ -394,11 +394,13 @@ def woodbury_cov(
     mirrored, and equals the corresponding entry of the unmasked update.  No
     m x m array is formed.
 
-    Returns the covariance and ln det(I + K G) = 2 sum ln diag(Li), which by
-    the determinant lemma gives the log-determinant of the *unmasked* update
-    as ln|C| = ln|C0| - ln det(I + K G).  Masked projections need not stay
-    positive definite, so this is the only cheap route to a well-defined
-    log-determinant in masked mode.
+    Returns the covariance, ln det(I + K G) = 2 sum ln diag(Li), and the
+    r x r matrix M.  By the determinant lemma the log-determinant of the
+    *unmasked* update is ln|C| = ln|C0| - ln det(I + K G).  Masked
+    projections need not stay positive definite, so this is the only cheap
+    route to a well-defined log-determinant in masked mode; and W and M give
+    the unmasked update's product v -> C0 v - W M W^t v without an m x m
+    array.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
@@ -427,4 +429,4 @@ def woodbury_cov(
             np.ascontiguousarray(W @ M), np.ascontiguousarray(W), rows, cols, mask.diagonal_offsets()
         )
         C = vals[idx]
-    return C, 2.0 * float(np.sum(np.log(np.diag(Li))))
+    return C, 2.0 * float(np.sum(np.log(np.diag(Li)))), M

@@ -105,7 +105,7 @@ def laplace_approximation(A: ForwardOperator, data: PoissonData, prior: PriorSpe
     carries the map's ln|H^{-1}|.
     """
     x_hat = map_estimate(A, data, prior)
-    cov, logdet_cov = fixed_point_step_cov(_point_mass(x_hat), A, prior)
+    cov, logdet_cov, _ = fixed_point_step_cov(_point_mass(x_hat), A, prior)
     return GaussianState(x_hat, cov, logdet=logdet_cov)
 
 
@@ -338,7 +338,7 @@ def orbit_check(
     state = GaussianState(np.asarray(xbar, dtype=float), prior.cov_dense())
     iterates = [state.cov]
     for _ in range(k_max):
-        state = state.replace_cov(*fixed_point_step_cov(state, A, prior))
+        state = state.replace_cov(*fixed_point_step_cov(state, A, prior)[:2])
         iterates.append(state.cov)
 
     worst = 0.0

@@ -216,7 +216,7 @@ def fixed_point_step_cov(
     A: ForwardOperator,
     prior: PriorSpec,
     basis: WoodburyBasis | None = None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, np.ndarray | None]:
     """One application of the covariance map T(C) = (C0^{-1} + A^t D A)^{-1}.
 
     The inputs choose the form.  Without a ``basis`` the map is inverted
@@ -226,9 +226,11 @@ def fixed_point_step_cov(
     form; for a masked state only the entries on ``state.mask`` are
     computed, returned as values aligned with ``mask.rows``/``mask.cols``.
 
-    Returns the new covariance and ln|T(C)| of the *unprojected* map, a
+    Returns the new covariance, ln|T(C)| of the *unprojected* map, a
     byproduct of either path (Cholesky of the precision, or the determinant
-    lemma on the low-rank inner system).
+    lemma on the low-rank inner system), and the Woodbury form's r x r
+    matrix M (None without a basis), with which the unprojected map is
+    C0 - W M W^t.
     """
     rates = _exp_rates(rate_vector(state, A))
     if basis is None:
@@ -238,9 +240,14 @@ def fixed_point_step_cov(
         L = cholesky(M)
         if spd_rcond(M, chol=L) < 1.0 / _COND_LIMIT:
             raise IllConditioned("covariance fixed-point system is numerically singular")
-        return spd_inverse(M, chol=L), -2.0 * float(np.sum(np.log(np.diag(L))))
-    C_new, inner_logdet = woodbury_cov(prior, basis, rates, mask=state.mask)
-    return C_new, -prior.logdet_prec() - inner_logdet
+        return spd_inverse(M, chol=L), -2.0 * float(np.sum(np.log(np.diag(L)))), None
+    C_new, inner_logdet, M = woodbury_cov(prior, basis, rates, mask=state.mask)
+    return C_new, -prior.logdet_prec() - inner_logdet, M
+
+
+def _woodbury_product(prior: PriorSpec, W: np.ndarray, M: np.ndarray):
+    """v -> (C0 - W M W^t) v, the unprojected covariance of a Woodbury step."""
+    return lambda v: prior.cov_apply(v) - W @ (M @ (W.T @ v))
 
 
 def _initial_state(m: int, mask: SparsityMask | None) -> GaussianState:
@@ -276,12 +283,14 @@ def run_vga(
       definite, so the covariance and ln|C| come from the identity start.
     Every mode evaluates the bound alike, with the state's own ln|C|.
 
-    The Newton solves are preconditioned with the covariance the run holds:
-    C itself in dense and low-rank mode, where after a fixed-point step it
-    inverts the Newton system at the rates it was built from, so PCG needs
-    only a few iterations once the rates settle; C0 in masked mode, whose C
-    is only a projection.  The report flags NumericallySaturated when the
-    log-rates of any state of the run reached past the overflow clamp.
+    The Newton solves are preconditioned with the covariance the run holds.
+    After a fixed-point step it inverts the Newton system at the rates it
+    was built from, so PCG needs only a few iterations once the rates
+    settle.  Dense and low-rank mode hold C itself.  Masked mode, whose C is
+    only a projection, holds C0 until its first Woodbury step, and then that
+    step's unprojected C0 - W M W^t.  The report flags NumericallySaturated
+    when the log-rates of any state of the run reached past the overflow
+    clamp.
     """
     cfg = cfg or VgaConfig()
     cfg.validate()
@@ -306,10 +315,16 @@ def run_vga(
 
     cov_prev = cov_two_ago = None
     saturated = False  # read off each state's cached log-rates once evaluated
+    M = None  # the last Woodbury step's inner matrix, read in masked mode
     for _ in range(cfg.max_outer):
         counts = {"newton": 0, "pcg": 0, "pcg_unconverged": 0, "fixed_point": 1, "halvings": 0}
         delta = 0.0
-        precond = prior.cov_apply if mask is not None else state.values.__matmul__
+        if mask is None:
+            precond = state.values.__matmul__
+        elif M is None:
+            precond = prior.cov_apply
+        else:
+            precond = _woodbury_product(prior, basis.W, M)
         for _ in range(_NEWTON_STEPS):
             x_new, step = newton_step_mean(state, A, data, prior, precond)
             saturated |= _saturates(rate_vector(state, A))
@@ -321,7 +336,7 @@ def run_vga(
             delta = step.delta_norm
             if delta <= _MEAN_STEP_TOL * max(1.0, float(np.linalg.norm(x_new))):
                 break
-        C_new, logdet_c = fixed_point_step_cov(state, A, prior, basis)
+        C_new, logdet_c, M = fixed_point_step_cov(state, A, prior, basis)
         saturated |= _saturates(rate_vector(state, A))
         # masked: the values, whose norms are those of the zero-filled matrices
         C_old = state.values

@@ -276,8 +276,9 @@ def full_rank_factor(A):
 
 
 def woodbury_at(prior, A, d, mask=None):
-    """The Woodbury update for the full-rank factor of the array A."""
-    return woodbury_cov(prior, woodbury_basis(prior, full_rank_factor(A)), d, mask=mask)
+    """The Woodbury update for the full-rank factor of the array A, and its
+    inner log-determinant."""
+    return woodbury_cov(prior, woodbury_basis(prior, full_rank_factor(A)), d, mask=mask)[:2]
 
 
 def test_woodbury_scalar_hand_value():
@@ -369,12 +370,14 @@ def test_woodbury_contract(kind, m, n, seed):
     d = np.exp(rng.uniform(-1, 1, n))
     F = full_rank_factor(A)
     basis = woodbury_basis(prior, F)
-    C, inner_logdet = woodbury_cov(prior, basis, d)
+    C, inner_logdet, M = woodbury_cov(prior, basis, d)
 
     # at full rank the update is the exact posterior-precision inverse
     direct = np.linalg.inv(np.linalg.inv(C0d) + A.T @ (d[:, None] * A))
     scale = np.abs(direct).max()
     np.testing.assert_allclose(C, direct, rtol=1e-8, atol=1e-10 * scale)
+    # the returned inner matrix M gives the same update as C0 - W M W^t
+    np.testing.assert_allclose(C0d - basis.W @ M @ basis.W.T, C, rtol=1e-10, atol=1e-12 * scale)
 
     # the inner log-determinant is ln det(I + K G), formed densely here
     K = (F.S[:, None] * (F.U.T @ (d[:, None] * F.U))) * F.S[None, :]
@@ -384,7 +387,7 @@ def test_woodbury_contract(kind, m, n, seed):
 
     # each masked entry, in both triangles, is the unmasked update's entry
     mask = SparsityMask(m, rng.integers(0, m, 2 * m), rng.integers(0, m, 2 * m))
-    masked, masked_logdet = woodbury_cov(prior, basis, d, mask=mask)
+    masked, masked_logdet, _ = woodbury_cov(prior, basis, d, mask=mask)
     assert masked_logdet == inner_logdet  # the mask selects entries only
     assert masked.shape == (mask.nnz,)
     np.testing.assert_allclose(masked, C[mask.rows, mask.cols], rtol=1e-12, atol=1e-12 * scale)

@@ -88,6 +88,18 @@ def test_newton_no_move_at_root():
     assert report.delta_norm <= 1e-12
 
 
+def test_newton_pcg_reads_the_preconditioner_it_is_given(rng):
+    # with the exact inverse of its Newton system as the preconditioner, PCG
+    # converges in one iteration
+    for _ in range(10):
+        A, data, prior = random_problem(rng, m=6, n=8)
+        state = random_state(rng, 6)
+        Ad = A.dense()
+        J = Ad.T @ (np.exp(rate_vector(state, A))[:, None] * Ad) + prior.prec_dense()
+        _, report = newton_step_mean(state, A, data, prior, np.linalg.inv(J).__matmul__)
+        assert report.pcg_iterations == 1 and report.pcg_converged
+
+
 def test_newton_zero_operator_one_step(rng):
     m = 4
     A = ForwardOperator.from_dense(np.zeros((3, m)))
@@ -105,7 +117,7 @@ def test_newton_zero_operator_one_step(rng):
 def test_fixed_point_scalar_hand_value():
     A, data, prior = scalar_problem()
     state = GaussianState(np.zeros(1), np.eye(1))
-    C1, logdet_c = fixed_point_step_cov(state, A, prior)
+    C1, logdet_c, _ = fixed_point_step_cov(state, A, prior)
     np.testing.assert_allclose(C1, [[1.0 / (1.0 + np.exp(0.5))]], rtol=1e-14)
     assert logdet_c == pytest.approx(-np.log(1.0 + np.exp(0.5)), rel=1e-14)
 
@@ -118,7 +130,7 @@ def test_fixed_point_zero_operator(rng):
 
     prior = random_prior(rng, m)
     state = random_state(rng, m)
-    C1, _ = fixed_point_step_cov(state, A, prior)
+    C1, _, _ = fixed_point_step_cov(state, A, prior)
     np.testing.assert_allclose(C1, prior.cov_dense(), rtol=1e-12, atol=1e-14)
 
 
@@ -133,12 +145,12 @@ def test_fixed_point_dense_vs_lowrank_full_rank(m, seed):
     state = random_state(rng, m)
     Ad = A.dense()
     direct = np.linalg.inv(Ad.T @ (np.exp(rate_vector(state, A))[:, None] * Ad) + prior.prec_dense())
-    dense, ld_dense = fixed_point_step_cov(state, A, prior)
+    dense, ld_dense, _ = fixed_point_step_cov(state, A, prior)
     np.testing.assert_allclose(dense, direct, rtol=1e-9, atol=1e-12)
     assert ld_dense == pytest.approx(np.linalg.slogdet(direct)[1], rel=1e-9, abs=1e-12)
 
     basis = woodbury_basis(prior, rsvd(A, min(A.n_rows, m)))
-    low, ld_low = fixed_point_step_cov(state, A, prior, basis)
+    low, ld_low, _ = fixed_point_step_cov(state, A, prior, basis)
     np.testing.assert_allclose(low, dense, rtol=1e-8, atol=1e-10)
     assert ld_low == pytest.approx(ld_dense, rel=1e-8, abs=1e-10)
 
@@ -146,8 +158,8 @@ def test_fixed_point_dense_vs_lowrank_full_rank(m, seed):
     zero_filled = np.zeros((m, m))
     zero_filled[mask.rows, mask.cols] = state.cov[mask.rows, mask.cols]
     masked = GaussianState(state.mean, zero_filled[mask.rows, mask.cols], mask)
-    values, ld_masked = fixed_point_step_cov(masked, A, prior, basis)
-    full, ld_full = fixed_point_step_cov(GaussianState(state.mean, zero_filled), A, prior, basis)
+    values, ld_masked, _ = fixed_point_step_cov(masked, A, prior, basis)
+    full, ld_full, _ = fixed_point_step_cov(GaussianState(state.mean, zero_filled), A, prior, basis)
     assert values.shape == (mask.nnz,)
     np.testing.assert_allclose(values, full[mask.rows, mask.cols], rtol=1e-10, atol=1e-12)
     assert ld_masked == pytest.approx(ld_full, rel=1e-10, abs=1e-12)
@@ -247,7 +259,7 @@ def test_covariance_iterates_stay_below_prior(rng):
         for _ in range(3):
             x, _ = newton_step_mean(state, A, data, prior, state.cov.__matmul__)
             state = state.replace_mean(x)
-            C, logdet_c = fixed_point_step_cov(state, A, prior)
+            C, logdet_c, _ = fixed_point_step_cov(state, A, prior)
             state = state.replace_cov(C, logdet_c)
             assert np.min(np.linalg.eigvalsh(C0 - C)) >= -1e-10
             assert np.max(np.linalg.eigvalsh(C)) <= lam0 + 1e-10
@@ -295,7 +307,7 @@ def test_alternating_covariance_steps_raise_the_oscillation_flag(rng, monkeypatc
     def alternate(state, A, prior, basis=None):
         C = covs[len(calls) % 2]
         calls.append(C)
-        return C, float(np.linalg.slogdet(C)[1])
+        return C, float(np.linalg.slogdet(C)[1]), None
 
     monkeypatch.setattr(vga_module, "fixed_point_step_cov", alternate)
     _, report = run_vga(A, data, prior, VgaConfig(max_outer=6))
@@ -522,6 +534,19 @@ def test_dense_newton_pcg_is_preconditioned_by_the_current_covariance():
     assert report.converged
     later = report.inner_counts[1:]
     assert sum(c["pcg"] for c in later) <= 4 * sum(c["newton"] for c in later)
+
+
+def test_masked_newton_pcg_is_preconditioned_by_the_last_woodbury_covariance():
+    # after sweep 1 the masked run preconditions with its last Woodbury
+    # step's unprojected C0 - W M W^t, which inverts the rank-51 Newton
+    # system at that step's rates (about 23 iterations per solve with C0)
+    A, x_true = make_test_problem("blur2d", 16)
+    data = sample_poisson_data(A, x_true, seed=substream_seed(0, "data"))
+    cfg = VgaConfig(mode="lowrank_sparse", rank=51, mask=SparsityMask.grid4(16))
+    _, report = run_vga(A, data, make_prior("H1_2D", 1.0, 256), cfg)
+    assert report.converged
+    later = report.inner_counts[1:]
+    assert sum(c["pcg"] for c in later) <= 10 * sum(c["newton"] for c in later)
 
 
 def test_start_whose_gradient_norm_overflows_is_not_reported_as_converged():
