@@ -188,7 +188,6 @@ def substream_seed(seed: int, name: str) -> int:
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
-    """Independent generator for the named component of a run."""
-    return np.random.default_rng(
-        np.random.SeedSequence((int(seed), zlib.crc32(name.encode())))
-    )
+    """Independent generator for the named component of a run, seeded with
+    :func:`substream_seed`."""
+    return np.random.default_rng(substream_seed(seed, name))

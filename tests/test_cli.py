@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvga.cli import _build_parser, _resolve_config, main
-from pvga.formats import read_csv, read_vgam
+from pvga.cli import DEFAULTS, _build_parser, _build_problem, _resolve_config, main
+from pvga.formats import read_csv, read_vgam, substream_seed
+from pvga.model import sample_poisson_data
 
 
 def write_cfg(tmp_path, name="run.cfg", **sections):
@@ -66,6 +67,15 @@ def test_solve_seed_changes_data(tmp_path):
     assert run("solve", cfg, out1, "--seed", "0") == 0
     assert run("solve", cfg, out2, "--seed", "1") == 0
     assert (out1 / "mean.csv").read_bytes() != (out2 / "mean.csv").read_bytes()
+
+
+def test_cli_draws_the_data_the_library_draws_for_a_seed():
+    # the CLI, the acceptance tests and perfbench all draw a seed's data
+    # from the generator seeded with substream_seed(seed, "data")
+    cfg = {**DEFAULTS, "seed": 3}
+    A, x_true, data = _build_problem(cfg)
+    expect = sample_poisson_data(A, x_true, seed=substream_seed(3, "data"))
+    np.testing.assert_array_equal(data.y, expect.y)
 
 
 def test_solve_missing_config_is_usage_error(tmp_path):
