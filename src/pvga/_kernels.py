@@ -114,16 +114,17 @@ def mh_scan(log_w, log_u, log_w0):
     the k-th acceptance uniform.  Returns the index of the proposal occupying
     the chain at each step (-1 while still at the initial state) and the
     number of accepted moves.
+
+    The loop runs on Python floats (``tolist``), where a comparison costs a
+    fraction of one between numpy scalars; it records the accepted steps,
+    and the occupant of every step is filled in once afterwards.
     """
-    K = log_w.size
-    idx = np.empty(K, np.int64)
-    cur = -1
-    cur_w = log_w0
-    n_acc = 0
-    for k in range(K):
-        if log_u[k] < log_w[k] - cur_w:
-            cur = k
-            cur_w = log_w[k]
-            n_acc += 1
-        idx[k] = cur
-    return idx, n_acc
+    accepted = []
+    cur_w = float(log_w0)
+    for k, (w, u) in enumerate(zip(log_w.tolist(), log_u.tolist())):
+        if u < w - cur_w:
+            accepted.append(k)
+            cur_w = w
+    idx = np.full(log_w.size, -1, np.int64)
+    idx[accepted] = accepted
+    return np.maximum.accumulate(idx), len(accepted)

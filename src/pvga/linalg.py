@@ -311,38 +311,99 @@ def rsvd(A, r: int, oversample: int = 10, power_iters: int = 2, seed=0) -> LowRa
     """Randomized SVD: A ~= U diag(S) V^t at rank r.
 
     Gaussian test matrix with the given oversampling, followed by
-    ``power_iters`` rounds of subspace iteration.  The iterations only need a
-    basis with the right column span, not an orthonormal one (Halko,
-    Martinsson & Tropp 2011, sec. 4.5), so each block is normalized by its
-    partially pivoted LU factor ``P L``; one Householder QR then gives the
-    orthonormal basis Q, and the SVD of the small k x m block Q^t A gives the
-    factor.  Every factorization goes through ``scipy.linalg``: numpy and
-    scipy can each load their own threaded OpenBLAS, and a threaded call into
-    one right after a call into the other runs up to twice as slow, so the
-    factorizations stay on one LAPACK runtime.  Deterministic for a fixed
-    seed; the arrays ``A``'s products return are never written.  ``A`` is an
-    operator with ``matmat``/``rmatmat`` and ``shape`` (a dense array goes
-    through ``ForwardOperator.from_dense``).
+    ``power_iters`` rounds of subspace iteration (Halko, Martinsson & Tropp
+    2011, algorithms 4.4 and 5.1).  Every tall block is normalized by
+    Cholesky QR (:func:`_cholesky_qr`): GEMMs plus k x k factorizations, all
+    on numpy's runtime, where the blur's products run too.  The iterations
+    need only a well-conditioned basis with the right column span
+    (sec. 4.5), as a rule one shifted pass; the final Y = Q R and
+    B^t = A^t Q = Q2 R2 are orthonormalized, and the SVD R2 = W diag(s) Z^t
+    of the k x k block gives U = Q Z and V = Q2 W.  The products are read
+    in Fortran order, so the factor does not depend on the layout an
+    operator returns.  Deterministic for a fixed seed; the
+    arrays ``A``'s products return are never written.  ``A`` is an operator
+    with ``matmat``/``rmatmat`` and ``shape`` (a dense array goes through
+    ``ForwardOperator.from_dense``).
     """
     n, m = A.shape
-    matmat, rmatmat = A.matmat, A.rmatmat
     if not 1 <= r <= min(m, n):
         raise RankTooLarge(f"rank {r} outside [1, {min(m, n)}]")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     k = min(r + max(0, oversample), min(m, n))
+
+    def matmat(X):
+        return np.asfortranarray(A.matmat(X))
+
+    def rmatmat(X):
+        return np.asfortranarray(A.rmatmat(X))
+
     Y = matmat(rng.standard_normal((m, k)))
     for _ in range(power_iters):
-        Y = matmat(_lu_basis(rmatmat(_lu_basis(Y))))
-    Q = scipy.linalg.qr(Y, mode="economic")[0]
-    W, s, Vt = scipy.linalg.svd(rmatmat(Q).T, full_matrices=False)
-    return LowRankFactor((Q @ W)[:, :r], s[:r], Vt[:r].T)
+        Y = matmat(_cholesky_qr(rmatmat(_cholesky_qr(Y, span=True)[0]), span=True)[0])
+    Q = _cholesky_qr(Y)[0]
+    Q2, R2 = _cholesky_qr(rmatmat(Q))
+    W, s, Zt = np.linalg.svd(R2)
+    return LowRankFactor(Q @ Zt[:r].T, s[:r], Q2 @ W[:, :r])
 
 
-def _lu_basis(Y: np.ndarray) -> np.ndarray:
-    """P L from the partially pivoted LU factorization Y = P L U: a full
-    column rank block with entries bounded by one whose span contains Y's
-    columns (equal to it when Y has full column rank), cheaper than a QR."""
-    return scipy.linalg.lu(Y, permute_l=True)[0]
+# Cholesky QR passes before the Householder fallback (shifted CholeskyQR3)
+_CHOLQR_PASSES = 3
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _cholesky_qr(Y: np.ndarray, span: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Y = Q R with Q n x k column-orthonormal and R k x k upper triangular,
+    by shifted Cholesky QR (Fukaya, Kannan, Nakatsukasa, Yamamoto &
+    Yanagisawa 2020): GEMMs on the tall block and k x k factorizations.
+
+    A pass factors the Gram matrix G = Q^t Q = L L^t and sets Q <- Q L^-t,
+    R <- L^t R.  The first pass factors G + s I with the shift
+    s = 11 (nk + k(k+1)) u tr(G), which keeps the factorization defined for
+    any nonzero block; later passes are unshifted, and they repeat until G
+    is the identity to within 10 sqrt(n) u, the rounding error of its
+    n-term dot products.
+
+    As s ||L^-1||_F^2 >= s / lambda_min(L L^t), the test
+    s ||L^-1||_F^2 <= 1/2 certifies lambda_min(L L^t) >= 2s: on the first
+    pass, that the shift at most doubled any eigenvalue of G, so it damped
+    no direction of Y by more than sqrt(2); on a later pass, that G is at
+    least 2s away from singular.  With ``span`` the result only has to span
+    Y's columns well, and it is returned after the first pass when that
+    test holds and after the second otherwise (a direction damped on every
+    power iteration would fade out of the span).
+
+    Householder QR of Y itself is the one fallback.  It takes the zero
+    block, a block whose Gram matrix overflows or underflows, one whose
+    later pass fails the test above (numerically rank deficient, where
+    Cholesky QR loses accuracy), and one the passes do not orthonormalize
+    in ``_CHOLQR_PASSES``.
+    """
+    n, k = Y.shape
+    eye = np.eye(k)
+    shift = 11.0 * (n * k + k * (k + 1)) * _UNIT_ROUNDOFF
+    tol = 10.0 * math.sqrt(n) * _UNIT_ROUNDOFF
+    Q, R = Y, None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(_CHOLQR_PASSES + 1):
+                G = Q.T @ Q
+                if j > 0 and np.abs(G - eye).max() <= tol:
+                    return Q, R
+                s = shift * np.trace(G)
+                if j == _CHOLQR_PASSES or not 1e-300 < s < 1e290:
+                    break
+                L = np.linalg.cholesky(G + s * eye if j == 0 else G)
+                Linv = np.linalg.inv(L)
+                damped = not s * np.sum(Linv * Linv) <= 0.5
+                if j > 0 and damped:
+                    break
+                Q = Q @ Linv.T
+                R = L.T if R is None else L.T @ R
+                if span and (j > 0 or not damped):
+                    return Q, R
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.qr(Y)
 
 
 class WoodburyBasis(NamedTuple):

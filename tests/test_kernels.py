@@ -134,6 +134,20 @@ def test_mh_scan_matches_reference(rng):
     ref_idx, ref_acc = mh_scan_reference(log_w, log_u, 0.3)
     np.testing.assert_array_equal(idx, ref_idx)
     assert acc == ref_acc
+    # weights and uniforms on a grid of quarters, so log_u[k] often equals
+    # log_w[k] - log_w(current) exactly (a tie rejects), and -inf weights
+    log_w = np.round(4 * rng.standard_normal(2000)) / 4
+    log_w[rng.uniform(size=2000) < 0.1] = -np.inf
+    log_u = -np.round(4 * rng.exponential(size=2000)) / 4
+    idx, acc = _kernels.mh_scan(log_w, log_u, 0.25)
+    ref_idx, ref_acc = mh_scan_reference(log_w, log_u, 0.25)
+    np.testing.assert_array_equal(idx, ref_idx)
+    assert acc == ref_acc and 0 < acc < 2000
+    # by hand: ties at steps 0, 2 and 5 reject, -inf at steps 1 and 4
+    idx, acc = _kernels.mh_scan(np.array([0.0, -np.inf, 0.25, 0.25, -np.inf, 1.0, 0.75]),
+                                np.array([0.0, -1.0, 0.25, 0.0, -0.5, 0.75, -0.25]), 0.0)
+    np.testing.assert_array_equal(idx, [-1, -1, -1, 3, 3, 3, 6])
+    assert acc == 2
 
 
 def test_mh_scan_rejects_minus_inf_weights(rng):

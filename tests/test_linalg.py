@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from pvga import (
     cholesky,
     logdet,
     make_prior,
+    make_test_problem,
     pcg_solve,
     rsvd,
     woodbury_basis,
@@ -196,14 +198,19 @@ def test_rsvd_rank_bounds(rng):
 
 def rsvd_qr_reference(A, r, oversample, power_iters, seed):
     """The Householder-QR range finder: the same test matrix and power
-    iterations as rsvd, every block re-orthonormalized by QR."""
+    iterations as rsvd, every block re-orthonormalized by QR.  Returns the
+    top r singular values and the rank-r approximant."""
     n, m = A.shape
     k = min(r + oversample, min(m, n))
     Q = np.linalg.qr(A @ np.random.default_rng(seed).standard_normal((m, k)))[0]
     for _ in range(power_iters):
         Q = np.linalg.qr(A @ np.linalg.qr(A.T @ Q)[0])[0]
     W, s, Vt = np.linalg.svd(Q.T @ A, full_matrices=False)
-    return ((Q @ W)[:, :r] * s[:r]) @ Vt[:r]
+    return s[:r], ((Q @ W)[:, :r] * s[:r]) @ Vt[:r]
+
+
+def assert_orthonormal_columns(X, tol=1e-12):
+    assert np.abs(X.T @ X - np.eye(X.shape[1])).max() <= tol
 
 
 class _CachedProducts:
@@ -235,9 +242,10 @@ class _CachedProducts:
 )
 def test_rsvd_contract(n, m, rank_frac, oversample, power_iters, gap, seed):
     # exact at rank >= the true rank (r = min(m, n) and oversampling clipped
-    # to it included); with a spectral gap after r, the LU-normalized
-    # iterations give the QR range finder's rank-r approximant; neither the
-    # input nor an operator's returned products are written
+    # to it included), with orthonormal U and V; with a spectral gap after
+    # r, the Cholesky-QR normalized iterations give the QR range finder's
+    # rank-r approximant; neither the input nor an operator's returned
+    # products are written
     rng = np.random.default_rng(seed)
     p = min(m, n)
     t = 1 + int(rank_frac * (p - 1))  # true rank, or the number of dominant values
@@ -253,11 +261,13 @@ def test_rsvd_contract(n, m, rank_frac, oversample, power_iters, gap, seed):
     F = rsvd(ForwardOperator.from_dense(A), r, oversample=oversample, power_iters=power_iters, seed=seed)
     np.testing.assert_array_equal(A, A_before)
     assert F.U.shape == (n, r) and F.V.shape == (m, r)
+    assert_orthonormal_columns(F.U)
+    assert_orthonormal_columns(F.V)
     approx = F.dense()
     scale = np.linalg.norm(A)
     if not gap or t == p:
         assert np.linalg.norm(approx - A) <= 1e-10 * scale
-    ref = rsvd_qr_reference(A, r, oversample, power_iters, seed)
+    _, ref = rsvd_qr_reference(A, r, oversample, power_iters, seed)
     assert np.linalg.norm(approx - ref) <= 1e-12 * scale
     op = _CachedProducts(A)
     G = rsvd(op, r, oversample=oversample, power_iters=power_iters, seed=seed)
@@ -265,6 +275,68 @@ def test_rsvd_contract(n, m, rank_frac, oversample, power_iters, gap, seed):
     for Y, snapshot in op.kept:
         np.testing.assert_array_equal(Y, snapshot)
     np.testing.assert_array_equal(G.S, F.S)
+
+
+def _spectrum_array(rng, n, m, s):
+    p = s.size
+    U = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    V = np.linalg.qr(rng.standard_normal((m, p)))[0]
+    return (U * s) @ V.T
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "case", ["zero", "rank 3 at r = 8", "geometric 1 to 1e-20", "entries near 1e160", "entries near 1e-160"]
+)
+def test_rsvd_blocks_cholesky_qr_cannot_orthonormalize_take_householder_qr(rng, monkeypatch, case):
+    # the zero operator, an exact rank-3 array factored at rank 8, a
+    # spectrum spanning 20 decades (condition beyond 1/u), and arrays whose
+    # Gram matrices overflow or underflow: Cholesky QR cannot orthonormalize
+    # their blocks, so rsvd takes its Householder fallback, without a
+    # floating-point warning, and the factor is still the QR range finder's
+    # with orthonormal U and V
+    n, m = 30, 25
+    A, r = {
+        "zero": lambda: (np.zeros((n, m)), 5),
+        "rank 3 at r = 8": lambda: (_spectrum_array(rng, n, m, rng.uniform(1.0, 4.0, 3)), 8),
+        "geometric 1 to 1e-20": lambda: (_spectrum_array(rng, n, m, np.geomspace(1.0, 1e-20, 20)), 10),
+        "entries near 1e160": lambda: (1e160 * rng.standard_normal((n, m)), 5),
+        "entries near 1e-160": lambda: (1e-160 * rng.standard_normal((n, m)), 5),
+    }[case]()
+    householder, real_qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda Y: householder.append(Y.shape) or real_qr(Y))
+    F = rsvd(ForwardOperator.from_dense(A), r, seed=4)
+    monkeypatch.undo()
+    assert householder
+    assert_orthonormal_columns(F.U)
+    assert_orthonormal_columns(F.V)
+    s, ref = rsvd_qr_reference(A, r, 10, 2, 4)
+    c = np.abs(A).max() or 1.0  # norms in units of c, where they stay finite
+    scale = np.linalg.norm(A / c)
+    assert np.linalg.norm((F.dense() - ref) / c) <= 1e-12 * scale
+    assert np.abs(F.S - s).max() / c <= 1e-12 * scale
+    if case == "zero":
+        np.testing.assert_array_equal(F.S, 0.0)
+
+
+def test_rsvd_of_the_blur_runs_on_gemms_and_numpy_alone(monkeypatch):
+    # the deblur benchmark's factor (blur2d 40², rank 300, seed 0) with
+    # scipy's LU, QR and SVD and the Householder fallback refused: singular
+    # values and the rank-300 approximant within 1e-12 of the QR range finder
+    A, _ = make_test_problem("blur2d", 40)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rsvd called a LAPACK factorization of a tall block")
+
+    for name in ("lu", "qr", "svd"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    F = rsvd(A, 300, seed=0)
+    monkeypatch.undo()
+    Ad = A.dense()
+    s, ref = rsvd_qr_reference(Ad, 300, 10, 2, 0)
+    assert np.abs(F.S - s).max() <= 1e-12 * s[0]
+    assert np.linalg.norm(F.dense() - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 # -- woodbury ----------------------------------------------------------------
