@@ -8,8 +8,11 @@ prior strength, and MAP/Laplace/MCMC validation tools.
 """
 
 from .elbo import (
+    DenseCov,
     ElboBreakdown,
     GaussianState,
+    MaskedCov,
+    PointMass,
     bregman_divergence,
     elbo,
     gaussian_kl,
@@ -29,6 +32,7 @@ from .errors import (
     InvalidAlpha,
     InvalidData,
     MaxIterationsExceeded,
+    NoDenseCovariance,
     NonpositiveDenominator,
     NotPositiveDefinite,
     PcgBreakdown,

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .elbo import GaussianState, elbo
+from .elbo import GaussianState, MaskedCov, elbo
 from .errors import (
     ConfigError,
     InvalidAlpha,
@@ -174,9 +174,9 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def _write_state(out: Path, state: GaussianState) -> None:
     formats.write_csv(out / "mean.csv", ["i", "mean"], [np.arange(state.dim), state.mean])
-    if state.mask is not None:
-        rows, cols = state.mask.rows, state.mask.cols
-        formats.write_csv(out / "cov_masked.csv", ["row", "col", "value"], [rows, cols, state.values])
+    C = state.C
+    if isinstance(C, MaskedCov):
+        formats.write_csv(out / "cov_masked.csv", ["row", "col", "value"], [C.mask.rows, C.mask.cols, C.values])
     else:
         formats.write_vgam(out / "cov.vgam", state.cov)
 
@@ -347,7 +347,11 @@ def _solution_errors(state, ref_state):
     emitting both keeps the CSV norm-unambiguous.
     """
     e_mean = float(np.linalg.norm(state.mean - ref_state.mean))
-    diff = (state.cov - ref_state.cov)
+    diff = -ref_state.cov
+    if isinstance(state.C, MaskedCov):  # its zero-filled projection
+        diff[state.C.mask.rows, state.C.mask.cols] += state.C.values
+    else:
+        diff += state.cov
     diff = (diff + diff.T) / 2.0
     e_fro = float(np.linalg.norm(diff))
     e_spec = float(np.max(np.abs(np.linalg.eigvalsh(diff))))

@@ -17,11 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NoDenseCovariance, NotPositiveDefinite
 from .linalg import SparsityMask, cholesky, logdet, spd_inverse, spd_solve
 from .model import LOG_RATE_LIMIT, ForwardOperator, PoissonData, PriorSpec
 
 __all__ = [
+    "DenseCov",
+    "MaskedCov",
+    "PointMass",
     "GaussianState",
     "ElboBreakdown",
     "rate_vector",
@@ -33,42 +36,99 @@ __all__ = [
     "gaussian_kl",
 ]
 
-class GaussianState:
-    """A Gaussian q = N(mean, cov), with per-operator caches for the log-rates.
+class DenseCov:
+    """A covariance held as its dense SPD m x m array ``values``, with ln|C|
+    as given from a known factor, or else from a cached Cholesky factor."""
 
-    ``values`` holds the covariance as given: unmasked, the dense SPD array
-    itself; with a mask (sparse mode), only the vector of its entries
-    aligned with ``mask.rows``/``mask.cols``, zero off the mask.  Row-wise
-    quadratic forms and the prior trace read the values; a masked state's
-    ``cov`` is a zero-filled dense view built on first access and cached.
-    The two pieces of the log-rate vector are cached separately: A @ mean
-    survives a covariance update, the quadratic part survives a mean update.
-
-    ``logdet`` is ln|C| of the covariance the state stands for.  Whoever
-    builds a state from a known factor passes it in (the solver's fixed-point
-    step and its identity start).  An unmasked state without one
-    factors ``cov`` once; a masked state needs it given, because its
-    projection need not be positive definite.
-    """
-
-    __slots__ = ("mean", "mask", "values", "_cov", "_z_cache", "_q_cache", "_chol", "_logdet")
-
-    def __init__(self, mean, cov, mask: SparsityMask | None = None, logdet: float | None = None):
-        mean = np.asarray(mean, dtype=float)
-        cov = np.asarray(cov, dtype=float)
-        m = mean.size
-        if mean.ndim != 1 or cov.shape != ((m, m) if mask is None else (mask.nnz,)):
-            raise DimensionMismatch("mean/cov shapes disagree")
-        if mask is not None and mask.dim != m:
-            raise DimensionMismatch("mask/mean dimensions disagree")
-        self.mean = mean
-        self.mask = mask
-        self.values = cov
-        self._cov: np.ndarray | None = None  # masked: the zero-filled dense view
-        self._z_cache: tuple | None = None  # (A, A @ mean)
-        self._q_cache: tuple | None = None  # (A, rowwise a_i^t C a_i)
+    def __init__(self, values, logdet: float | None = None):
+        self.values = np.asarray(values, dtype=float)
+        self.apply = self.values.__matmul__  # the product v -> C v
         self._chol: np.ndarray | None = None
         self._logdet = logdet
+
+    def fits(self, m: int) -> bool:
+        return self.values.shape == (m, m)
+
+    def chol(self) -> np.ndarray:
+        """Cached Cholesky factor (raises NotPositiveDefinite)."""
+        if self._chol is None:
+            self._chol = cholesky(self.values)
+        return self._chol
+
+    @property
+    def logdet(self) -> float:
+        if self._logdet is None:
+            self._logdet = logdet(self.values, chol=self.chol())
+        return self._logdet
+
+    def quad(self, A: ForwardOperator) -> np.ndarray:
+        return _kernels.rowwise_quad_full(A.dense(), self.values)
+
+    def trace_base(self, prior: PriorSpec) -> float:
+        return prior.trace_base(self.values)
+
+
+class MaskedCov:
+    """The paper's sparse iterate: the entries of C on ``mask`` (``values``
+    aligned with ``mask.rows``/``mask.cols``), the ln|C| of the unprojected
+    map they came from, which the bound needs, and that map's product
+    ``apply``, v -> C0 v - W M W^t v, once a Woodbury step has made it."""
+
+    def __init__(self, mask: SparsityMask, values, logdet: float | None = None, apply=None):
+        self.mask = mask
+        self.values = np.asarray(values, dtype=float)
+        self._logdet = logdet
+        self.apply = apply
+
+    def fits(self, m: int) -> bool:
+        return self.mask.dim == m and self.values.shape == (self.mask.nnz,)
+
+    @property
+    def logdet(self) -> float:
+        if self._logdet is None:
+            raise NotPositiveDefinite("a masked state has no ln|C| unless it is built with one: "
+                                      "its zero-filled projection need not be positive definite")
+        return self._logdet
+
+    def quad(self, A: ForwardOperator) -> np.ndarray:
+        return A.masked_quad(self.mask, self.values)
+
+    def trace_base(self, prior: PriorSpec) -> float:
+        return prior.trace_base_masked(self.mask, self.values)
+
+
+class PointMass:
+    """C = 0, the Gaussian collapsed onto its mean: the state at which MAP
+    takes its Newton steps and Laplace applies the covariance map."""
+
+    def fits(self, m: int) -> bool:
+        return True
+
+    def quad(self, A: ForwardOperator) -> np.ndarray:
+        return np.zeros(A.n_rows)
+
+
+class GaussianState:
+    """A Gaussian q = N(mean, C), with per-operator caches for the log-rates.
+
+    ``C`` is one covariance type per mode, read only through its methods:
+    :class:`DenseCov` (an array passed as ``C`` is wrapped in one),
+    :class:`MaskedCov` or :class:`PointMass`.  ``cov`` raises
+    NoDenseCovariance unless C is dense.  Of the log-rate pieces, A @ mean
+    survives a covariance update, diag(A C A^t) a mean update.
+    """
+
+    __slots__ = ("mean", "C", "_z_cache", "_q_cache")
+
+    def __init__(self, mean, C):
+        mean = np.asarray(mean, dtype=float)
+        C = C if isinstance(C, (DenseCov, MaskedCov, PointMass)) else DenseCov(C)
+        if mean.ndim != 1 or not C.fits(mean.size):
+            raise DimensionMismatch("mean/cov shapes disagree")
+        self.mean = mean
+        self.C = C
+        self._z_cache: tuple | None = None  # (A, A @ mean)
+        self._q_cache: tuple | None = None  # (A, rowwise a_i^t C a_i)
 
     @property
     def dim(self) -> int:
@@ -76,50 +136,19 @@ class GaussianState:
 
     @property
     def cov(self) -> np.ndarray:
-        """The covariance as a dense m x m array (masked: zeros off the mask)."""
-        if self.mask is None:
-            return self.values
-        if self._cov is None:
-            C = np.zeros((self.dim, self.dim))
-            C[self.mask.rows, self.mask.cols] = self.values
-            self._cov = C
-        return self._cov
-
-    def chol(self) -> np.ndarray:
-        """Cached Cholesky factor of cov (raises NotPositiveDefinite)."""
-        if self._chol is None:
-            self._chol = cholesky(self.cov)
-        return self._chol
-
-    @property
-    def logdet(self) -> float:
-        """ln|C|: as given, or (unmasked) from the cached Cholesky factor."""
-        if self._logdet is None:
-            if self.mask is not None:
-                raise NotPositiveDefinite(
-                    "a masked state has no ln|C| unless it is built with one: "
-                    "its zero-filled projection need not be positive definite"
-                )
-            self._logdet = logdet(self.cov, chol=self.chol())
-        return self._logdet
-
-    def trace_base(self, prior: PriorSpec) -> float:
-        """tr(Cbar0^{-1} C), alpha-free; from the values in masked mode."""
-        if self.mask is None:
-            return prior.trace_base(self.cov)
-        return prior.trace_base_masked(self.mask, self.values)
+        """The covariance as a dense m x m array."""
+        if not isinstance(self.C, DenseCov):
+            raise NoDenseCovariance(f"a {type(self.C).__name__} state holds no dense covariance array")
+        return self.C.values
 
     def replace_mean(self, mean) -> "GaussianState":
-        out = GaussianState(mean, self.values, self.mask, self._logdet)
-        out._cov = self._cov
+        out = GaussianState(mean, self.C)
         out._q_cache = self._q_cache
-        out._chol = self._chol
         return out
 
-    def replace_cov(self, cov, logdet: float | None = None) -> "GaussianState":
-        """Same mean and mask, new covariance (a dense array, or masked the
-        values) with its ln|C| when known."""
-        out = GaussianState(self.mean, cov, self.mask, logdet)
+    def replace_cov(self, C) -> "GaussianState":
+        """Same mean, new covariance (an array or a covariance type)."""
+        out = GaussianState(self.mean, C)
         out._z_cache = self._z_cache
         return out
 
@@ -132,11 +161,7 @@ class GaussianState:
 
     def _quad(self, A: ForwardOperator) -> np.ndarray:
         if self._q_cache is None or self._q_cache[0] is not A:
-            if self.mask is not None:
-                q = A.masked_quad(self.mask, self.values)
-            else:
-                q = _kernels.rowwise_quad_full(A.dense(), self.cov)
-            self._q_cache = (A, q)
+            self._q_cache = (A, self.C.quad(A))
         return self._q_cache[1]
 
 
@@ -168,7 +193,7 @@ def _exp_rates(d: np.ndarray) -> np.ndarray:
 
 
 def elbo(state: GaussianState, A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> ElboBreakdown:
-    """Evaluate F and its breakdown, with ln|C| from ``state.logdet``
+    """Evaluate F and its breakdown, with ln|C| from ``state.C.logdet``
     (raises NotPositiveDefinite when the state has none and cannot factor)."""
     if data.n != A.n_rows or prior.m != state.dim:
         raise DimensionMismatch("elbo arguments disagree in shape")
@@ -179,7 +204,7 @@ def _bound_with_logdet(
     state: GaussianState, A: ForwardOperator, data: PoissonData, prior: PriorSpec
 ) -> ElboBreakdown:
     """F without :func:`elbo`'s shape checks, with ln|C| from
-    ``state.logdet``.  Every other term reads C through the row quadratic
+    ``state.C.logdet``.  Every other term reads C through the row quadratic
     forms and the prior trace only, so in masked mode they stay well defined
     on the mask values."""
     z = state._z(A)
@@ -188,18 +213,18 @@ def _bound_with_logdet(
     fit = float(data.y @ z - rates.sum())
     v = state.mean - prior.mu0
     mean_penalty = 0.5 * prior.alpha * prior.quad_base(v)
-    tr_term = prior.alpha * state.trace_base(prior)
+    tr_term = prior.alpha * state.C.trace_base(prior)
     # constant pieces -1/2 ln|C0| + m/2 - (1, ln y!) are cached on prior/data
     total = (
         fit
         - mean_penalty
         - 0.5 * tr_term
-        + 0.5 * state.logdet
+        + 0.5 * state.C.logdet
         + 0.5 * prior.logdet_prec()
         + 0.5 * state.dim
         - data.log_factorial_term
     )
-    breg = tr_term - state.logdet - prior.logdet_prec() - state.dim
+    breg = tr_term - state.C.logdet - prior.logdet_prec() - state.dim
     if -1e-8 < breg < 0.0:
         breg = 0.0  # roundoff at C ~ C0; d(C, C0) is nonnegative
     return ElboBreakdown(fit=fit - data.log_factorial_term, mean_penalty=mean_penalty,
@@ -217,7 +242,7 @@ def grad_mean(state: GaussianState, A: ForwardOperator, data: PoissonData, prior
 def grad_cov(state: GaussianState, A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> np.ndarray:
     """dF/dC = 1/2 [C^{-1} - A^t D A - C0^{-1}], D = diag(e^d)."""
     rates = _exp_rates(rate_vector(state, A))
-    C_inv = spd_inverse(state.cov, chol=state.chol())
+    C_inv = spd_inverse(state.cov, chol=state.C.chol())
     Ad = A.dense()
     return 0.5 * (C_inv - Ad.T @ (rates[:, None] * Ad) - prior.prec_dense())
 
@@ -249,5 +274,5 @@ def gaussian_kl(q1: GaussianState, q2: GaussianState) -> float:
     if q1.dim != q2.dim:
         raise DimensionMismatch("states disagree in dimension")
     delta = q1.mean - q2.mean
-    quad = float(delta @ spd_solve(q2.cov, delta, chol=q2.chol()))
+    quad = float(delta @ spd_solve(q2.cov, delta, chol=q2.C.chol()))
     return 0.5 * (bregman_divergence(q1.cov, q2.cov) + quad)

@@ -21,6 +21,10 @@ class NotPositiveDefinite(PvgaError):
     """A matrix required to be symmetric positive definite is not."""
 
 
+class NoDenseCovariance(PvgaError):
+    """A covariance held on a mask or as a point mass was asked for as a dense array."""
+
+
 class BreakdownError(PvgaError):
     """The conjugate-gradient denominator became nonpositive (operator not SPD)."""
 

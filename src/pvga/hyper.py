@@ -132,13 +132,13 @@ def phi_psi(
 def _psi(state: GaussianState, prior_structure: PriorSpec) -> float:
     """psi of :func:`phi_psi` alone, with no bound evaluation."""
     v = state.mean - prior_structure.mu0
-    return -0.5 * prior_structure.quad_base(v) - 0.5 * state.trace_base(prior_structure)
+    return -0.5 * prior_structure.quad_base(v) - 0.5 * state.C.trace_base(prior_structure)
 
 
 def update_alpha(state: GaussianState, prior_structure: PriorSpec, a: float, b: float, m: int) -> float:
     """M-step: alpha = (m + 2(a-1)) / (quad + trace + 2b) = (m/2+a-1)/(b - psi)."""
     v = state.mean - prior_structure.mu0
-    denom = prior_structure.quad_base(v) + state.trace_base(prior_structure) + 2.0 * b
+    denom = prior_structure.quad_base(v) + state.C.trace_base(prior_structure) + 2.0 * b
     if denom <= 0:
         raise NonpositiveDenominator(
             f"alpha update denominator {denom:.3e} is nonpositive (b must be > 0)"

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import logsumexp, ndtri
 
 from . import _kernels
-from .elbo import GaussianState, gaussian_kl
+from .elbo import DenseCov, GaussianState, PointMass, gaussian_kl
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -24,7 +24,7 @@ from .errors import (
     MaxIterationsExceeded,
 )
 # cholesky, spd_inverse: unused here, kept as names perfbench's tracer wraps
-from .linalg import SparsityMask, cholesky, logdet, spd_inverse, symmetrize  # noqa: F401
+from .linalg import cholesky, logdet, spd_inverse, symmetrize  # noqa: F401
 from .model import LOG_RATE_LIMIT, ForwardOperator, PoissonData, PriorSpec
 from .vga import fixed_point_step_cov, newton_step_mean
 
@@ -72,12 +72,6 @@ class ChainSummary:
     samples: np.ndarray  # kept (post burn-in, thinned) samples, time-ordered
 
 
-def _point_mass(x: np.ndarray) -> GaussianState:
-    """N(x, 0) held as zero values on the diagonal mask, so that its row
-    quadratic form diag(A C A^t) is 0 without an m x m array."""
-    return GaussianState(x, np.zeros(x.size), SparsityMask.banded(x.size, 1))
-
-
 def map_estimate(A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> np.ndarray:
     """Posterior mode: the solver's mean step at C = 0.
 
@@ -88,7 +82,7 @@ def map_estimate(A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> np.
     returned mean is at most 1e-10; raises MaxIterationsExceeded after 100
     steps.
     """
-    state = _point_mass(prior.mu0.copy())
+    state = GaussianState(prior.mu0.copy(), PointMass())
     for _ in range(_MAP_MAXIT):
         x, step = newton_step_mean(state, A, data, prior, prior.cov_apply)
         if step.grad_norm <= _MAP_GRAD_TOL:
@@ -105,8 +99,7 @@ def laplace_approximation(A: ForwardOperator, data: PoissonData, prior: PriorSpe
     carries the map's ln|H^{-1}|.
     """
     x_hat = map_estimate(A, data, prior)
-    cov, logdet_cov, _ = fixed_point_step_cov(_point_mass(x_hat), A, prior)
-    return GaussianState(x_hat, cov, logdet=logdet_cov)
+    return GaussianState(x_hat, fixed_point_step_cov(GaussianState(x_hat, PointMass()), A, prior))
 
 
 def _log_joint_rows(X: np.ndarray, Ad: np.ndarray, data: PoissonData, prior: PriorSpec) -> np.ndarray:
@@ -141,8 +134,8 @@ def evidence_quadrature(A: ForwardOperator, data: PoissonData, prior: PriorSpec,
         raise DimensionTooLarge(f"tensor quadrature supports m <= 3, got {m}")
     Ad = A.dense()
     lap = laplace_approximation(A, data, prior)
-    xhat, Lh = lap.mean, lap.chol()
-    base = 0.5 * m * np.log(2.0) + 0.5 * lap.logdet
+    xhat, Lh = lap.mean, lap.C.chol()
+    base = 0.5 * m * np.log(2.0) + 0.5 * lap.C.logdet
 
     def _value(deg: int) -> float:
         nodes, weights = np.polynomial.hermite.hermgauss(deg)
@@ -181,8 +174,8 @@ def mh_independence_sampler(
     needed), scanned from the state carried over from the previous block, and
     its post-burn-in (thinned above m=1000) samples are gathered before the
     next block is drawn.  Rate overflow in the likelihood rejects the proposal
-    rather than erroring.  A masked proposal is refused (ConfigError): its
-    zero-filled projection is not a covariance to draw from.
+    rather than erroring.  A proposal without a :class:`DenseCov` is refused
+    (ConfigError): a masked projection is not a covariance to draw from.
 
     The kept samples are the only array that grows with the chain: the
     covariance is summed over centered row blocks after the mean, and the HPD
@@ -191,8 +184,8 @@ def mh_independence_sampler(
     cfg = cfg or McmcConfig()
     cfg.validate()
     m = proposal.dim
-    if proposal.mask is not None:
-        raise ConfigError("the sampler needs a full proposal covariance, not a masked one")
+    if not isinstance(proposal.C, DenseCov):
+        raise ConfigError("the sampler needs a dense proposal covariance, not a masked one")
     K = int(cfg.chain_length)
     thin = 10 if m > _THIN_ABOVE else 1
     kept_times = np.arange(cfg.burn_in, K, thin)
@@ -201,7 +194,7 @@ def mh_independence_sampler(
         raise InsufficientSamples(f"only {n_kept} post-burn-in samples; need at least 100")
 
     Ad = A.dense()
-    L = proposal.chol()
+    L = proposal.C.chol()
     log_norm = -0.5 * logdet(proposal.cov, chol=L) - 0.5 * m * np.log(2 * np.pi)
     children = np.random.SeedSequence(cfg.seed).spawn(2)
     rng_prop = np.random.default_rng(children[0])
@@ -338,7 +331,7 @@ def orbit_check(
     state = GaussianState(np.asarray(xbar, dtype=float), prior.cov_dense())
     iterates = [state.cov]
     for _ in range(k_max):
-        state = state.replace_cov(*fixed_point_step_cov(state, A, prior)[:2])
+        state = state.replace_cov(fixed_point_step_cov(state, A, prior))
         iterates.append(state.cov)
 
     worst = 0.0

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .elbo import GaussianState, elbo, rate_vector, _bound_with_logdet, _exp_rates, _saturates
+from .elbo import DenseCov, GaussianState, MaskedCov, PointMass, elbo, rate_vector
+from .elbo import _bound_with_logdet, _exp_rates, _saturates
 from .errors import ConfigError, IllConditioned, PcgBreakdown
 from .linalg import (
     SparsityMask,
@@ -216,21 +217,17 @@ def fixed_point_step_cov(
     A: ForwardOperator,
     prior: PriorSpec,
     basis: WoodburyBasis | None = None,
-) -> tuple[np.ndarray, float, np.ndarray | None]:
+) -> DenseCov | MaskedCov:
     """One application of the covariance map T(C) = (C0^{-1} + A^t D A)^{-1}.
 
     The inputs choose the form.  Without a ``basis`` the map is inverted
-    densely and the result is the dense m x m matrix, even for a masked
-    state (its mask is then ignored; only its rates are read).  With the
-    :func:`woodbury_basis` of a rank-r factor of A it takes the Woodbury
-    form; for a masked state only the entries on ``state.mask`` are
-    computed, returned as values aligned with ``mask.rows``/``mask.cols``.
-
-    Returns the new covariance, ln|T(C)| of the *unprojected* map, a
-    byproduct of either path (Cholesky of the precision, or the determinant
-    lemma on the low-rank inner system), and the Woodbury form's r x r
-    matrix M (None without a basis), with which the unprojected map is
-    C0 - W M W^t.
+    densely into a :class:`DenseCov`, whatever the state holds (only its
+    rates are read).  With the :func:`woodbury_basis` of a rank-r factor of
+    A it takes the Woodbury form C0 - W M W^t: a DenseCov, or for a
+    :class:`MaskedCov` state the entries on its mask, carrying the product
+    v -> C0 v - W M W^t v.  Either carries ln|T(C)| of the *unprojected*
+    map, a byproduct of either path (Cholesky of the precision, or the
+    determinant lemma on the low-rank inner system).
     """
     rates = _exp_rates(rate_vector(state, A))
     if basis is None:
@@ -240,20 +237,14 @@ def fixed_point_step_cov(
         L = cholesky(M)
         if spd_rcond(M, chol=L) < 1.0 / _COND_LIMIT:
             raise IllConditioned("covariance fixed-point system is numerically singular")
-        return spd_inverse(M, chol=L), -2.0 * float(np.sum(np.log(np.diag(L)))), None
-    C_new, inner_logdet, M = woodbury_cov(prior, basis, rates, mask=state.mask)
-    return C_new, -prior.logdet_prec() - inner_logdet, M
-
-
-def _woodbury_product(prior: PriorSpec, W: np.ndarray, M: np.ndarray):
-    """v -> (C0 - W M W^t) v, the unprojected covariance of a Woodbury step."""
-    return lambda v: prior.cov_apply(v) - W @ (M @ (W.T @ v))
-
-
-def _initial_state(m: int, mask: SparsityMask | None) -> GaussianState:
-    """The identity start: zero mean, C = I (ln|C| = 0), held on ``mask``."""
-    cov = np.eye(m) if mask is None else (mask.rows == mask.cols).astype(float)
-    return GaussianState(np.zeros(m), cov, mask, logdet=0.0)
+        return DenseCov(spd_inverse(M, chol=L), -2.0 * float(np.sum(np.log(np.diag(L)))))
+    mask = state.C.mask if isinstance(state.C, MaskedCov) else None
+    C_new, inner_logdet, M = woodbury_cov(prior, basis, rates, mask=mask)
+    logdet_c = -prior.logdet_prec() - inner_logdet
+    if mask is None:
+        return DenseCov(C_new, logdet_c)
+    # the product keeps W and M alive with the state, not the rest of the basis
+    return MaskedCov(mask, C_new, logdet_c, lambda v, W=basis.W: prior.cov_apply(v) - W @ (M @ (W.T @ v)))
 
 
 def run_vga(
@@ -273,39 +264,38 @@ def run_vga(
     and a mask; the steps below read the mode from those.
 
     The run starts from the zero mean and identity covariance, or from
-    ``initial_state`` (e.g. a warm start):
-    - a state on this run's mask, or unmasked for an unmasked run, is used
-      as it is (on an equal mask built apart, re-held on this run's);
-    - an unmasked state warm-starting a masked run gives its entries on the
-      mask and its ln|C|;
-    - a masked state warm-starting a run on another pattern, or an unmasked
-      run, gives its mean only: its projection need not be positive
-      definite, so the covariance and ln|C| come from the identity start.
+    ``initial_state`` (e.g. a warm start).  A :class:`DenseCov` start is
+    used as it is, or on a masked run gives its entries on the mask and its
+    ln|C|.  A :class:`MaskedCov` start on this run's mask pattern gives its
+    values and ln|C|, not its product.  Any other start gives its mean only:
+    a projection need not be positive definite, so the covariance and ln|C|
+    come from the identity start.
     Every mode evaluates the bound alike, with the state's own ln|C|.
 
-    The Newton solves are preconditioned with the covariance the run holds.
-    After a fixed-point step it inverts the Newton system at the rates it
-    was built from, so PCG needs only a few iterations once the rates
-    settle.  Dense and low-rank mode hold C itself.  Masked mode, whose C is
-    only a projection, holds C0 until its first Woodbury step, and then that
-    step's unprojected C0 - W M W^t.  The report flags NumericallySaturated
-    when the log-rates of any state of the run reached past the overflow
-    clamp.
+    The Newton solves are preconditioned with the held covariance's product
+    ``C.apply``, or with C0 where it has none.  After a fixed-point step it
+    inverts the Newton system at the rates it was built from, so PCG needs
+    only a few iterations once the rates settle.  A DenseCov is its own
+    product; a MaskedCov, only a projection, carries its Woodbury step's
+    unprojected C0 - W M W^t.  The report flags NumericallySaturated when
+    the log-rates of any state of the run reached past the overflow clamp.
     """
     cfg = cfg or VgaConfig()
     cfg.validate()
     t0 = time.perf_counter()
     mask = cfg.mask
-    state = initial_state
-    if state is None:
-        state = _initial_state(A.n_cols, mask)
-    elif state.mask is not mask:
-        if state.mask is None:
-            state = GaussianState(state.mean, state.values[mask.rows, mask.cols], mask, logdet=state.logdet)
-        elif mask is not None and mask.same_pattern(state.mask):
-            state = GaussianState(state.mean, state.values, mask, logdet=state.logdet)
-        else:
-            state = _initial_state(A.n_cols, mask).replace_mean(state.mean)
+    state = initial_state or GaussianState(np.zeros(A.n_cols), PointMass())
+    C = state.C
+    if isinstance(C, DenseCov) and mask is not None:
+        C = MaskedCov(mask, C.values[mask.rows, mask.cols], C.logdet)
+    elif isinstance(C, MaskedCov) and mask is not None and mask.same_pattern(C.mask):
+        C = MaskedCov(mask, C.values, C.logdet)
+    elif mask is not None:  # the identity start, C = I with ln|C| = 0
+        C = MaskedCov(mask, (mask.rows == mask.cols).astype(float), 0.0)
+    elif not isinstance(C, DenseCov):
+        C = DenseCov(np.eye(A.n_cols), 0.0)
+    if C is not state.C:
+        state = state.replace_cov(C)
     basis = None
     if cfg.mode != "dense":
         basis = woodbury_basis(prior, rsvd(A, cfg.rank, seed=cfg.rsvd_seed))
@@ -315,16 +305,10 @@ def run_vga(
 
     cov_prev = cov_two_ago = None
     saturated = False  # read off each state's cached log-rates once evaluated
-    M = None  # the last Woodbury step's inner matrix, read in masked mode
     for _ in range(cfg.max_outer):
         counts = {"newton": 0, "pcg": 0, "pcg_unconverged": 0, "fixed_point": 1, "halvings": 0}
         delta = 0.0
-        if mask is None:
-            precond = state.values.__matmul__
-        elif M is None:
-            precond = prior.cov_apply
-        else:
-            precond = _woodbury_product(prior, basis.W, M)
+        precond = state.C.apply or prior.cov_apply
         for _ in range(_NEWTON_STEPS):
             x_new, step = newton_step_mean(state, A, data, prior, precond)
             saturated |= _saturates(rate_vector(state, A))
@@ -336,14 +320,14 @@ def run_vga(
             delta = step.delta_norm
             if delta <= _MEAN_STEP_TOL * max(1.0, float(np.linalg.norm(x_new))):
                 break
-        C_new, logdet_c, M = fixed_point_step_cov(state, A, prior, basis)
+        C_new = fixed_point_step_cov(state, A, prior, basis)
         saturated |= _saturates(rate_vector(state, A))
         # masked: the values, whose norms are those of the zero-filled matrices
-        C_old = state.values
+        C_old = state.C.values
         scale = max(1.0, float(np.linalg.norm(C_old)))
-        cov_residual = float(np.linalg.norm(C_new - C_old)) / scale
+        cov_residual = float(np.linalg.norm(C_new.values - C_old)) / scale
         cov_two_ago, cov_prev = cov_prev, C_old
-        state = state.replace_cov(C_new, logdet_c)
+        state = state.replace_cov(C_new)
         F_new = _bound_with_logdet(state, A, data, prior).total
         report.elbo_trace.append(F_new)
         report.mean_residual_trace.append(delta)
@@ -360,7 +344,7 @@ def run_vga(
     # period-2 limit diagnosis: consecutive covariance iterates stay apart
     # while the every-other-step change has collapsed
     if cov_two_ago is not None:
-        C_last = state.values
+        C_last = state.C.values
         scale = max(1.0, float(np.linalg.norm(C_last)))
         near = float(np.linalg.norm(C_last - cov_two_ago)) / scale
         far = float(np.linalg.norm(C_last - cov_prev)) / scale

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pvga import ForwardOperator, GaussianState, PoissonData, PriorSpec
+from pvga import DenseCov, ForwardOperator, GaussianState, MaskedCov, PoissonData, PriorSpec
 
 
 def random_operator(rng, n, m, scale=0.6):
@@ -46,8 +46,9 @@ def random_state(rng, m, cov_scale=1.0):
 
 def prior_start(prior, mean, mask=None):
     """A solver start at (mean, C0) with ln|C0|; masked, C0's mask entries."""
-    cov = prior.cov_dense() if mask is None else prior.cov_entries(mask.rows, mask.cols)
-    return GaussianState(mean, cov, mask, logdet=-prior.logdet_prec())
+    if mask is None:
+        return GaussianState(mean, DenseCov(prior.cov_dense(), -prior.logdet_prec()))
+    return GaussianState(mean, MaskedCov(mask, prior.cov_entries(mask.rows, mask.cols), -prior.logdet_prec()))
 
 
 def random_problem(rng, m=None, n=None, alpha=None):

@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pvga.errors import ConfigError, InvalidData
 from pvga.formats import (
@@ -29,6 +32,26 @@ def test_vgam_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(read_vgam(p), M)  # bit-exact
     write_vgam(p, np.asfortranarray(M))
     np.testing.assert_array_equal(read_vgam(p), M)
+
+
+# float64 values, with the bit patterns a formatting slip loses drawn often
+_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -np.inf, np.inf, np.nan]) | st.floats(width=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+                    elements=_FLOATS),
+       fortran=st.booleans())
+def test_vgam_round_trips_every_array_bit_for_bit(tmp_path_factory, M, fortran):
+    # any shape, zero-size included, either memory order, and every float64
+    # bit pattern (signed zeros, subnormals, infinities, NaN payloads); a
+    # vector comes back as a column
+    p = tmp_path_factory.mktemp("vgam") / "m.vgam"
+    write_vgam(p, np.asfortranarray(M) if fortran else M)
+    out = read_vgam(p)
+    expected = M[:, None] if M.ndim == 1 else M
+    assert out.shape == expected.shape
+    assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def test_vgam_io_makes_no_payload_copy(tmp_path, rng):
@@ -109,6 +132,32 @@ def test_csv_round_trip_full_precision(tmp_path, rng):
     np.testing.assert_array_equal(back["k"], k.astype(float))
 
 
+_CSV_NAMES = st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True),
+                      min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), names=_CSV_NAMES, n=st.integers(0, 6))
+def test_csv_round_trips_every_column(tmp_path_factory, data, names, n):
+    # float columns keep every value bit for bit (NaN as NaN) and integer
+    # columns come back as the equal floats, at any length including zero
+    cols = [
+        data.draw(hnp.arrays(np.float64, n, elements=_FLOATS))
+        if data.draw(st.booleans())
+        else data.draw(hnp.arrays(np.int64, n, elements=st.integers(-(2**53), 2**53)))
+        for _ in names
+    ]
+    p = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(p, names, cols)
+    back = read_csv(p)
+    assert list(back) == names
+    for name, col in zip(names, cols):
+        got, want = back[name], col.astype(float)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_csv_schema_line(tmp_path):
     p = tmp_path / "s.csv"
     write_csv(p, ["a", "b"], [np.zeros(2), np.ones(2)])
@@ -139,6 +188,30 @@ def test_config_round_trip_identity():
         "emit": {"csv": True, "binary": False},
     }
     assert parse_config_text(dump_config_text(cfg)) == cfg
+
+
+_CONFIG_KEYS = st.from_regex(r"[a-z_][a-z0-9_]{0,6}", fullmatch=True)
+_CONFIG_VALUES = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+_CONFIGS = st.recursive(
+    _CONFIG_VALUES,
+    lambda inner: st.dictionaries(_CONFIG_KEYS, inner, min_size=1, max_size=4),
+    max_leaves=12,
+).filter(lambda c: isinstance(c, dict))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_CONFIGS)
+def test_config_text_round_trips_and_is_canonical(cfg):
+    # parse(dump(cfg)) == cfg for nested sections of JSON scalars (any text,
+    # newlines, '=' and '#' included), and the dump does not depend on the
+    # order the keys were inserted in, so reruns write the same config.txt
+    text = dump_config_text(cfg)
+    assert parse_config_text(text) == cfg
+
+    def reverse(c):
+        return {k: reverse(v) if isinstance(v, dict) else v for k, v in reversed(list(c.items()))}
+
+    assert dump_config_text(reverse(cfg)) == text
 
 
 def test_config_parses_sections_and_comments():

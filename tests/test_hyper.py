@@ -310,7 +310,7 @@ def test_masked_em_converges():
     state, alpha, trace = run_hierarchical(A, data, make_prior("H1_2D", 1.0, side * side),
                                            HyperConfig(inner=inner))
     assert trace.converged and alpha > 0
-    assert state.mask is inner.mask
+    assert state.C.mask is inner.mask
     assert np.all(np.isfinite(trace.joint_bound_sequence))
 
 

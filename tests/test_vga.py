@@ -15,14 +15,20 @@ from scipy.optimize import bisect
 from scipy.special import gammaln
 
 from pvga import (
+    DenseCov,
     ForwardOperator,
     GaussianState,
+    MaskedCov,
+    PointMass,
     PoissonData,
     PriorSpec,
     SparsityMask,
     VgaConfig,
+    compare_gaussians,
     elbo,
     fixed_point_step_cov,
+    gaussian_kl,
+    hpd_intervals,
     newton_step_mean,
     optimality_residual,
     rate_vector,
@@ -31,7 +37,7 @@ from pvga import (
     sample_poisson_data,
     woodbury_basis,
 )
-from pvga.errors import ConfigError, IllConditioned, NotPositiveDefinite
+from pvga.errors import ConfigError, IllConditioned, NoDenseCovariance, NotPositiveDefinite
 from pvga.formats import substream_seed
 from pvga.model import _PriorStructure, make_prior, make_test_problem
 
@@ -117,9 +123,9 @@ def test_newton_zero_operator_one_step(rng):
 def test_fixed_point_scalar_hand_value():
     A, data, prior = scalar_problem()
     state = GaussianState(np.zeros(1), np.eye(1))
-    C1, logdet_c, _ = fixed_point_step_cov(state, A, prior)
-    np.testing.assert_allclose(C1, [[1.0 / (1.0 + np.exp(0.5))]], rtol=1e-14)
-    assert logdet_c == pytest.approx(-np.log(1.0 + np.exp(0.5)), rel=1e-14)
+    C1 = fixed_point_step_cov(state, A, prior)
+    np.testing.assert_allclose(C1.values, [[1.0 / (1.0 + np.exp(0.5))]], rtol=1e-14)
+    assert C1.logdet == pytest.approx(-np.log(1.0 + np.exp(0.5)), rel=1e-14)
 
 
 def test_fixed_point_zero_operator(rng):
@@ -130,8 +136,8 @@ def test_fixed_point_zero_operator(rng):
 
     prior = random_prior(rng, m)
     state = random_state(rng, m)
-    C1, _, _ = fixed_point_step_cov(state, A, prior)
-    np.testing.assert_allclose(C1, prior.cov_dense(), rtol=1e-12, atol=1e-14)
+    C1 = fixed_point_step_cov(state, A, prior)
+    np.testing.assert_allclose(C1.values, prior.cov_dense(), rtol=1e-12, atol=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,30 +145,33 @@ def test_fixed_point_zero_operator(rng):
 def test_fixed_point_dense_vs_lowrank_full_rank(m, seed):
     # the step reads its form from its inputs: no basis is the dense
     # inverse, the basis of a full-rank factor the same map in Woodbury form,
-    # and a masked state the mask entries of the step on the zero-filled matrix
+    # and a masked state the mask entries of the step on the zero-filled
+    # matrix, carrying the unprojected step's product
     rng = np.random.default_rng(seed)
     A, _, prior = random_problem(rng, m=m)
     state = random_state(rng, m)
     Ad = A.dense()
     direct = np.linalg.inv(Ad.T @ (np.exp(rate_vector(state, A))[:, None] * Ad) + prior.prec_dense())
-    dense, ld_dense, _ = fixed_point_step_cov(state, A, prior)
-    np.testing.assert_allclose(dense, direct, rtol=1e-9, atol=1e-12)
-    assert ld_dense == pytest.approx(np.linalg.slogdet(direct)[1], rel=1e-9, abs=1e-12)
+    dense = fixed_point_step_cov(state, A, prior)
+    np.testing.assert_allclose(dense.values, direct, rtol=1e-9, atol=1e-12)
+    assert dense.logdet == pytest.approx(np.linalg.slogdet(direct)[1], rel=1e-9, abs=1e-12)
 
     basis = woodbury_basis(prior, rsvd(A, min(A.n_rows, m)))
-    low, ld_low, _ = fixed_point_step_cov(state, A, prior, basis)
-    np.testing.assert_allclose(low, dense, rtol=1e-8, atol=1e-10)
-    assert ld_low == pytest.approx(ld_dense, rel=1e-8, abs=1e-10)
+    low = fixed_point_step_cov(state, A, prior, basis)
+    np.testing.assert_allclose(low.values, dense.values, rtol=1e-8, atol=1e-10)
+    assert low.logdet == pytest.approx(dense.logdet, rel=1e-8, abs=1e-10)
 
     mask = SparsityMask(m, rng.integers(0, m, m), rng.integers(0, m, m))
     zero_filled = np.zeros((m, m))
     zero_filled[mask.rows, mask.cols] = state.cov[mask.rows, mask.cols]
-    masked = GaussianState(state.mean, zero_filled[mask.rows, mask.cols], mask)
-    values, ld_masked, _ = fixed_point_step_cov(masked, A, prior, basis)
-    full, ld_full, _ = fixed_point_step_cov(GaussianState(state.mean, zero_filled), A, prior, basis)
-    assert values.shape == (mask.nnz,)
-    np.testing.assert_allclose(values, full[mask.rows, mask.cols], rtol=1e-10, atol=1e-12)
-    assert ld_masked == pytest.approx(ld_full, rel=1e-10, abs=1e-12)
+    masked = fixed_point_step_cov(GaussianState(state.mean, MaskedCov(mask, zero_filled[mask.rows, mask.cols])),
+                                  A, prior, basis)
+    full = fixed_point_step_cov(GaussianState(state.mean, zero_filled), A, prior, basis)
+    assert isinstance(masked, MaskedCov) and masked.values.shape == (mask.nnz,)
+    np.testing.assert_allclose(masked.values, full.values[mask.rows, mask.cols], rtol=1e-10, atol=1e-12)
+    assert masked.logdet == pytest.approx(full.logdet, rel=1e-10, abs=1e-12)
+    v = rng.standard_normal(m)
+    assert np.linalg.norm(masked.apply(v) - full.values @ v) <= 1e-10 * np.linalg.norm(full.values @ v)
 
 
 def test_fixed_point_ill_conditioned_system():
@@ -259,10 +268,9 @@ def test_covariance_iterates_stay_below_prior(rng):
         for _ in range(3):
             x, _ = newton_step_mean(state, A, data, prior, state.cov.__matmul__)
             state = state.replace_mean(x)
-            C, logdet_c, _ = fixed_point_step_cov(state, A, prior)
-            state = state.replace_cov(C, logdet_c)
-            assert np.min(np.linalg.eigvalsh(C0 - C)) >= -1e-10
-            assert np.max(np.linalg.eigvalsh(C)) <= lam0 + 1e-10
+            state = state.replace_cov(fixed_point_step_cov(state, A, prior))
+            assert np.min(np.linalg.eigvalsh(C0 - state.cov)) >= -1e-10
+            assert np.max(np.linalg.eigvalsh(state.cov)) <= lam0 + 1e-10
 
 
 def test_unique_limit_from_two_initializations(rng):
@@ -307,7 +315,7 @@ def test_alternating_covariance_steps_raise_the_oscillation_flag(rng, monkeypatc
     def alternate(state, A, prior, basis=None):
         C = covs[len(calls) % 2]
         calls.append(C)
-        return C, float(np.linalg.slogdet(C)[1]), None
+        return DenseCov(C, float(np.linalg.slogdet(C)[1]))
 
     monkeypatch.setattr(vga_module, "fixed_point_step_cov", alternate)
     _, report = run_vga(A, data, prior, VgaConfig(max_outer=6))
@@ -345,8 +353,8 @@ def test_default_newton_steps_solve_to_tolerance_and_truncation_is_reported(monk
 
 def test_masked_blur_fit_builds_no_dense_operator_or_prior_covariance(monkeypatch):
     # the masked sweep on a blur problem works from T, the prior's banded
-    # selected inverse and the mask values alone; the dense covariance view
-    # is built only when asked for
+    # selected inverse and the mask values alone; a masked state, like a
+    # point mass, refuses every reader that needs a dense covariance
     side = 16
     A, x_true = make_test_problem("blur2d", side)
     data = sample_poisson_data(A, x_true, seed=0)
@@ -361,19 +369,17 @@ def test_masked_blur_fit_builds_no_dense_operator_or_prior_covariance(monkeypatc
     monkeypatch.setattr(_PriorStructure, "cov_base", refuse)
     state, report = run_vga(A, data, prior, VgaConfig(mode="lowrank_sparse", rank=51, mask=mask))
     assert report.converged
-    assert state._cov is None
     # the final bound of the implementation that densified A and C0 and held
     # the masked covariance as a zero-filled m x m array
     assert report.elbo_trace[-1] == pytest.approx(-557.2582926978919, rel=1e-9)
     warm, _ = run_vga(A, data, prior, VgaConfig(mode="lowrank_sparse", rank=51, mask=mask, max_outer=1),
                       initial_state=prior_start(prior, np.zeros(side * side), mask))
-    assert warm._cov is None
-    monkeypatch.undo()
-    C = state.cov
-    assert state.cov is C  # cached
-    np.testing.assert_array_equal(C[mask.rows, mask.cols], state.values)
-    C[mask.rows, mask.cols] = 0.0
-    assert not C.any()
+    dense = GaussianState(state.mean, np.eye(side * side))
+    for held in (state, warm, GaussianState(state.mean, PointMass())):
+        for read in (lambda: held.cov, lambda: compare_gaussians(held, dense),
+                     lambda: gaussian_kl(dense, held), lambda: hpd_intervals(held, 0.9)):
+            with pytest.raises(NoDenseCovariance, match=type(held.C).__name__):
+                read()
 
 
 def test_warm_start_is_held_on_the_run_mask(rng):
@@ -385,28 +391,28 @@ def test_warm_start_is_held_on_the_run_mask(rng):
     dense_fit, _ = run_vga(A, data, prior)
     fit, report = run_vga(A, data, prior, masked_cfg, initial_state=dense_fit)
     fresh, _ = run_vga(A, data, prior, masked_cfg)
-    assert fit.mask is mask and report.converged
-    np.testing.assert_allclose(fit.values, fresh.values, rtol=1e-5, atol=1e-6)
+    assert fit.C.mask is mask and report.converged
+    np.testing.assert_allclose(fit.C.values, fresh.C.values, rtol=1e-5, atol=1e-6)
     # a masked fit on an equal mask built apart is used as it is, re-held on
     # this run's mask: the same run as the same-object warm start
     again, report = run_vga(A, data, prior, masked_cfg, initial_state=fit)
     equal_cfg = VgaConfig(mode="lowrank_sparse", rank=6, mask=SparsityMask.banded(6, 3))
     equal, equal_report = run_vga(A, data, prior, equal_cfg, initial_state=fit)
-    assert equal.mask is equal_cfg.mask
+    assert equal.C.mask is equal_cfg.mask
     assert equal_report.elbo_trace == report.elbo_trace
-    np.testing.assert_array_equal(equal.values, again.values)
+    np.testing.assert_array_equal(equal.C.values, again.C.values)
     back, report = run_vga(A, data, prior, initial_state=fit)
-    assert back.mask is None and report.converged
+    assert isinstance(back.C, DenseCov) and report.converged
     np.testing.assert_allclose(back.cov, dense_fit.cov, rtol=1e-5, atol=1e-6)
     # a masked fit warm-starting a run on another mask gives its mean only
     other = SparsityMask.banded(6, 5)
     other_cfg = VgaConfig(mode="lowrank_sparse", rank=6, mask=other)
     moved, report = run_vga(A, data, prior, other_cfg, initial_state=fit)
-    cold_start = GaussianState(fit.mean, (other.rows == other.cols).astype(float), other, logdet=0.0)
+    cold_start = GaussianState(fit.mean, MaskedCov(other, (other.rows == other.cols).astype(float), 0.0))
     cold, cold_report = run_vga(A, data, prior, other_cfg, initial_state=cold_start)
-    assert moved.mask is other and report.converged
+    assert moved.C.mask is other and report.converged
     assert report.elbo_trace == cold_report.elbo_trace
-    np.testing.assert_array_equal(moved.values, cold.values)
+    np.testing.assert_array_equal(moved.C.values, cold.C.values)
 
 
 @pytest.mark.parametrize("mode", ["dense", "lowrank"])
@@ -418,14 +424,16 @@ def test_masked_fit_warm_starts_an_unmasked_run_with_its_mean(mode):
     A, x_true = make_test_problem("blur2d", side)
     data = sample_poisson_data(A, x_true, seed=0)
     prior = make_prior("H1_2D", 1.0, side * side)
-    masked, _ = run_vga(A, data, prior, VgaConfig(mode="lowrank_sparse", rank=51,
-                                                   mask=SparsityMask.grid4(side)))
-    assert np.linalg.eigvalsh(masked.cov)[0] < 0.0
+    mask = SparsityMask.grid4(side)
+    masked, _ = run_vga(A, data, prior, VgaConfig(mode="lowrank_sparse", rank=51, mask=mask))
+    zero_filled = np.zeros((side * side, side * side))
+    zero_filled[mask.rows, mask.cols] = masked.C.values
+    assert np.linalg.eigvalsh(zero_filled)[0] < 0.0
     rank = None if mode == "dense" else 51
     warm, report = run_vga(A, data, prior, VgaConfig(mode=mode, rank=rank), initial_state=masked)
     cold, cold_report = run_vga(A, data, prior, VgaConfig(mode=mode, rank=rank),
-                                initial_state=GaussianState(masked.mean, np.eye(side * side), logdet=0.0))
-    assert report.converged and warm.mask is None
+                                initial_state=GaussianState(masked.mean, DenseCov(np.eye(side * side), 0.0)))
+    assert report.converged and isinstance(warm.C, DenseCov)
     assert report.elbo_trace == cold_report.elbo_trace
     np.testing.assert_array_equal(warm.mean, cold.mean)
 
@@ -483,8 +491,8 @@ def test_masked_state_without_a_logdet_refuses_the_bound():
     mask = SparsityMask.banded(6, 3)
     identity = (mask.rows == mask.cols).astype(float)
     with pytest.raises(NotPositiveDefinite, match="masked state"):
-        elbo(GaussianState(np.zeros(6), identity, mask), A, data, prior)
-    carried = GaussianState(np.zeros(6), identity, mask, logdet=0.0)
+        elbo(GaussianState(np.zeros(6), MaskedCov(mask, identity)), A, data, prior)
+    carried = GaussianState(np.zeros(6), MaskedCov(mask, identity, 0.0))
     dense = GaussianState(np.zeros(6), np.eye(6))
     assert elbo(carried, A, data, prior).total == pytest.approx(elbo(dense, A, data, prior).total, rel=1e-12)
 
