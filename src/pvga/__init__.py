@@ -35,7 +35,6 @@ from .errors import (
     NoDenseCovariance,
     NonpositiveDenominator,
     NotPositiveDefinite,
-    PcgBreakdown,
     PvgaError,
     RankTooLarge,
     RateOverflow,
@@ -48,7 +47,6 @@ from .formats import (
     parse_config_text,
     read_csv,
     read_vgam,
-    substream,
     substream_seed,
     write_csv,
     write_vgam,

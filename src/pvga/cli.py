@@ -64,7 +64,7 @@ DEFAULTS: dict = {
     "bench": {"study": "lowrank", "ranks": [2, 4, 6, 8, 10, 20], "sparsities": [1, 3, 5], "rank": 50},
 }
 
-_CONFIG_ERRORS = (ConfigError, UnknownProblem, InvalidAlpha, InvalidData, KeyError, TypeError, ValueError)
+_CONFIG_ERRORS = (ConfigError, UnknownProblem, InvalidAlpha, InvalidData, KeyError, TypeError, ValueError, OSError)
 
 
 def _deep_merge(base: dict, extra: dict, prefix: str = "") -> dict:
@@ -101,9 +101,9 @@ def _resolve_config(args) -> dict:
 
 
 def _prepare_out(cfg: dict) -> Path:
-    """Create the output directory and write config.txt.  Commands call it
-    only after building the problem and their settings, so a config error
-    leaves nothing behind."""
+    """Create the output directory and write config.txt.  :func:`main` calls
+    it only once the command has built its problem and settings, so a config
+    error leaves nothing behind."""
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(formats.dump_config_text(cfg))
@@ -116,7 +116,7 @@ def _build_problem(cfg: dict):
     if rate_scale is not None:
         rate_scale = (float(rate_scale[0]), float(rate_scale[1]))
     A, x_true = make_test_problem(p["name"], int(p["size"]), rate_scale=rate_scale)
-    data = sample_poisson_data(A, x_true, seed=formats.substream(cfg["seed"], "data"))
+    data = sample_poisson_data(A, x_true, seed=formats.substream_seed(cfg["seed"], "data"))
     return A, x_true, data
 
 
@@ -187,34 +187,30 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each builds its problem and checks its settings, then returns
+# its run, a function of the output directory that returns the exit code
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(cfg: dict) -> int:
+def cmd_solve(cfg: dict):
     A, _x_true, data = _build_problem(cfg)
     prior = make_prior(cfg["prior"]["kind"], float(cfg["prior"]["alpha"]), A.n_cols)
     vcfg = _solver_config(cfg, A)
-    out = _prepare_out(cfg)
-    state, report = run_vga(A, data, prior, vcfg)
-    _write_state(out, state)
-    _write_json(
-        out / "report.json",
-        _report_dict(
-            report,
-            problem=cfg["problem"]["name"],
-            mode=vcfg.mode,
-            rank=vcfg.rank,
-            final_elbo=report.elbo_trace[-1],
-        ),
-    )
-    print(f"solve: converged={report.converged} elbo={report.elbo_trace[-1]:.10g} out={out}")
-    if not report.converged:
-        return _fail(MaxIterationsExceeded("solver exhausted max_outer without converging"), 1)
-    return 0
+
+    def run(out: Path) -> int:
+        state, report = run_vga(A, data, prior, vcfg)
+        _write_state(out, state)
+        _write_json(out / "report.json", _report_dict(report, problem=cfg["problem"]["name"], mode=vcfg.mode,
+                                                       rank=vcfg.rank, final_elbo=report.elbo_trace[-1]))
+        print(f"solve: converged={report.converged} elbo={report.elbo_trace[-1]:.10g} out={out}")
+        if not report.converged:
+            return _fail(MaxIterationsExceeded("solver exhausted max_outer without converging"), 1)
+        return 0
+
+    return run
 
 
-def cmd_hyper(cfg: dict) -> int:
+def cmd_hyper(cfg: dict):
     A, _x_true, data = _build_problem(cfg)
     m = A.n_cols
     structure = make_prior(cfg["prior"]["kind"], 1.0, m)
@@ -229,46 +225,50 @@ def cmd_hyper(cfg: dict) -> int:
         inner=vcfg,
     )
     hcfg.validate()
-    out = _prepare_out(cfg)
-    failed = None
-    try:
-        state, alpha_star, trace = run_hierarchical(A, data, structure, hcfg)
-    except MaxIterationsExceeded as exc:
-        state, alpha_star, trace = exc.partial
-        failed = exc
-    k = np.arange(len(trace.psi_sequence))
-    formats.write_csv(
-        out / "hyper_trace.csv",
-        ["k", "alpha", "psi", "joint_bound"],
-        [k, np.asarray(trace.alpha_sequence[: k.size]), trace.psi_sequence, trace.joint_bound_sequence],
-    )
-    # profiled joint bound over a log-grid bracketing the attained alpha
-    pts = int(h["grid_points"])
-    dec = float(h["grid_decades"])
-    grid = alpha_star * np.logspace(-dec, dec, pts)
-    bounds = []
-    g_state = state
-    for a_val in grid:
-        g_state, _ = run_vga(A, data, structure.with_alpha(a_val), vcfg, initial_state=g_state)
-        bounds.append(joint_lower_bound(g_state, a_val, A, data, structure, hcfg.a, hcfg.b))
-    formats.write_csv(out / "alpha_grid.csv", ["alpha", "joint_bound"], [grid, bounds])
-    _write_state(out, state)
-    _write_json(
-        out / "report.json",
-        {
-            "alpha_star": alpha_star,
-            "converged": trace.converged,
-            "em_iterations": len(trace.psi_sequence),
-            "flags": list(trace.flags),
-            "alpha_sequence": list(trace.alpha_sequence),
-            "rejected_alphas": list(trace.rejected_alphas),
-        },
-    )
-    print(f"hyper: converged={trace.converged} alpha={alpha_star:.10g} out={out}")
-    return _fail(failed, 1) if failed is not None else 0
+    pts, dec = int(h["grid_points"]), float(h["grid_decades"])
+    if pts < 0:
+        raise ConfigError(f"hyper.grid_points must be nonnegative, got {pts}")
+
+    def run(out: Path) -> int:
+        failed = None
+        try:
+            state, alpha_star, trace = run_hierarchical(A, data, structure, hcfg)
+        except MaxIterationsExceeded as exc:
+            state, alpha_star, trace = exc.partial
+            failed = exc
+        k = np.arange(len(trace.psi_sequence))
+        formats.write_csv(
+            out / "hyper_trace.csv",
+            ["k", "alpha", "psi", "joint_bound"],
+            [k, np.asarray(trace.alpha_sequence[: k.size]), trace.psi_sequence, trace.joint_bound_sequence],
+        )
+        # profiled joint bound over a log-grid bracketing the attained alpha
+        grid = alpha_star * np.logspace(-dec, dec, pts)
+        bounds = []
+        g_state = state
+        for a_val in grid:
+            g_state, _ = run_vga(A, data, structure.with_alpha(a_val), vcfg, initial_state=g_state)
+            bounds.append(joint_lower_bound(g_state, a_val, A, data, structure, hcfg.a, hcfg.b))
+        formats.write_csv(out / "alpha_grid.csv", ["alpha", "joint_bound"], [grid, bounds])
+        _write_state(out, state)
+        _write_json(
+            out / "report.json",
+            {
+                "alpha_star": alpha_star,
+                "converged": trace.converged,
+                "em_iterations": len(trace.psi_sequence),
+                "flags": list(trace.flags),
+                "alpha_sequence": list(trace.alpha_sequence),
+                "rejected_alphas": list(trace.rejected_alphas),
+            },
+        )
+        print(f"hyper: converged={trace.converged} alpha={alpha_star:.10g} out={out}")
+        return _fail(failed, 1) if failed is not None else 0
+
+    return run
 
 
-def cmd_validate(cfg: dict) -> int:
+def cmd_validate(cfg: dict):
     if cfg["solver"]["mode"] == "lowrank_sparse":
         raise ConfigError(
             "validate needs a full covariance for the sampler; mode 'lowrank_sparse' "
@@ -287,55 +287,44 @@ def cmd_validate(cfg: dict) -> int:
     gamma = float(mc["gamma"])
     if not 0.0 < gamma < 1.0:
         raise ConfigError(f"mcmc.gamma must lie in (0, 1), got {gamma}")
-    out = _prepare_out(cfg)
-    vga_state, report = run_vga(A, data, prior, vcfg)
-    lap_state = laplace_approximation(A, data, prior)
-    summary = mh_independence_sampler(A, data, prior, vga_state, mcfg, gamma=gamma)
-    mcmc_state = GaussianState(summary.mean, summary.covariance)
 
-    def _metrics(g1, g2):
-        mean_l2, cov_spec, kl_fwd, kl_rev = compare_gaussians(g1, g2)
-        return {
-            "mean_l2": mean_l2,
-            "cov_spectral": cov_spec,
-            "kl_forward": kl_fwd,
-            "kl_reverse": kl_rev,
-        }
+    def run(out: Path) -> int:
+        vga_state, report = run_vga(A, data, prior, vcfg)
+        lap_state = laplace_approximation(A, data, prior)
+        summary = mh_independence_sampler(A, data, prior, vga_state, mcfg, gamma=gamma)
+        mcmc_state = GaussianState(summary.mean, summary.covariance)
 
-    _write_json(
-        out / "compare.json",
-        {
-            "acceptance_rate": summary.acceptance_rate,
-            "gamma": gamma,
-            "n_kept": summary.n_kept,
-            "thin": summary.thin,
-            "mcmc_vs_vga": _metrics(mcmc_state, vga_state),
-            "laplace_vs_vga": _metrics(lap_state, vga_state),
-            "mcmc_vs_laplace": _metrics(mcmc_state, lap_state),
-            "vga_converged": report.converged,
-        },
-    )
-    vga_hpd = hpd_intervals(vga_state, gamma)
-    lap_hpd = hpd_intervals(lap_state, gamma)
-    formats.write_csv(
-        out / "hpd.csv",
-        ["i", "vga_low", "vga_high", "laplace_low", "laplace_high", "mcmc_low", "mcmc_high"],
-        [
-            np.arange(vga_state.dim),
-            vga_hpd[:, 0],
-            vga_hpd[:, 1],
-            lap_hpd[:, 0],
-            lap_hpd[:, 1],
-            summary.intervals[:, 0],
-            summary.intervals[:, 1],
-        ],
-    )
-    formats.write_vgam(out / "chain.vgam", summary.samples)
-    print(
-        f"validate: acceptance={summary.acceptance_rate:.4f} "
-        f"mean_l2={float(np.linalg.norm(summary.mean - vga_state.mean)):.6g} out={out}"
-    )
-    return 0
+        def _metrics(g1, g2):
+            return dict(zip(("mean_l2", "cov_spectral", "kl_forward", "kl_reverse"), compare_gaussians(g1, g2)))
+
+        _write_json(
+            out / "compare.json",
+            {
+                "acceptance_rate": summary.acceptance_rate,
+                "gamma": gamma,
+                "n_kept": summary.n_kept,
+                "thin": summary.thin,
+                "mcmc_vs_vga": _metrics(mcmc_state, vga_state),
+                "laplace_vs_vga": _metrics(lap_state, vga_state),
+                "mcmc_vs_laplace": _metrics(mcmc_state, lap_state),
+                "vga_converged": report.converged,
+            },
+        )
+        vga_hpd = hpd_intervals(vga_state, gamma)
+        lap_hpd = hpd_intervals(lap_state, gamma)
+        formats.write_csv(
+            out / "hpd.csv",
+            ["i", "vga_low", "vga_high", "laplace_low", "laplace_high", "mcmc_low", "mcmc_high"],
+            [np.arange(vga_state.dim), *vga_hpd.T, *lap_hpd.T, *summary.intervals.T],
+        )
+        formats.write_vgam(out / "chain.vgam", summary.samples)
+        print(
+            f"validate: acceptance={summary.acceptance_rate:.4f} "
+            f"mean_l2={float(np.linalg.norm(summary.mean - vga_state.mean)):.6g} out={out}"
+        )
+        return 0
+
+    return run
 
 
 def _solution_errors(state, ref_state):
@@ -364,7 +353,7 @@ def _solution_errors(state, ref_state):
 _BENCH_ERROR_COLUMNS = ["e_mean", "e_mean_rel", "e_cov_fro", "e_cov_fro_rel", "e_cov_spec", "e_cov_spec_rel"]
 
 
-def cmd_bench(cfg: dict) -> int:
+def cmd_bench(cfg: dict):
     study = cfg["bench"]["study"]
     if study not in ("lowrank", "sparsity"):
         raise ConfigError(f"bench study must be 'lowrank' or 'sparsity', got {study!r}")
@@ -384,25 +373,28 @@ def cmd_bench(cfg: dict) -> int:
         points = [dataclasses.replace(base, mode="lowrank_sparse", rank=rank, mask=SparsityMask.banded(m, s))
                   for s in sweep]
     points = [_checked(p, A) for p in points]
-    out = _prepare_out(cfg)
-    dense_cfg = dataclasses.replace(base, mode="dense", rank=None, mask=None)
-    ref_state, ref_report = run_vga(A, data, prior, dense_cfg)
 
-    rows = [(p,) + _solution_errors(run_vga(A, data, prior, vcfg)[0], ref_state)
-            for p, vcfg in zip(sweep, points)]
-    cols = [np.array([row[j] for row in rows]) for j in range(len(names))]
-    formats.write_csv(out / "bench.csv", names, cols)
-    _write_json(
-        out / "report.json",
-        {
-            "study": study,
-            "reference_elbo": ref_report.elbo_trace[-1],
-            "reference_converged": ref_report.converged,
-            "points": len(rows),
-        },
-    )
-    print(f"bench: study={study} points={len(rows)} out={out}")
-    return 0
+    def run(out: Path) -> int:
+        dense_cfg = dataclasses.replace(base, mode="dense", rank=None, mask=None)
+        ref_state, ref_report = run_vga(A, data, prior, dense_cfg)
+
+        rows = [(p,) + _solution_errors(run_vga(A, data, prior, vcfg)[0], ref_state)
+                for p, vcfg in zip(sweep, points)]
+        cols = [np.array([row[j] for row in rows]) for j in range(len(names))]
+        formats.write_csv(out / "bench.csv", names, cols)
+        _write_json(
+            out / "report.json",
+            {
+                "study": study,
+                "reference_elbo": ref_report.elbo_trace[-1],
+                "reference_converged": ref_report.converged,
+                "points": len(rows),
+            },
+        )
+        print(f"bench: study={study} points={len(rows)} out={out}")
+        return 0
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +435,20 @@ _COMMANDS = {"solve": cmd_solve, "hyper": cmd_hyper, "validate": cmd_validate, "
 
 
 def main(argv=None) -> int:
+    """Exit 2 on a config error or an output directory that cannot be
+    written, both found before the run starts; from there on a PvgaError
+    exits 1, and any other error propagates."""
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        run = _COMMANDS[args.command](cfg)
+        out = _prepare_out(cfg)
     except _CONFIG_ERRORS as exc:
         return _fail(exc, 2)
-    except OSError as exc:
-        return _fail(exc, 2)
+    except PvgaError as exc:
+        return _fail(exc, 1)
+    try:
+        return run(out)
     except PvgaError as exc:
         return _fail(exc, 1)
 

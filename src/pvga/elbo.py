@@ -58,7 +58,7 @@ class DenseCov:
     @property
     def logdet(self) -> float:
         if self._logdet is None:
-            self._logdet = logdet(self.values, chol=self.chol())
+            self._logdet = logdet(self.chol())
         return self._logdet
 
     def quad(self, A: ForwardOperator) -> np.ndarray:
@@ -72,7 +72,8 @@ class MaskedCov:
     """The paper's sparse iterate: the entries of C on ``mask`` (``values``
     aligned with ``mask.rows``/``mask.cols``), the ln|C| of the unprojected
     map they came from, which the bound needs, and that map's product
-    ``apply``, v -> C0 v - W M W^t v, once a Woodbury step has made it."""
+    ``apply``, v -> C0 v - W M W^t v, from the Woodbury step that made it
+    until ``run_vga`` returns it."""
 
     def __init__(self, mask: SparsityMask, values, logdet: float | None = None, apply=None):
         self.mask = mask
@@ -137,9 +138,12 @@ class GaussianState:
     @property
     def cov(self) -> np.ndarray:
         """The covariance as a dense m x m array."""
+        return self._dense().values
+
+    def _dense(self) -> DenseCov:
         if not isinstance(self.C, DenseCov):
             raise NoDenseCovariance(f"a {type(self.C).__name__} state holds no dense covariance array")
-        return self.C.values
+        return self.C
 
     def replace_mean(self, mean) -> "GaussianState":
         out = GaussianState(mean, self.C)
@@ -242,7 +246,7 @@ def grad_mean(state: GaussianState, A: ForwardOperator, data: PoissonData, prior
 def grad_cov(state: GaussianState, A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> np.ndarray:
     """dF/dC = 1/2 [C^{-1} - A^t D A - C0^{-1}], D = diag(e^d)."""
     rates = _exp_rates(rate_vector(state, A))
-    C_inv = spd_inverse(state.cov, chol=state.C.chol())
+    C_inv = spd_inverse(state._dense().chol())
     Ad = A.dense()
     return 0.5 * (C_inv - Ad.T @ (rates[:, None] * Ad) - prior.prec_dense())
 
@@ -256,7 +260,7 @@ def bregman_divergence(C, C0) -> float:
     m = C.shape[0]
     L = cholesky(C)
     L0 = cholesky(C0)
-    val = float(np.trace(spd_solve(C0, C, chol=L0))) - logdet(C, chol=L) + logdet(C0, chol=L0) - m
+    val = float(np.trace(spd_solve(L0, C))) - logdet(L) + logdet(L0) - m
     if -1e-8 < val < 0.0:
         val = 0.0
     return val
@@ -274,5 +278,5 @@ def gaussian_kl(q1: GaussianState, q2: GaussianState) -> float:
     if q1.dim != q2.dim:
         raise DimensionMismatch("states disagree in dimension")
     delta = q1.mean - q2.mean
-    quad = float(delta @ spd_solve(q2.cov, delta, chol=q2.C.chol()))
+    quad = float(delta @ spd_solve(q2._dense().chol(), delta))
     return 0.5 * (bregman_divergence(q1.cov, q2.cov) + quad)

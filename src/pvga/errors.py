@@ -29,10 +29,6 @@ class BreakdownError(PvgaError):
     """The conjugate-gradient denominator became nonpositive (operator not SPD)."""
 
 
-# The solver modules refer to the CG failure by this name.
-PcgBreakdown = BreakdownError
-
-
 class RankTooLarge(PvgaError):
     """Requested factorization rank exceeds min(m, n)."""
 

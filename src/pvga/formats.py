@@ -7,8 +7,9 @@
 * Config: flat ``key = value`` text with dotted section names (diff-friendly);
   JSON is accepted as alternate input.  Dumping is canonical (sorted keys) so
   a rerun writes byte-identical copies.
-* Substreams: all randomness flows from one seed through named children, so
-  the data draw, the range finder, and the chain can be re-seeded separately.
+* Substreams: all randomness flows from one seed through named children
+  (:func:`substream_seed`), so the data draw, the range finder, and the
+  chain can be re-seeded separately.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "parse_config_text",
     "dump_config_text",
     "load_config",
-    "substream",
     "substream_seed",
 ]
 
@@ -185,9 +185,3 @@ def substream_seed(seed: int, name: str) -> int:
     return int(
         np.random.SeedSequence((int(seed), zlib.crc32(name.encode()))).generate_state(1)[0]
     )
-
-
-def substream(seed: int, name: str) -> np.random.Generator:
-    """Independent generator for the named component of a run, seeded with
-    :func:`substream_seed`."""
-    return np.random.default_rng(substream_seed(seed, name))

@@ -135,8 +135,10 @@ def _psi(state: GaussianState, prior_structure: PriorSpec) -> float:
     return -0.5 * prior_structure.quad_base(v) - 0.5 * state.C.trace_base(prior_structure)
 
 
-def update_alpha(state: GaussianState, prior_structure: PriorSpec, a: float, b: float, m: int) -> float:
-    """M-step: alpha = (m + 2(a-1)) / (quad + trace + 2b) = (m/2+a-1)/(b - psi)."""
+def update_alpha(state: GaussianState, prior_structure: PriorSpec, a: float, b: float) -> float:
+    """M-step: alpha = (m + 2(a-1)) / (quad + trace + 2b) = (m/2+a-1)/(b - psi),
+    with m the dimension of ``prior_structure``."""
+    m = prior_structure.m
     v = state.mean - prior_structure.mu0
     denom = prior_structure.quad_base(v) + state.C.trace_base(prior_structure) + 2.0 * b
     if denom <= 0:
@@ -203,8 +205,7 @@ def run_hierarchical(
     """
     cfg = cfg or HyperConfig()
     cfg.validate()
-    m = A.n_cols
-    bound = alpha_upper_bound(m, cfg.a, cfg.b)
+    bound = alpha_upper_bound(A.n_cols, cfg.a, cfg.b)
     trace = HyperTrace()
     state = None
     s = 0.0  # direction of the search, the sign of h at alpha_init
@@ -216,7 +217,7 @@ def run_hierarchical(
     for _ in range(cfg.max_em):
         prior_k = prior_structure.with_alpha(trial)
         trial_state, report = run_vga(A, data, prior_k, cfg.inner, initial_state=state)
-        g = update_alpha(trial_state, prior_structure, cfg.a, cfg.b, m)
+        g = update_alpha(trial_state, prior_structure, cfg.a, cfg.b)
         if g < 1e-12:
             raise AlphaCollapse(
                 f"alpha fell to {g:.3e}; the data overwhelm the prior or "
@@ -262,9 +263,6 @@ def run_hierarchical(
     if alpha > 0.5 * bound:
         trace.flags.append("PossiblyDegenerateFixedPoint")
     if not converged:
-        err = MaxIterationsExceeded(
-            f"alpha iteration did not settle within {cfg.max_em} E-step solves"
-        )
-        err.partial = (state, alpha, trace)
-        raise err
+        raise MaxIterationsExceeded(f"alpha iteration did not settle within {cfg.max_em} E-step solves",
+                                    partial=(state, alpha, trace))
     return state, alpha, trace

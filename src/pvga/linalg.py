@@ -66,28 +66,24 @@ def cholesky(M: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(str(exc)) from exc
 
 
-def logdet(M: np.ndarray, chol: np.ndarray | None = None) -> float:
-    """ln|M| for SPD M, via the Cholesky factor (optionally precomputed)."""
-    L = cholesky(M) if chol is None else chol
+def logdet(L: np.ndarray) -> float:
+    """ln|M| for SPD M from its lower Cholesky factor L."""
     return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
-def spd_solve(M: np.ndarray, B: np.ndarray, chol: np.ndarray | None = None) -> np.ndarray:
-    """Solve M X = B for SPD M via Cholesky."""
-    L = cholesky(M) if chol is None else chol
+def spd_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve M X = B for SPD M given its lower Cholesky factor L."""
     return scipy.linalg.cho_solve((L, True), B)
 
 
-def spd_inverse(M: np.ndarray, chol: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of an SPD matrix, symmetrized."""
-    L = cholesky(M) if chol is None else chol
-    return symmetrize(scipy.linalg.cho_solve((L, True), np.eye(M.shape[0])))
+def spd_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of an SPD matrix from its lower Cholesky factor L, symmetrized."""
+    return symmetrize(scipy.linalg.cho_solve((L, True), np.eye(L.shape[0])))
 
 
-def spd_rcond(M: np.ndarray, chol: np.ndarray | None = None) -> float:
-    """Reciprocal 1-norm condition estimate of an SPD matrix, from LAPACK's
-    ``pocon`` estimator on the (lower) Cholesky factor."""
-    L = cholesky(M) if chol is None else chol
+def spd_rcond(M: np.ndarray, L: np.ndarray) -> float:
+    """Reciprocal 1-norm condition estimate of an SPD matrix M, from LAPACK's
+    ``pocon`` estimator on its lower Cholesky factor L."""
     rcond, _info = scipy.linalg.lapack.dpocon(L, float(np.linalg.norm(M, 1)), uplo="L")
     return float(rcond)
 
@@ -328,7 +324,7 @@ def rsvd(A, r: int, oversample: int = 10, power_iters: int = 2, seed=0) -> LowRa
     n, m = A.shape
     if not 1 <= r <= min(m, n):
         raise RankTooLarge(f"rank {r} outside [1, {min(m, n)}]")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     k = min(r + max(0, oversample), min(m, n))
 
     def matmat(X):
@@ -474,7 +470,7 @@ def woodbury_cov(
         Li = cholesky(inner)
     except NotPositiveDefinite as exc:
         raise SingularInnerSystem(f"inner system: {exc}") from exc
-    rcond = spd_rcond(inner, chol=Li)
+    rcond = spd_rcond(inner, Li)
     if not rcond >= 1e-14:
         raise SingularInnerSystem(f"inner system reciprocal condition {rcond:.3e}")
     # numpy's solve, not scipy's triangular one: between numpy's GEMMs and
@@ -490,4 +486,4 @@ def woodbury_cov(
             np.ascontiguousarray(W @ M), np.ascontiguousarray(W), rows, cols, mask.diagonal_offsets()
         )
         C = vals[idx]
-    return C, 2.0 * float(np.sum(np.log(np.diag(Li)))), M
+    return C, logdet(Li), M

@@ -468,8 +468,7 @@ def sample_poisson_data(A: ForwardOperator, x_true, seed=0) -> PoissonData:
     zmax = float(z.max()) if z.size else 0.0
     if zmax > LOG_RATE_LIMIT:
         raise RateOverflow(f"log-rate {zmax:.1f} exceeds overflow guard {LOG_RATE_LIMIT}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return PoissonData(rng.poisson(np.exp(z)))
+    return PoissonData(np.random.default_rng(seed).poisson(np.exp(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +488,19 @@ def _phillips(n: int):
     return op, theta(t)
 
 
-def _gravity(n: int, depth: float = 0.25):
+def _gravity(n: int):
     h = 1.0 / n
     t = h * (np.arange(n) + 0.5)
-    col = h * depth * (depth**2 + (h * np.arange(n)) ** 2) ** (-1.5)
+    col = h * 0.25 * (0.25**2 + (h * np.arange(n)) ** 2) ** (-1.5)  # source depth 0.25
     op = ForwardOperator.from_toeplitz(col, col)
     return op, np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t)
 
 
-def _heat(n: int, kappa: float = 1.0):
+def _heat(n: int):
     h = 1.0 / n
     t = h * (np.arange(n) + 0.5)
-    c = h / (2.0 * kappa * np.sqrt(np.pi))
-    col = c * t ** (-1.5) * np.exp(-1.0 / (4.0 * kappa**2 * t))
+    c = h / (2.0 * np.sqrt(np.pi))  # conductivity kappa = 1
+    col = c * t ** (-1.5) * np.exp(-1.0 / (4.0 * t))
     row = np.zeros(n)
     row[0] = col[0]
     op = ForwardOperator.from_toeplitz(col, row)
@@ -523,12 +522,8 @@ def _foxgood(n: int):
     return ForwardOperator.from_dense(A), t.copy()
 
 
-def _blur2d(side: int, width: int | None = None, variance: float = 1.5):
-    if width is None:
-        width = min(99, 2 * side - 1)
-        if width % 2 == 0:
-            width -= 1
-    op = ForwardOperator.gaussian_blur_2d(side, width=width, variance=variance)
+def _blur2d(side: int):
+    op = ForwardOperator.gaussian_blur_2d(side, width=min(99, 2 * side - 1))
     i = np.arange(side)
     ii, jj = np.meshgrid(i, i, indexing="ij")
 
@@ -552,7 +547,6 @@ def make_test_problem(
     name: str,
     size: int,
     rate_scale: tuple[float, float] | None = (0.5, 50.0),
-    **params,
 ):
     """Build a named first-kind test problem: (ForwardOperator, x_true).
 
@@ -570,7 +564,7 @@ def make_test_problem(
         builder = _PROBLEMS[name]
     except KeyError:
         raise UnknownProblem(f"unknown test problem {name!r}; options: {sorted(_PROBLEMS)}") from None
-    op, x_true = builder(size, **params)
+    op, x_true = builder(size)
     if rate_scale is not None:
         rate_min, rate_max = rate_scale
         if not (0 < rate_min < rate_max):
@@ -591,8 +585,8 @@ def _forward_difference(m: int):
     return scipy.sparse.diags([np.ones(m), -np.ones(m - 1)], [0, -1], format="csr")
 
 
-def make_prior(kind: str, alpha: float, m: int, mu0=None) -> PriorSpec:
-    """Assemble one of the built-in prior structures.
+def make_prior(kind: str, alpha: float, m: int) -> PriorSpec:
+    """Assemble one of the built-in prior structures, with mean 0.
 
     * ``L2``    -- Cbar0^{-1} = I;
     * ``H1``    -- Cbar0^{-1} = L1^t L1 with the anchored forward difference L1;
@@ -603,8 +597,6 @@ def make_prior(kind: str, alpha: float, m: int, mu0=None) -> PriorSpec:
     """
     if alpha <= 0 or not np.isfinite(alpha):
         raise InvalidAlpha(f"alpha must be positive and finite, got {alpha}")
-    if mu0 is None:
-        mu0 = np.zeros(m)
     if kind == "L2":
         L = None  # the identity
     elif kind == "H1":
@@ -618,4 +610,4 @@ def make_prior(kind: str, alpha: float, m: int, mu0=None) -> PriorSpec:
         L = scipy.sparse.kron(eye, L1, format="csr") + scipy.sparse.kron(L1, eye, format="csr")
     else:
         raise ConfigError(f"unknown prior kind {kind!r}; options: L2, H1, H1_2D")
-    return PriorSpec(mu0, L, alpha)
+    return PriorSpec(np.zeros(m), L, alpha)

@@ -46,6 +46,7 @@ _BLOCK_DOUBLES = 1 << 20  # element budget of the chain summaries' working block
 _THIN_ABOVE = 1000
 _MAP_GRAD_TOL = 1e-10
 _MAP_MAXIT = 100
+_ORBIT_SLACK = 1e-10  # Loewner order tolerance of orbit_check
 
 
 @dataclass
@@ -118,16 +119,15 @@ def _log_joint_rows(X: np.ndarray, Ad: np.ndarray, data: PoissonData, prior: Pri
     return out
 
 
-def evidence_quadrature(A: ForwardOperator, data: PoissonData, prior: PriorSpec, grid: int | None = None) -> float:
+def evidence_quadrature(A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> float:
     """ln Z by tensor Gauss-Hermite quadrature centered at the Laplace fit.
 
     Substituting x = xhat + sqrt(2) L u with L L^t = H^{-1} gives
 
         ln Z = (m/2) ln 2 + ln|L| + ln sum_i w_i e^{g(x_i) + |u_i|^2}.
 
-    With ``grid=None`` the degree is refined (24, 32, ..., 72) until two
-    successive values agree to 5e-9; an explicit ``grid`` fixes the degree.
-    Only for m <= 3 -- node count is exponential in m.
+    The degree is refined (24, 32, ..., 72) until two successive values
+    agree to 5e-9.  Only for m <= 3 -- node count is exponential in m.
     """
     m = prior.m
     if m > 3:
@@ -145,8 +145,6 @@ def evidence_quadrature(A: ForwardOperator, data: PoissonData, prior: PriorSpec,
         g = _log_joint_rows(X, Ad, data, prior)
         return base + float(logsumexp(logw + g + np.einsum("ij,ij->i", U, U)))
 
-    if grid is not None:
-        return _value(int(grid))
     prev = _value(24)
     for deg in range(32, 80, 8):
         cur = _value(deg)
@@ -195,7 +193,7 @@ def mh_independence_sampler(
 
     Ad = A.dense()
     L = proposal.C.chol()
-    log_norm = -0.5 * logdet(proposal.cov, chol=L) - 0.5 * m * np.log(2 * np.pi)
+    log_norm = -0.5 * logdet(L) - 0.5 * m * np.log(2 * np.pi)
     children = np.random.SeedSequence(cfg.seed).spawn(2)
     rng_prop = np.random.default_rng(children[0])
     rng_acc = np.random.default_rng(children[1])
@@ -314,16 +312,11 @@ class OrbitDiagnostics:
     worst_violation: float  # most negative eigenvalue over all order checks
 
 
-def orbit_check(
-    A: ForwardOperator,
-    xbar: np.ndarray,
-    prior: PriorSpec,
-    k_max: int,
-    slack: float = 1e-10,
-) -> OrbitDiagnostics:
+def orbit_check(A: ForwardOperator, xbar: np.ndarray, prior: PriorSpec, k_max: int) -> OrbitDiagnostics:
     """Iterate the covariance map from C0 with the mean frozen and test the
     alternating Loewner structure: even iterates descend, odd iterates climb,
-    and the odd limit sits below the even limit.
+    and the odd limit sits below the even limit, each up to an eigenvalue
+    slack of 1e-10.
 
     Each iterate is one dense :func:`fixed_point_step_cov`, so a numerically
     singular system raises IllConditioned, as it does in the solver.
@@ -340,7 +333,7 @@ def orbit_check(
         nonlocal worst
         lam = float(np.linalg.eigvalsh(hi - lo).min())
         worst = min(worst, lam)
-        return lam >= -slack
+        return lam >= -_ORBIT_SLACK
 
     even = iterates[0::2]
     odd = iterates[1::2]

@@ -19,11 +19,12 @@ import scipy.linalg
 
 from .elbo import DenseCov, GaussianState, MaskedCov, PointMass, elbo, rate_vector
 from .elbo import _bound_with_logdet, _exp_rates, _saturates
-from .errors import ConfigError, IllConditioned, PcgBreakdown
+from .errors import BreakdownError, ConfigError, IllConditioned
 from .linalg import (
     SparsityMask,
     WoodburyBasis,
     cholesky,
+    logdet,
     pcg_solve,
     rsvd,
     spd_inverse,
@@ -125,11 +126,11 @@ class SolverReport:
         return self.stop_rule is not None
 
 
-def _check_conditioning(apply_J, prior: PriorSpec, m: int) -> None:
+def _check_conditioning(apply_J, prior: PriorSpec) -> None:
     """Cheap spectral guard: power-iterate J and bound its condition number
     through lambda_min(J) >= lambda_min(C0^{-1}).  The norms are BLAS nrm2,
     which stays finite at the clamped rates where sqrt(w.w) overflows."""
-    v = np.ones(m) / np.sqrt(m)
+    v = np.ones(prior.m) / np.sqrt(prior.m)
     lam = 0.0
     for _ in range(20):
         w = apply_J(v)
@@ -138,7 +139,7 @@ def _check_conditioning(apply_J, prior: PriorSpec, m: int) -> None:
             return
         v = w / lam
     # lambda_max(C0) via a short power iteration through the prior factorization
-    u = np.ones(m) / np.sqrt(m)
+    u = np.ones(prior.m) / np.sqrt(prior.m)
     for _ in range(20):
         w = prior.cov_apply(u)
         mu = float(scipy.linalg.norm(w, check_finite=False))
@@ -181,12 +182,12 @@ def newton_step_mean(
         return A.rmatvec(rates * A.matvec(v)) + prior.prec_apply(v)
 
     if _saturates(d):
-        _check_conditioning(apply_J, prior, state.dim)
+        _check_conditioning(apply_J, prior)
 
     res = pcg_solve(apply_J, -G, precond=precond, tol=_PCG_TOL, maxit=_PCG_MAXIT)
     step = res.x
     if not np.all(np.isfinite(step)):
-        raise PcgBreakdown("non-finite Newton step")
+        raise BreakdownError("non-finite Newton step")
 
     t = 1.0
     halvings = 0
@@ -235,9 +236,9 @@ def fixed_point_step_cov(
         M = Ad.T @ (rates[:, None] * Ad) + prior.prec_dense()
         M = symmetrize(M)
         L = cholesky(M)
-        if spd_rcond(M, chol=L) < 1.0 / _COND_LIMIT:
+        if spd_rcond(M, L) < 1.0 / _COND_LIMIT:
             raise IllConditioned("covariance fixed-point system is numerically singular")
-        return DenseCov(spd_inverse(M, chol=L), -2.0 * float(np.sum(np.log(np.diag(L)))))
+        return DenseCov(spd_inverse(L), -logdet(L))
     mask = state.C.mask if isinstance(state.C, MaskedCov) else None
     C_new, inner_logdet, M = woodbury_cov(prior, basis, rates, mask=mask)
     logdet_c = -prior.logdet_prec() - inner_logdet
@@ -259,9 +260,11 @@ def run_vga(
     than 1e-11 |F|.  The report's ``stop_rule`` names the rule that fired.
 
     Returns the final state and a report; a run that exhausts max_outer comes
-    back with ``converged=False`` rather than raising.  This is the one place
-    a :class:`VgaConfig` becomes a Woodbury basis (from a rank-r factor of A)
-    and a mask; the steps below read the mode from those.
+    back with ``converged=False`` rather than raising.  A returned
+    :class:`MaskedCov` holds no product, so a caller that keeps it between
+    runs (EM on alpha) holds one basis's W and M at a time.  This is the one
+    place a :class:`VgaConfig` becomes a Woodbury basis (from a rank-r factor
+    of A) and a mask; the steps below read the mode from those.
 
     The run starts from the zero mean and identity covariance, or from
     ``initial_state`` (e.g. a warm start).  A :class:`DenseCov` start is
@@ -352,5 +355,7 @@ def run_vga(
             report.flags.append("CovarianceOscillation")
     if saturated or _saturates(rate_vector(state, A)):
         report.flags.append("NumericallySaturated")
+    if isinstance(state.C, MaskedCov):  # this run's last product: no warm start reads it
+        state.C.apply = None
     report.wall_time = time.perf_counter() - t0
     return state, report

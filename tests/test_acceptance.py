@@ -314,7 +314,7 @@ def test_a07_em_monotone_and_maximizes_profiled_bound(phillips100):
     st_star, _ = run_vga(
         A, data, base.with_alpha(alpha), VgaConfig(mode="dense"), initial_state=state
     )
-    fp_res = abs(update_alpha(st_star, base, 1.0, 1e-4, 100) - alpha) / alpha
+    fp_res = abs(update_alpha(st_star, base, 1.0, 1e-4) - alpha) / alpha
 
     # the profiled bound over a surrounding log-grid peaks where the EM stopped
     grid = alpha * np.logspace(-1.0, 1.0, 30)
@@ -375,7 +375,7 @@ def test_a09_frozen_mean_orbit_alternates():
         m = int(rng.integers(2, 11))
         A, data, prior = random_problem(rng, m=m, n=m + 2)
         xbar = prior.mu0 + 0.3 * rng.standard_normal(m)
-        out = orbit_check(A, xbar, prior, k_max=40, slack=1e-10)
+        out = orbit_check(A, xbar, prior, k_max=40)
         assert out.even_decreasing and out.odd_increasing and out.limits_ordered
         worst = min(worst, out.worst_violation)
     dt = time.perf_counter() - t0

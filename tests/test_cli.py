@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pvga import cli
 from pvga.cli import DEFAULTS, _build_parser, _build_problem, _resolve_config, main
+from pvga.errors import InvalidAlpha, InvalidData
 from pvga.formats import read_csv, read_vgam, substream_seed
 from pvga.model import sample_poisson_data
 
@@ -99,6 +101,7 @@ _COMMANDS = ("solve", "hyper", "bench", "validate")
        for c in _COMMANDS]
     + [
         pytest.param("hyper", {"hyper": {"a": 0.0}}, (), id="hyper-bad_a"),
+        pytest.param("hyper", {"hyper": {"grid_points": -1}}, (), id="hyper-negative_grid_points"),
         pytest.param("validate", {"mcmc": {"gamma": 1.5}}, (), id="validate-bad_gamma"),
         pytest.param("bench", {"bench": {"study": "nope"}}, (), id="bench-unknown_study"),
         pytest.param("bench", {"bench": {"ranks": [2, 0]}}, (), id="bench-rank_zero_in_sweep"),
@@ -274,6 +277,31 @@ def test_bench_rerun_byte_identical(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("cmd", _COMMANDS)
+def test_errors_after_the_output_is_written_are_run_failures(tmp_path, monkeypatch, capsys, cmd):
+    # ValueError-derived errors (LinAlgError among them) and InvalidData or
+    # InvalidAlpha are config errors only before the output directory is
+    # written; from there on a package error exits 1 and any other
+    # propagates
+    cfg = write_cfg(tmp_path)
+    for k, exc in enumerate((np.linalg.LinAlgError("SVD did not converge"), InvalidData("d"), InvalidAlpha("a"))):
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_vga", fail)
+        monkeypatch.setattr(cli, "run_hierarchical", fail)
+        out = tmp_path / f"o{k}"
+        if isinstance(exc, np.linalg.LinAlgError):
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                run(cmd, cfg, out)
+        else:
+            assert run(cmd, cfg, out) == 1
+            err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert err["error"] == type(exc).__name__
+        assert (out / "config.txt").is_file()
 
 
 def test_unknown_problem_is_usage_error(tmp_path):

@@ -8,6 +8,8 @@ quadrature oracle lives here in the test, not in the library.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import eigh as generalized_eigh
 from scipy.optimize import brentq
@@ -329,6 +331,20 @@ def test_elbo_below_evidence_with_nonnegative_gap(rng):
     for _ in range(20):
         s = random_state(rng, 1)
         assert elbo(s, A, data, prior).total <= lnz + 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 3), n=st.integers(1, 6), cov_scale=st.sampled_from([0.05, 0.3, 1.0, 3.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_bound_is_at_most_the_quadrature_evidence(m, n, cov_scale, seed):
+    # F(q) <= ln Z for every Gaussian q: at the fitted state, where the gap
+    # is smallest, and at random states (the quadrature settles to 5e-9)
+    rng = np.random.default_rng(seed)
+    A, data, prior = random_problem(rng, m=m, n=n)
+    ln_z = evidence_quadrature(A, data, prior)
+    fit, _ = run_vga(A, data, prior)
+    for state in [fit] + [random_state(rng, m, cov_scale) for _ in range(3)]:
+        assert elbo(state, A, data, prior).total <= ln_z + 1e-6
 
 
 def laplace_evidence(A, data, prior):

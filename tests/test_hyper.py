@@ -6,6 +6,7 @@ compare against entry by entry.
 """
 
 import importlib
+import weakref
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_joint_bound_stationary_at_alpha_update(rng):
         A, data, prior = random_problem(rng)
         state = random_state(rng, prior.m)
         a, b = 1.2, 0.3
-        alpha_hat = update_alpha(state, prior, a, b, prior.m)
+        alpha_hat = update_alpha(state, prior, a, b)
         h = 1e-5 * alpha_hat
         up = joint_lower_bound(state, alpha_hat + h, A, data, prior, a, b)
         dn = joint_lower_bound(state, alpha_hat - h, A, data, prior, a, b)
@@ -126,9 +127,9 @@ def test_update_alpha_hand_values():
     m = 2
     prior = PriorSpec(np.zeros(m), np.eye(m), 1.0)
     state = GaussianState(np.zeros(m), np.eye(m))
-    near_one = update_alpha(state, prior, 1.0, 1e-12, m)
+    near_one = update_alpha(state, prior, 1.0, 1e-12)
     np.testing.assert_allclose(near_one, 1.0, rtol=1e-11)
-    assert update_alpha(state, prior, 1.0, 1.0, m) == pytest.approx(0.5, rel=1e-14)
+    assert update_alpha(state, prior, 1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_update_alpha_consistent_with_psi(rng):
@@ -138,7 +139,7 @@ def test_update_alpha_consistent_with_psi(rng):
         a, b = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.01, 1.0))
         _, psi = phi_psi(state, A, data, prior)
         expect = (prior.m / 2.0 + a - 1.0) / (b - psi)
-        np.testing.assert_allclose(update_alpha(state, prior, a, b, prior.m), expect, rtol=1e-12)
+        np.testing.assert_allclose(update_alpha(state, prior, a, b), expect, rtol=1e-12)
 
 
 def test_update_alpha_nonpositive_denominator():
@@ -146,7 +147,7 @@ def test_update_alpha_nonpositive_denominator():
     prior = PriorSpec(np.zeros(m), np.eye(m), 1.0)
     state = GaussianState(np.zeros(m), 1e-300 * np.eye(m))
     with pytest.raises(NonpositiveDenominator):
-        update_alpha(state, prior, 1.0, -1.0, m)
+        update_alpha(state, prior, 1.0, -1.0)
 
 
 # -- EM loop -----------------------------------------------------------------
@@ -174,7 +175,7 @@ def test_hierarchical_zero_operator_matches_scalar_iteration():
 
     diffs = np.diff(trace.alpha_sequence)
     assert np.all(diffs <= 0)  # decreasing toward the degenerate root
-    residual = abs(update_alpha(state, prior, 1.0, b, m) - alpha_star)
+    residual = abs(update_alpha(state, prior, 1.0, b) - alpha_star)
     assert residual <= 1e-6 * alpha_star
     np.testing.assert_allclose(state.mean, prior.mu0, atol=1e-10)
     # the returned state is the last E-step, taken at the second-to-last alpha
@@ -314,6 +315,29 @@ def test_masked_em_converges():
     assert np.all(np.isfinite(trace.joint_bound_sequence))
 
 
+def test_masked_em_holds_one_woodbury_basis_at_a_time(monkeypatch):
+    # neither the state EM keeps between E-steps nor a rejected trial holds
+    # the product of its last Woodbury step, whose closure would keep that
+    # basis's m x r W alive while the next E-step builds its own
+    vga_module = importlib.import_module("pvga.vga")
+    real, built, alive = vga_module.woodbury_basis, [], []
+
+    def tracked(prior, factor):
+        alive.append(sum(ref() is not None for ref in built))
+        basis = real(prior, factor)
+        built.append(weakref.ref(basis.W))
+        return basis
+
+    monkeypatch.setattr(vga_module, "woodbury_basis", tracked)
+    side = 16
+    A, x_true = make_test_problem("blur2d", side)
+    data = sample_poisson_data(A, x_true, seed=substream_seed(0, "data"))
+    inner = VgaConfig(mode="lowrank_sparse", rank=51, mask=SparsityMask.grid4(side))
+    _, _, trace = run_hierarchical(A, data, make_prior("H1_2D", 1.0, side * side), HyperConfig(inner=inner))
+    assert len(alive) == len(trace.psi_sequence) + len(trace.rejected_alphas) > 1
+    assert alive == [0] * len(alive)
+
+
 def test_dense_em_never_refactors_a_covariance(monkeypatch):
     # each E-step state carries ln|C| from its fixed-point step, so neither
     # the E-step bounds nor the joint bound factor C again
@@ -386,7 +410,7 @@ def test_em_contract(m, a, b, seed):
         rejected = np.asarray(trace.rejected_alphas)
         assert np.all(s * (rejected - alpha_star) > -cfg.alpha_tol * alpha_star)
         fresh, _ = run_vga(A, data, prior.with_alpha(alpha_star), cfg.inner, initial_state=state)
-        assert abs(update_alpha(fresh, prior, a, b, m) - alpha_star) <= 1e-6 * alpha_star
+        assert abs(update_alpha(fresh, prior, a, b) - alpha_star) <= 1e-6 * alpha_star
     # the two starts together take about 22 solves (at most 33 over 150
     # draws of this kind); plain EM takes about 100 and often exhausts max_em
     assert solves <= 36

@@ -58,24 +58,25 @@ def test_cholesky_reconstructs_random_spd(rng):
 
 
 def test_logdet_values():
-    assert logdet(np.eye(4)) == 0.0
-    np.testing.assert_allclose(logdet(np.diag([2.0, 8.0])), np.log(16.0), rtol=1e-14)
-    np.testing.assert_allclose(logdet(2.0 * np.eye(2)), 2.0 * np.log(2.0), rtol=1e-14)
+    assert logdet(cholesky(np.eye(4))) == 0.0
+    np.testing.assert_allclose(logdet(cholesky(np.diag([2.0, 8.0]))), np.log(16.0), rtol=1e-14)
+    np.testing.assert_allclose(logdet(cholesky(2.0 * np.eye(2))), 2.0 * np.log(2.0), rtol=1e-14)
 
 
 def test_logdet_matches_eigenvalue_sum(rng):
     for _ in range(8):
         M = random_spd(rng, 7)
-        np.testing.assert_allclose(logdet(M), np.sum(np.log(np.linalg.eigvalsh(M))), rtol=1e-8)
+        np.testing.assert_allclose(logdet(cholesky(M)), np.sum(np.log(np.linalg.eigvalsh(M))), rtol=1e-8)
 
 
 def test_spd_solve_and_inverse_and_rcond(rng):
     M = random_spd(rng, 6)
     B = rng.standard_normal((6, 3))
-    np.testing.assert_allclose(spd_solve(M, B), np.linalg.solve(M, B), rtol=1e-9)
-    np.testing.assert_allclose(spd_inverse(M), np.linalg.inv(M), rtol=1e-9, atol=1e-12)
+    L = cholesky(M)
+    np.testing.assert_allclose(spd_solve(L, B), np.linalg.solve(M, B), rtol=1e-9)
+    np.testing.assert_allclose(spd_inverse(L), np.linalg.inv(M), rtol=1e-9, atol=1e-12)
     w = np.linalg.eigvalsh(M)
-    est = spd_rcond(M)
+    est = spd_rcond(M, L)
     true = w[0] / w[-1]
     assert est == pytest.approx(true, rel=50.0)  # rcond is an order-of-magnitude estimate
 
@@ -83,8 +84,8 @@ def test_spd_solve_and_inverse_and_rcond(rng):
 def test_spd_rcond_is_the_one_norm_reciprocal_condition():
     # ||M||_1 = 5 and ||M^{-1}||_1 = 5/11, so rcond = 11/25; the 2-norm ratio is 0.5158.
     M = np.array([[4.0, 1.0], [1.0, 3.0]])
-    assert spd_rcond(M) == pytest.approx(1.0 / np.linalg.cond(M, 1), abs=1e-12)
-    assert spd_rcond(M) == pytest.approx(0.44, abs=1e-12)
+    assert spd_rcond(M, cholesky(M)) == pytest.approx(1.0 / np.linalg.cond(M, 1), abs=1e-12)
+    assert spd_rcond(M, cholesky(M)) == pytest.approx(0.44, abs=1e-12)
 
 
 # -- pcg ---------------------------------------------------------------------

@@ -28,6 +28,7 @@ from pvga import (
     elbo,
     fixed_point_step_cov,
     gaussian_kl,
+    grad_cov,
     hpd_intervals,
     newton_step_mean,
     optimality_residual,
@@ -377,7 +378,8 @@ def test_masked_blur_fit_builds_no_dense_operator_or_prior_covariance(monkeypatc
     dense = GaussianState(state.mean, np.eye(side * side))
     for held in (state, warm, GaussianState(state.mean, PointMass())):
         for read in (lambda: held.cov, lambda: compare_gaussians(held, dense),
-                     lambda: gaussian_kl(dense, held), lambda: hpd_intervals(held, 0.9)):
+                     lambda: gaussian_kl(dense, held), lambda: hpd_intervals(held, 0.9),
+                     lambda: grad_cov(held, A, data, prior), lambda: optimality_residual(held, A, data, prior)):
             with pytest.raises(NoDenseCovariance, match=type(held.C).__name__):
                 read()
 
