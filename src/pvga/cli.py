@@ -100,6 +100,24 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
+def _int_setting(value, key: str) -> int:
+    """The integer setting ``key``; a value that its integer conversion would
+    change (20.9, ``true``) is refused, not truncated.  A string is taken as
+    its decimal digits, as ``--sparsity`` gives them."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or isinstance(value, bool) or (out != value and str(out) != value):
+        raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+    return out
+
+
+def _seed(cfg: dict, name: str) -> int:
+    """The seed of the named substream of the config's seed."""
+    return formats.substream_seed(_int_setting(cfg["seed"], "seed"), name)
+
+
 def _prepare_out(cfg: dict) -> Path:
     """Create the output directory and write config.txt.  :func:`main` calls
     it only once the command has built its problem and settings, so a config
@@ -115,8 +133,8 @@ def _build_problem(cfg: dict):
     rate_scale = p["rate_scale"]
     if rate_scale is not None:
         rate_scale = (float(rate_scale[0]), float(rate_scale[1]))
-    A, x_true = make_test_problem(p["name"], int(p["size"]), rate_scale=rate_scale)
-    data = sample_poisson_data(A, x_true, seed=formats.substream_seed(cfg["seed"], "data"))
+    A, x_true = make_test_problem(p["name"], _int_setting(p["size"], "problem.size"), rate_scale=rate_scale)
+    data = sample_poisson_data(A, x_true, seed=_seed(cfg, "data"))
     return A, x_true, data
 
 
@@ -128,7 +146,7 @@ def _build_mask(spec, m: int) -> SparsityMask | None:
         if side * side != m:
             raise ConfigError(f"grid4 mask needs a square grid; m={m}")
         return SparsityMask.grid4(side)
-    return SparsityMask.banded(m, int(spec))
+    return SparsityMask.banded(m, _int_setting(spec, "solver.sparsity"))
 
 
 def _checked(vcfg: VgaConfig, A) -> VgaConfig:
@@ -143,11 +161,11 @@ def _checked(vcfg: VgaConfig, A) -> VgaConfig:
 def _solver_config(cfg: dict, A) -> VgaConfig:
     s = cfg["solver"]
     vcfg = VgaConfig(
-        max_outer=int(s["max_outer"]),
+        max_outer=_int_setting(s["max_outer"], "solver.max_outer"),
         mode=s["mode"],
-        rank=None if s["rank"] is None else int(s["rank"]),
+        rank=None if s["rank"] is None else _int_setting(s["rank"], "solver.rank"),
         mask=_build_mask(s["sparsity"], A.n_cols),
-        rsvd_seed=formats.substream_seed(cfg["seed"], "rsvd"),
+        rsvd_seed=_seed(cfg, "rsvd"),
     )
     return _checked(vcfg, A)
 
@@ -220,12 +238,12 @@ def cmd_hyper(cfg: dict):
         a=float(h["a"]),
         b=float(h["b"]),
         alpha_init=float(h["alpha_init"]),
-        max_em=int(h["max_em"]),
+        max_em=_int_setting(h["max_em"], "hyper.max_em"),
         alpha_tol=float(h["alpha_tol"]),
         inner=vcfg,
     )
     hcfg.validate()
-    pts, dec = int(h["grid_points"]), float(h["grid_decades"])
+    pts, dec = _int_setting(h["grid_points"], "hyper.grid_points"), float(h["grid_decades"])
     if pts < 0:
         raise ConfigError(f"hyper.grid_points must be nonnegative, got {pts}")
 
@@ -279,9 +297,9 @@ def cmd_validate(cfg: dict):
     vcfg = _solver_config(cfg, A)
     mc = cfg["mcmc"]
     mcfg = McmcConfig(
-        chain_length=int(mc["chain_length"]),
-        burn_in=int(mc["burn_in"]),
-        seed=formats.substream_seed(cfg["seed"], "mcmc"),
+        chain_length=_int_setting(mc["chain_length"], "mcmc.chain_length"),
+        burn_in=_int_setting(mc["burn_in"], "mcmc.burn_in"),
+        seed=_seed(cfg, "mcmc"),
     )
     mcfg.validate()
     gamma = float(mc["gamma"])
@@ -363,12 +381,12 @@ def cmd_bench(cfg: dict):
     base = _solver_config(cfg, A)
     # every point's settings are checked before anything is written
     if study == "lowrank":
-        sweep = [int(r) for r in cfg["bench"]["ranks"]]
+        sweep = [_int_setting(r, "bench.ranks") for r in cfg["bench"]["ranks"]]
         names = ["rank"] + _BENCH_ERROR_COLUMNS
         points = [dataclasses.replace(base, mode="lowrank", rank=r, mask=None) for r in sweep]
     else:
-        sweep = [int(s) for s in cfg["bench"]["sparsities"]]
-        rank = int(cfg["bench"]["rank"])
+        sweep = [_int_setting(s, "bench.sparsities") for s in cfg["bench"]["sparsities"]]
+        rank = _int_setting(cfg["bench"]["rank"], "bench.rank")
         names = ["sparsity"] + _BENCH_ERROR_COLUMNS
         points = [dataclasses.replace(base, mode="lowrank_sparse", rank=rank, mask=SparsityMask.banded(m, s))
                   for s in sweep]

@@ -15,7 +15,9 @@ The sign of h at ``alpha_init`` fixes the direction.  A trial that keeps
 that sign is accepted: it is recorded and warm-starts the next E-step.  A
 trial where h has flipped lies past the root; it is rejected and only
 bounds the search from the far side.  The accepted iterates are therefore
-monotone, and the joint bound rises along them as it does under plain EM.
+monotone, and the joint bound rises along them as it does under plain EM,
+provided each E-step raises the bound, which holds in dense mode only (see
+:mod:`pvga.vga` for drops measured in the factored modes).
 """
 
 from __future__ import annotations

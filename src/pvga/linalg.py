@@ -93,7 +93,6 @@ class PcgResult:
     x: np.ndarray
     iterations: int
     converged: bool
-    relative_residual: float
 
 
 def pcg_solve(apply_M, b, precond=None, tol: float = 1e-6, maxit: int = 10) -> PcgResult:
@@ -119,7 +118,7 @@ def pcg_solve(apply_M, b, precond=None, tol: float = 1e-6, maxit: int = 10) -> P
     bnorm = rnorm = float(np.linalg.norm(r))
     tol_abs = tol * bnorm
     if rnorm <= tol_abs:
-        return PcgResult(x, 0, True, rnorm / bnorm if bnorm > 0 else 0.0)
+        return PcgResult(x, 0, True)
     z = P(r)
     p = z.copy()
     gamma = float(r @ z)
@@ -142,7 +141,7 @@ def pcg_solve(apply_M, b, precond=None, tol: float = 1e-6, maxit: int = 10) -> P
         gamma_new = float(r @ z)
         p = z + (gamma_new / gamma) * p
         gamma = gamma_new
-    return PcgResult(np.ldexp(x, e), iterations, rnorm <= tol_abs, rnorm / bnorm if bnorm > 0 else rnorm)
+    return PcgResult(np.ldexp(x, e), iterations, rnorm <= tol_abs)
 
 
 @dataclass
@@ -210,9 +209,10 @@ class SparsityMask:
 
     @classmethod
     def banded(cls, dim: int, s: int) -> "SparsityMask":
-        """Band mask with at most s nonzeros per row (s odd: diagonal + (s-1)/2 bands each side)."""
-        if s < 1:
-            raise InvalidData("per-row nonzero count s must be >= 1")
+        """Band mask with at most s nonzeros per row: the diagonal and (s-1)/2
+        bands on each side, so s must be odd."""
+        if s < 1 or s % 2 == 0:
+            raise InvalidData(f"per-row nonzero count s must be a positive odd integer, got {s}")
         half = (s - 1) // 2
         rows, cols = [], []
         for k in range(-half, half + 1):

@@ -96,9 +96,7 @@ class ForwardOperator:
         taps = np.exp(-((np.arange(width) - c) ** 2) / (2.0 * variance))
         taps /= taps.sum()
         # Fold the taps into the first column of the circulant factor T.
-        kc = np.zeros(side)
-        for j, w in enumerate(taps):
-            kc[(j - c) % side] += w
+        kc = np.bincount((np.arange(width) - c) % side, weights=taps, minlength=side)
         i = np.arange(side)
         return cls(kron_factor=kc[(i[:, None] - i[None, :]) % side])
 
@@ -119,18 +117,12 @@ class ForwardOperator:
         return x
 
     def matvec(self, x) -> np.ndarray:
-        x = self._check_vec(x, self.n_cols)
-        if self._array is not None:
-            return self._array @ x
-        T = self.kron_factor
-        return (T @ x.reshape(T.shape) @ T.T).ravel()
+        """Ax, the one-column case of :meth:`matmat`."""
+        return self.matmat(self._check_vec(x, self.n_cols)[:, None])[:, 0]
 
     def rmatvec(self, y) -> np.ndarray:
-        y = self._check_vec(y, self.n_rows)
-        if self._array is not None:
-            return self._array.T @ y
-        T = self.kron_factor
-        return (T.T @ y.reshape(T.shape) @ T).ravel()
+        """A^t y, the one-column case of :meth:`rmatmat`."""
+        return self.rmatmat(self._check_vec(y, self.n_rows)[:, None])[:, 0]
 
     def _blur_stack(self, X, T) -> np.ndarray:
         """T X_k T^t for every column X_k of X read as a side x side image,
@@ -202,162 +194,20 @@ class PoissonData:
         return f"PoissonData(n={self.n}, total={int(self.y.sum())})"
 
 
-class _PriorStructure:
-    """Shared per-(mu0, L) caches so rescaled priors reuse one factorization.
-
-    L is factored on first use by a sparse LU in its natural column order,
-    under which a triangular L (every built-in prior) factors with no fill.
-    ``L=None`` stands for the identity: solves and row quadratic forms skip
-    it, and it is built as a sparse CSR identity only when asked for.
-    Entries of Cbar0 near the diagonal come from a banded selected inversion
-    of L^t L (cached), never from the dense Cbar0.
-    """
-
-    def __init__(self, mu0: np.ndarray, L):
-        self.mu0 = mu0
-        self._L = L
-        self._identity = L is None
-        self.m = mu0.size
-        self._lu = None
-        self._prec = None  # L^t L, sparse
-        self._cov = None  # (L^t L)^{-1}, dense
-        self._cov_band = None  # lower band of (L^t L)^{-1}, see cov_entries
-        self._prec_on_mask = None  # (mask, entries of L^t L on it)
-        self._logdet_prec = None
-
-    @property
-    def L(self):
-        if self._L is None:
-            self._L = scipy.sparse.identity(self.m, format="csr")
-        return self._L
-
-    def _factor(self):
-        if self._lu is None:
-            try:
-                self._lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(self.L), permc_spec="NATURAL")
-            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-                raise InvalidData("precision factor is singular") from exc
-        return self._lu
-
-    def solve(self, X: np.ndarray) -> np.ndarray:
-        """Cbar0 X = L^{-1} L^{-t} X."""
-        if self._identity:
-            return X
-        lu = self._factor()
-        return lu.solve(lu.solve(X, trans="T"))
-
-    def quad_rows(self, D: np.ndarray) -> np.ndarray:
-        """||L d_i||^2 for each row d_i of D."""
-        V = D if self._identity else D @ self.L.T
-        return np.einsum("ij,ij->i", V, V)
-
-    def prec_base(self):
-        if self._prec is None:
-            Lc = scipy.sparse.csc_matrix(self.L)
-            self._prec = (Lc.T @ Lc).tocsr()
-        return self._prec
-
-    def cov_base(self) -> np.ndarray:
-        if self._cov is None:
-            cov = self.solve(np.eye(self.m))
-            self._cov = (cov + cov.T) / 2.0
-        return self._cov
-
-    def _band_inverse(self, b: int) -> np.ndarray:
-        """zb[k, j] = Z[j + k, j] for k <= b, Z = (L^t L)^{-1}.
-
-        Takahashi's recurrences on a lower-triangular R with R R^t = L^t L
-        (half-bandwidth <= b): from the last column back,
-
-            Z[j+1:j+b+1, j] = -Z[j+1:j+b+1, j+1:j+b+1] l / R_jj,
-            Z_jj = 1 / R_jj^2 - l . Z[j+1:j+b+1, j] / R_jj,   l = R[j+1:j+b+1, j],
-
-        which read only entries within b of the diagonal.  For a lower
-        triangular L (every built-in prior) R is L^t in reversed index order,
-        so L's conditioning is not squared; any other L takes the banded
-        Cholesky factor of L^t L.  The trailing block lives in a window of at
-        most 2(b+1) rows that moves every b+1 columns: O(m b^2) time, O(m b)
-        memory.
-        """
-        m = self.m
-        Lc = scipy.sparse.coo_matrix(self.L)
-        flip = bool(np.all(Lc.row >= Lc.col))
-        P = Lc if flip else scipy.sparse.tril(self.prec_base()).tocoo()
-        b = min(max(b, int((P.row - P.col).max(initial=0))), m - 1)
-        R = np.zeros((b + 1, m))
-        if flip:  # R[i, j] = L[m-1-j, m-1-i]
-            np.add.at(R, (Lc.row - Lc.col, m - 1 - Lc.row), Lc.data)
-            if not np.all(R[0] != 0.0):
-                raise InvalidData("precision factor is singular")
-        else:
-            R[P.row - P.col, P.col] = P.data
-            try:
-                R = scipy.linalg.cholesky_banded(R, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise InvalidData("precision factor is singular") from exc
-        zb = np.zeros((b + 1, m))
-        nw = min(m, 2 * (b + 1))
-        win = np.zeros((nw, nw))  # win[i - base, k - base] = Z[i, k]
-        base = m - nw
-        for j in range(m - 1, -1, -1):
-            w = min(b, m - 1 - j)
-            if j < base:  # move the window down to cover rows j .. j + b
-                new_base = max(0, j + b + 1 - nw)
-                old = slice(j + 1 - base, j + 1 + w - base)
-                new = slice(j + 1 - new_base, j + 1 + w - new_base)
-                win[new, new] = win[old, old].copy()
-                base = new_base
-            o = j - base
-            l = R[1 : w + 1, j]
-            z = win[o + 1 : o + 1 + w, o + 1 : o + 1 + w] @ l / -R[0, j]
-            zjj = 1.0 / R[0, j] ** 2 - (l @ z) / R[0, j]
-            win[o, o] = zjj
-            win[o + 1 : o + 1 + w, o] = z
-            win[o, o + 1 : o + 1 + w] = z
-            zb[0, j] = zjj
-            zb[1 : w + 1, j] = z
-        if flip:  # back to the original order: Z[j + k, j] = Z_R[m-1-j, m-1-j-k]
-            k = np.arange(b + 1)[:, None]
-            j = m - 1 - np.arange(m)[None, :] - k
-            zb = np.where(j >= 0, zb[k, np.maximum(j, 0)], 0.0)
-        return zb
-
-    def cov_entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Cbar0[rows, cols] from the band of Cbar0 that covers every pair
-        (cached; widened when a later request reaches further)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if self._identity:
-            return (rows == cols).astype(float)
-        k = np.abs(rows - cols)
-        if self._cov_band is None or (k.size and k.max() >= self._cov_band.shape[0]):
-            self._cov_band = self._band_inverse(int(k.max(initial=0)))
-        return self._cov_band[k, np.minimum(rows, cols)]
-
-    def prec_on_mask(self, mask) -> np.ndarray:
-        """Entries of L^t L at the mask's pairs (cached for the last mask)."""
-        if self._prec_on_mask is None or self._prec_on_mask[0] is not mask:
-            vals = np.asarray(self.prec_base()[mask.rows, mask.cols], dtype=float).ravel()
-            self._prec_on_mask = (mask, vals)
-        return self._prec_on_mask[1]
-
-    def logdet_prec_base(self) -> float:
-        """ln|L^t L| = 2 sum ln|U_ii| (the LU's L has a unit diagonal)."""
-        if self._logdet_prec is None:
-            self._logdet_prec = 2.0 * float(np.sum(np.log(np.abs(self._factor().U.diagonal()))))
-        return self._logdet_prec
-
-
 class PriorSpec:
     """Gaussian prior N(mu0, alpha^{-1} Cbar0) with Cbar0^{-1} = L^t L.
 
     ``L`` is a dense array, a ``scipy.sparse`` matrix, or ``None`` for the
-    identity (Cbar0 = I, held as a sparse identity); it is factored once, on
-    first use, and the factorization is shared by every :meth:`with_alpha`
-    rescaling.
+    identity: solves and row quadratic forms skip it, and it is built as a
+    sparse CSR identity only when asked for.  L is factored on first use by
+    a sparse LU in its natural column order, under which a triangular L
+    (every built-in prior) factors with no fill.  Entries of Cbar0 near the
+    diagonal come from a banded selected inversion of L^t L, never from the
+    dense Cbar0.  These alpha-free results are cached in one dict that every
+    :meth:`with_alpha` rescaling shares; each service scales by alpha.
     """
 
-    def __init__(self, mu0, L, alpha: float, _structure: _PriorStructure | None = None):
+    def __init__(self, mu0, L, alpha: float):
         if alpha <= 0 or not np.isfinite(alpha):
             raise InvalidAlpha(f"alpha must be positive and finite, got {alpha}")
         mu0 = np.asarray(mu0, dtype=float)
@@ -369,12 +219,17 @@ class PriorSpec:
                 raise DimensionMismatch("prior mean/precision factor shapes disagree")
         self.mu0 = mu0
         self.alpha = float(alpha)
-        self._s = _structure if _structure is not None else _PriorStructure(mu0, L)
+        self._L = L
+        self._cache = {}
 
     @property
     def L(self):
         """The precision factor, Cbar0^{-1} = L^t L."""
-        return self._s.L
+        if self._L is not None:
+            return self._L
+        if "identity" not in self._cache:
+            self._cache["identity"] = scipy.sparse.identity(self.m, format="csr")
+        return self._cache["identity"]
 
     @property
     def m(self) -> int:
@@ -382,17 +237,41 @@ class PriorSpec:
 
     def with_alpha(self, alpha: float) -> "PriorSpec":
         """Same interaction structure at a different strength (caches shared)."""
-        return PriorSpec(self.mu0, None, alpha, _structure=self._s)
+        out = PriorSpec(self.mu0, self._L, alpha)
+        out._cache = self._cache
+        return out
+
+    def _lu(self):
+        if "lu" not in self._cache:
+            Lc = scipy.sparse.csc_matrix(self.L)
+            try:
+                self._cache["lu"] = scipy.sparse.linalg.splu(Lc, permc_spec="NATURAL")
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise InvalidData("precision factor is singular") from exc
+        return self._cache["lu"]
+
+    def _prec(self):
+        """L^t L, sparse."""
+        if "prec" not in self._cache:
+            self._cache["prec"] = _gram(self.L)
+        return self._cache["prec"]
+
+    def _solve(self, X: np.ndarray) -> np.ndarray:
+        """Cbar0 X = L^{-1} L^{-t} X."""
+        if self._L is None:
+            return X
+        lu = self._lu()
+        return lu.solve(lu.solve(X, trans="T"))
 
     # -- precision services -------------------------------------------------
 
     def prec_dense(self) -> np.ndarray:
         """C0^{-1} = alpha L^t L."""
-        return self.alpha * self._s.prec_base().toarray()
+        return self.alpha * self._prec().toarray()
 
     def prec_apply(self, x: np.ndarray) -> np.ndarray:
         """C0^{-1} x through the cached sparse L^t L (one product, no transpose)."""
-        return self.alpha * (self._s.prec_base() @ x)
+        return self.alpha * (self._prec() @ x)
 
     def quad_base(self, v: np.ndarray) -> float:
         """v^t Cbar0^{-1} v = ||L v||^2 (alpha-free)."""
@@ -400,37 +279,124 @@ class PriorSpec:
         return float(Lv @ Lv)
 
     def quad_base_rows(self, D: np.ndarray) -> np.ndarray:
-        """d_i^t Cbar0^{-1} d_i for each row d_i of D (alpha-free)."""
-        return self._s.quad_rows(D)
+        """d_i^t Cbar0^{-1} d_i = ||L d_i||^2 for each row d_i of D (alpha-free)."""
+        V = D if self._L is None else D @ self._L.T
+        return np.einsum("ij,ij->i", V, V)
 
     def trace_base(self, C: np.ndarray) -> float:
         """tr(Cbar0^{-1} C) = sum(L^t L o C) (alpha-free)."""
-        return float(self._s.prec_base().multiply(C).sum())
+        return float(self._prec().multiply(C).sum())
 
     def trace_base_masked(self, mask, vals: np.ndarray) -> float:
         """tr(Cbar0^{-1} C) for C given by its values on a mask (zero
-        elsewhere), from the entries of L^t L on the mask (alpha-free)."""
-        return float(self._s.prec_on_mask(mask) @ vals)
+        elsewhere), from the entries of L^t L on the mask, cached for the
+        last mask (alpha-free)."""
+        held = self._cache.get("prec_on_mask")
+        if held is None or held[0] is not mask:
+            vals_prec = np.asarray(self._prec()[mask.rows, mask.cols], dtype=float).ravel()
+            held = self._cache["prec_on_mask"] = (mask, vals_prec)
+        return float(held[1] @ vals)
 
     def logdet_prec(self) -> float:
-        """ln|C0^{-1}| = m ln(alpha) + ln|L^t L|."""
-        return self.m * np.log(self.alpha) + self._s.logdet_prec_base()
+        """ln|C0^{-1}| = m ln(alpha) + ln|L^t L|, with ln|L^t L| = 2 sum ln|U_ii|
+        (the LU's L has a unit diagonal)."""
+        if "logdet" not in self._cache:
+            self._cache["logdet"] = 2.0 * float(np.sum(np.log(np.abs(self._lu().U.diagonal()))))
+        return self.m * np.log(self.alpha) + self._cache["logdet"]
 
     # -- covariance services -------------------------------------------------
 
     def cov_dense(self) -> np.ndarray:
-        return self._s.cov_base() / self.alpha
+        """C0 as a dense array (Cbar0 is cached)."""
+        if "cov" not in self._cache:
+            cov = self._solve(np.eye(self.m))
+            self._cache["cov"] = (cov + cov.T) / 2.0
+        return self._cache["cov"] / self.alpha
 
-    def cov_matmat(self, X: np.ndarray) -> np.ndarray:
-        return self._s.solve(X) / self.alpha
+    def cov_apply(self, X: np.ndarray) -> np.ndarray:
+        """C0 X through the factorization of L (the PCG preconditioner)."""
+        return self._solve(X) / self.alpha
+
+    cov_matmat = cov_apply
 
     def cov_entries(self, rows, cols) -> np.ndarray:
-        """C0[rows, cols] by banded selected inversion (no dense C0)."""
-        return self._s.cov_entries(rows, cols) / self.alpha
+        """C0[rows, cols] from the cached band of Cbar0 that covers every pair
+        (widened when a later request reaches further; no dense C0)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if self._L is None:
+            return (rows == cols).astype(float) / self.alpha
+        k = np.abs(rows - cols)
+        band = self._cache.get("cov_band")
+        if band is None or (k.size and k.max() >= band.shape[0]):
+            band = self._cache["cov_band"] = _band_inverse(self._L, int(k.max(initial=0)))
+        return band[k, np.minimum(rows, cols)] / self.alpha
 
-    def cov_apply(self, x: np.ndarray) -> np.ndarray:
-        """C0 x through the factorization of L (the PCG preconditioner)."""
-        return self._s.solve(x) / self.alpha
+
+def _gram(L):
+    """L^t L as a sparse CSR matrix."""
+    Lc = scipy.sparse.csc_matrix(L)
+    return (Lc.T @ Lc).tocsr()
+
+
+def _band_inverse(L, b: int) -> np.ndarray:
+    """zb[k, j] = Z[j + k, j] for k <= b, Z = (L^t L)^{-1}.
+
+    Takahashi's recurrences on a lower-triangular R with R R^t = L^t L
+    (half-bandwidth <= b): from the last column back,
+
+        Z[j+1:j+b+1, j] = -Z[j+1:j+b+1, j+1:j+b+1] l / R_jj,
+        Z_jj = 1 / R_jj^2 - l . Z[j+1:j+b+1, j] / R_jj,   l = R[j+1:j+b+1, j],
+
+    which read only entries within b of the diagonal.  For a lower
+    triangular L (every built-in prior) R is L^t in reversed index order,
+    so L's conditioning is not squared; any other L takes the banded
+    Cholesky factor of L^t L.  The trailing block lives in a window of at
+    most 2(b+1) rows that moves every b+1 columns: O(m b^2) time, O(m b)
+    memory.
+    """
+    m = L.shape[0]
+    Lc = scipy.sparse.coo_matrix(L)
+    flip = bool(np.all(Lc.row >= Lc.col))
+    P = Lc if flip else scipy.sparse.tril(_gram(L)).tocoo()
+    b = min(max(b, int((P.row - P.col).max(initial=0))), m - 1)
+    R = np.zeros((b + 1, m))
+    if flip:  # R[i, j] = L[m-1-j, m-1-i]
+        np.add.at(R, (Lc.row - Lc.col, m - 1 - Lc.row), Lc.data)
+        if not np.all(R[0] != 0.0):
+            raise InvalidData("precision factor is singular")
+    else:
+        R[P.row - P.col, P.col] = P.data
+        try:
+            R = scipy.linalg.cholesky_banded(R, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidData("precision factor is singular") from exc
+    zb = np.zeros((b + 1, m))
+    nw = min(m, 2 * (b + 1))
+    win = np.zeros((nw, nw))  # win[i - base, k - base] = Z[i, k]
+    base = m - nw
+    for j in range(m - 1, -1, -1):
+        w = min(b, m - 1 - j)
+        if j < base:  # move the window down to cover rows j .. j + b
+            new_base = max(0, j + b + 1 - nw)
+            old = slice(j + 1 - base, j + 1 + w - base)
+            new = slice(j + 1 - new_base, j + 1 + w - new_base)
+            win[new, new] = win[old, old].copy()
+            base = new_base
+        o = j - base
+        l = R[1 : w + 1, j]
+        z = win[o + 1 : o + 1 + w, o + 1 : o + 1 + w] @ l / -R[0, j]
+        zjj = 1.0 / R[0, j] ** 2 - (l @ z) / R[0, j]
+        win[o, o] = zjj
+        win[o + 1 : o + 1 + w, o] = z
+        win[o, o + 1 : o + 1 + w] = z
+        zb[0, j] = zjj
+        zb[1 : w + 1, j] = z
+    if flip:  # back to the original order: Z[j + k, j] = Z_R[m-1-j, m-1-j-k]
+        k = np.arange(b + 1)[:, None]
+        j = m - 1 - np.arange(m)[None, :] - k
+        zb = np.where(j >= 0, zb[k, np.maximum(j, 0)], 0.0)
+    return zb
 
 
 def log_likelihood(x, A: ForwardOperator, data: PoissonData) -> float:
@@ -595,8 +561,6 @@ def make_prior(kind: str, alpha: float, m: int) -> PriorSpec:
     Every factor is ``scipy.sparse``: ``L2`` a CSR identity (built on first
     use), ``H1`` and ``H1_2D`` banded with at most three nonzeros per row.
     """
-    if alpha <= 0 or not np.isfinite(alpha):
-        raise InvalidAlpha(f"alpha must be positive and finite, got {alpha}")
     if kind == "L2":
         L = None  # the identity
     elif kind == "H1":

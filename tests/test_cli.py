@@ -99,6 +99,7 @@ _COMMANDS = ("solve", "hyper", "bench", "validate")
        for c in _COMMANDS]
     + [pytest.param(c, {}, ("--mode", "lowrank", "--rank", "41"), id=f"{c}-rank_above_min_n_m")
        for c in _COMMANDS]
+    + [pytest.param(c, {"problem": {"size": 20.9}}, (), id=f"{c}-size_not_integral") for c in _COMMANDS]
     + [
         pytest.param("hyper", {"hyper": {"a": 0.0}}, (), id="hyper-bad_a"),
         pytest.param("hyper", {"hyper": {"grid_points": -1}}, (), id="hyper-negative_grid_points"),
@@ -108,6 +109,21 @@ _COMMANDS = ("solve", "hyper", "bench", "validate")
         pytest.param("bench", {"bench": {"ranks": [2, 41]}}, (), id="bench-rank_above_min_n_m_in_sweep"),
         pytest.param("bench", {"bench": {"study": "sparsity", "rank": 41}}, (),
                      id="bench-sparsity_rank_above_min_n_m"),
+        # integer settings that their integer conversion would change, and
+        # an even band width, which would keep one entry per row fewer
+        pytest.param("solve", {"solver": {"mode": "lowrank", "rank": 5.7}}, (), id="solve-rank_not_integral"),
+        pytest.param("solve", {"solver": {"max_outer": True}}, (), id="solve-max_outer_true"),
+        pytest.param("solve", {}, ("--mode", "lowrank_sparse", "--rank", "30", "--sparsity", "4"),
+                     id="solve-even_sparsity"),
+        pytest.param("hyper", {"hyper": {"max_em": 2.5}}, (), id="hyper-max_em_not_integral"),
+        pytest.param("hyper", {"hyper": {"grid_points": 3.5}}, (), id="hyper-grid_points_not_integral"),
+        pytest.param("validate", {"mcmc": {"chain_length": 40000.5, "burn_in": 20000}}, (),
+                     id="validate-chain_length_not_integral"),
+        pytest.param("bench", {"bench": {"ranks": [2, 4.5]}}, (), id="bench-rank_not_integral_in_sweep"),
+        pytest.param("bench", {"bench": {"study": "sparsity", "sparsities": [1, 4], "rank": 30}}, (),
+                     id="bench-even_sparsity_in_sweep"),
+        pytest.param("bench", {"bench": {"study": "sparsity", "rank": 30.5}}, (),
+                     id="bench-sparsity_rank_not_integral"),
     ],
 )
 def test_solve_inconsistent_mode_is_usage_error(tmp_path, cmd, sections, extra):

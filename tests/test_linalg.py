@@ -481,6 +481,9 @@ def test_banded_mask_shape():
     P3 = pair_set(mask3)
     assert len(P3) == 5 + 2 * 4
     assert P3 == {(j, i) for i, j in P3}
+    # an even s would leave one of its entries per row out
+    with pytest.raises(InvalidData, match="odd"):
+        SparsityMask.banded(5, 4)
 
 
 def test_grid4_mask_neighbors():

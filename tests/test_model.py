@@ -249,16 +249,22 @@ def test_blur2d_doubly_circulant_structure():
 
 
 class _ColumnLoop:
-    """The blur operator's products one column at a time (the reference)."""
+    """The blur operator's products one column at a time, each as the image
+    product T X T^t (the reference; ``matvec`` is now a one-column
+    ``matmat`` and cannot serve as one)."""
 
     def __init__(self, A):
-        self.A, self.shape = A, A.shape
+        self.T, self.shape = A.kron_factor, A.shape
+
+    def _loop(self, X, T):
+        side = T.shape[0]
+        return np.column_stack([(T @ X[:, j].reshape(side, side) @ T.T).ravel() for j in range(X.shape[1])])
 
     def matmat(self, X):
-        return np.column_stack([self.A.matvec(X[:, j]) for j in range(X.shape[1])])
+        return self._loop(X, self.T)
 
     def rmatmat(self, Y):
-        return np.column_stack([self.A.rmatvec(Y[:, j]) for j in range(Y.shape[1])])
+        return self._loop(Y, self.T.T)
 
 
 def test_blur2d_stacked_products_equal_the_column_loop_bit_for_bit():
@@ -271,6 +277,8 @@ def test_blur2d_stacked_products_equal_the_column_loop_bit_for_bit():
         X = rng.standard_normal((side * side, k))
         np.testing.assert_array_equal(A.matmat(X), ref.matmat(X))
         np.testing.assert_array_equal(A.rmatmat(X), ref.rmatmat(X))
+        np.testing.assert_array_equal(A.matvec(X[:, 0]), ref.matmat(X[:, :1])[:, 0])
+        np.testing.assert_array_equal(A.rmatvec(X[:, 0]), ref.rmatmat(X[:, :1])[:, 0])
     A, _ = make_test_problem("blur2d", 16)
     F, G = pvga.rsvd(A, 51, seed=3), pvga.rsvd(_ColumnLoop(A), 51, seed=3)
     for a, b in ((F.U, G.U), (F.S, G.S), (F.V, G.V)):
@@ -288,6 +296,17 @@ def test_blur2d_descriptor_size_128():
     k = np.minimum(np.arange(128), 128 - np.arange(128))
     taps = np.where(k <= 49, np.exp(-(k**2) / 3.0), 0.0)
     np.testing.assert_allclose(T[:, 0], taps / taps.sum(), rtol=1e-12, atol=0.0)
+    # the taps are folded into T's first column in the order of the loop
+    # that folded them before, so the factor is unchanged bit for bit
+    for side in (8, 40, 128):
+        width = min(99, 2 * side - 1)
+        c = (width - 1) // 2
+        taps = np.exp(-((np.arange(width) - c) ** 2) / 3.0)
+        taps /= taps.sum()
+        kc = np.zeros(side)
+        for j, w in enumerate(taps):
+            kc[(j - c) % side] += w
+        np.testing.assert_array_equal(ForwardOperator.gaussian_blur_2d(side, width).kron_factor[:, 0], kc)
 
 
 def test_problem_rate_scaling():

@@ -38,9 +38,9 @@ from pvga import (
     sample_poisson_data,
     woodbury_basis,
 )
-from pvga.errors import ConfigError, IllConditioned, NoDenseCovariance, NotPositiveDefinite
+from pvga.errors import ConfigError, DimensionMismatch, IllConditioned, NoDenseCovariance, NotPositiveDefinite
 from pvga.formats import substream_seed
-from pvga.model import _PriorStructure, make_prior, make_test_problem
+from pvga.model import make_prior, make_test_problem
 
 from conftest import prior_start, random_problem, random_spd, random_state
 
@@ -367,7 +367,6 @@ def test_masked_blur_fit_builds_no_dense_operator_or_prior_covariance(monkeypatc
 
     monkeypatch.setattr(ForwardOperator, "dense", refuse)
     monkeypatch.setattr(PriorSpec, "cov_dense", refuse)
-    monkeypatch.setattr(_PriorStructure, "cov_base", refuse)
     state, report = run_vga(A, data, prior, VgaConfig(mode="lowrank_sparse", rank=51, mask=mask))
     assert report.converged
     # the final bound of the implementation that densified A and C0 and held
@@ -415,6 +414,12 @@ def test_warm_start_is_held_on_the_run_mask(rng):
     assert moved.C.mask is other and report.converged
     assert report.elbo_trace == cold_report.elbo_trace
     np.testing.assert_array_equal(moved.C.values, cold.C.values)
+    # a start of another dimension is refused before it is held on the
+    # mask, as a dense run refuses it
+    wrong = GaussianState(np.zeros(5), np.eye(5))
+    for cfg in (masked_cfg, VgaConfig()):
+        with pytest.raises(DimensionMismatch, match="dimension 5"):
+            run_vga(A, data, prior, cfg, initial_state=wrong)
 
 
 @pytest.mark.parametrize("mode", ["dense", "lowrank"])
