@@ -21,14 +21,7 @@ import numpy as np
 
 from . import formats
 from .elbo import GaussianState, MaskedCov, elbo
-from .errors import (
-    ConfigError,
-    InvalidAlpha,
-    InvalidData,
-    MaxIterationsExceeded,
-    PvgaError,
-    UnknownProblem,
-)
+from .errors import ConfigError, MaxIterationsExceeded, PvgaError
 from .hyper import HyperConfig, joint_lower_bound, run_hierarchical
 from .linalg import SparsityMask
 from .model import make_prior, make_test_problem, sample_poisson_data
@@ -43,28 +36,29 @@ from .vga import VgaConfig, run_vga
 
 __all__ = ["main", "cmd_solve", "cmd_hyper", "cmd_validate", "cmd_bench", "DEFAULTS"]
 
+# the settings the library configs also hold take their defaults from them
 DEFAULTS: dict = {
     "seed": 0,
     "out": "runs/out",
     "problem": {"name": "phillips", "size": 100, "rate_scale": [0.5, 50.0]},
     "prior": {"kind": "L2", "alpha": 10.0},
-    "solver": {"max_outer": 50, "mode": "dense", "rank": None, "sparsity": None},
+    "solver": {"max_outer": VgaConfig.max_outer, "mode": "dense", "rank": None, "sparsity": None},
     "hyper": {
-        "a": 1.0,
-        "b": 1e-4,
-        "alpha_init": 1.0,
-        # a ceiling on E-step solves, accepted and rejected trials alike; the
-        # bracketed root search takes 8 on the default problem
-        "max_em": 400,
-        "alpha_tol": 1e-8,
+        "a": HyperConfig.a,
+        "b": HyperConfig.b,
+        "alpha_init": HyperConfig.alpha_init,
+        "max_em": HyperConfig.max_em,
+        "alpha_tol": HyperConfig.alpha_tol,
         "grid_points": 30,
-        "grid_decades": 1.0,
     },
-    "mcmc": {"chain_length": 200_000, "burn_in": 100_000, "gamma": 0.9},
+    "mcmc": {"chain_length": McmcConfig.chain_length, "burn_in": McmcConfig.burn_in},
     "bench": {"study": "lowrank", "ranks": [2, 4, 6, 8, 10, 20], "sparsities": [1, 3, 5], "rank": 50},
 }
 
-_CONFIG_ERRORS = (ConfigError, UnknownProblem, InvalidAlpha, InvalidData, KeyError, TypeError, ValueError, OSError)
+# the profiled-bound grid of `hyper` spans this many decades either side of alpha*
+_GRID_DECADES = 1.0
+
+_CONFIG_ERRORS = (PvgaError, KeyError, TypeError, ValueError, OSError)
 
 
 def _deep_merge(base: dict, extra: dict, prefix: str = "") -> dict:
@@ -113,6 +107,17 @@ def _int_setting(value, key: str) -> int:
     return out
 
 
+def _real_setting(value, key: str) -> float:
+    """The real-valued setting ``key``, a finite number.  A boolean, a string
+    or a list is refused, where ``float()`` would take ``true`` as 1 and
+    ``"10"`` as 10; so are NaN, the infinities and integers beyond the float
+    range, which the library's range checks let through (an infinite
+    ``hyper.alpha_tol`` stops EM at once)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _seed(cfg: dict, name: str) -> int:
     """The seed of the named substream of the config's seed."""
     return formats.substream_seed(_int_setting(cfg["seed"], "seed"), name)
@@ -132,10 +137,16 @@ def _build_problem(cfg: dict):
     p = cfg["problem"]
     rate_scale = p["rate_scale"]
     if rate_scale is not None:
-        rate_scale = (float(rate_scale[0]), float(rate_scale[1]))
+        if not isinstance(rate_scale, list) or len(rate_scale) != 2:
+            raise ConfigError(f"problem.rate_scale must be null or two numbers, got {json.dumps(rate_scale)}")
+        rate_scale = tuple(_real_setting(v, "problem.rate_scale") for v in rate_scale)
     A, x_true = make_test_problem(p["name"], _int_setting(p["size"], "problem.size"), rate_scale=rate_scale)
     data = sample_poisson_data(A, x_true, seed=_seed(cfg, "data"))
     return A, x_true, data
+
+
+def _build_prior(cfg: dict, m: int):
+    return make_prior(cfg["prior"]["kind"], _real_setting(cfg["prior"]["alpha"], "prior.alpha"), m)
 
 
 def _build_mask(spec, m: int) -> SparsityMask | None:
@@ -165,7 +176,6 @@ def _solver_config(cfg: dict, A) -> VgaConfig:
         mode=s["mode"],
         rank=None if s["rank"] is None else _int_setting(s["rank"], "solver.rank"),
         mask=_build_mask(s["sparsity"], A.n_cols),
-        rsvd_seed=_seed(cfg, "rsvd"),
     )
     return _checked(vcfg, A)
 
@@ -212,7 +222,7 @@ def _fail(exc: Exception, code: int) -> int:
 
 def cmd_solve(cfg: dict):
     A, _x_true, data = _build_problem(cfg)
-    prior = make_prior(cfg["prior"]["kind"], float(cfg["prior"]["alpha"]), A.n_cols)
+    prior = _build_prior(cfg, A.n_cols)
     vcfg = _solver_config(cfg, A)
 
     def run(out: Path) -> int:
@@ -235,15 +245,15 @@ def cmd_hyper(cfg: dict):
     vcfg = _solver_config(cfg, A)
     h = cfg["hyper"]
     hcfg = HyperConfig(
-        a=float(h["a"]),
-        b=float(h["b"]),
-        alpha_init=float(h["alpha_init"]),
+        a=_real_setting(h["a"], "hyper.a"),
+        b=_real_setting(h["b"], "hyper.b"),
+        alpha_init=_real_setting(h["alpha_init"], "hyper.alpha_init"),
         max_em=_int_setting(h["max_em"], "hyper.max_em"),
-        alpha_tol=float(h["alpha_tol"]),
+        alpha_tol=_real_setting(h["alpha_tol"], "hyper.alpha_tol"),
         inner=vcfg,
     )
     hcfg.validate()
-    pts, dec = _int_setting(h["grid_points"], "hyper.grid_points"), float(h["grid_decades"])
+    pts = _int_setting(h["grid_points"], "hyper.grid_points")
     if pts < 0:
         raise ConfigError(f"hyper.grid_points must be nonnegative, got {pts}")
 
@@ -261,7 +271,7 @@ def cmd_hyper(cfg: dict):
             [k, np.asarray(trace.alpha_sequence[: k.size]), trace.psi_sequence, trace.joint_bound_sequence],
         )
         # profiled joint bound over a log-grid bracketing the attained alpha
-        grid = alpha_star * np.logspace(-dec, dec, pts)
+        grid = alpha_star * np.logspace(-_GRID_DECADES, _GRID_DECADES, pts)
         bounds = []
         g_state = state
         for a_val in grid:
@@ -293,7 +303,7 @@ def cmd_validate(cfg: dict):
             "keeps only the masked entries"
         )
     A, _x_true, data = _build_problem(cfg)
-    prior = make_prior(cfg["prior"]["kind"], float(cfg["prior"]["alpha"]), A.n_cols)
+    prior = _build_prior(cfg, A.n_cols)
     vcfg = _solver_config(cfg, A)
     mc = cfg["mcmc"]
     mcfg = McmcConfig(
@@ -302,14 +312,11 @@ def cmd_validate(cfg: dict):
         seed=_seed(cfg, "mcmc"),
     )
     mcfg.validate()
-    gamma = float(mc["gamma"])
-    if not 0.0 < gamma < 1.0:
-        raise ConfigError(f"mcmc.gamma must lie in (0, 1), got {gamma}")
 
     def run(out: Path) -> int:
         vga_state, report = run_vga(A, data, prior, vcfg)
         lap_state = laplace_approximation(A, data, prior)
-        summary = mh_independence_sampler(A, data, prior, vga_state, mcfg, gamma=gamma)
+        summary = mh_independence_sampler(A, data, prior, vga_state, mcfg)
         mcmc_state = GaussianState(summary.mean, summary.covariance)
 
         def _metrics(g1, g2):
@@ -319,7 +326,7 @@ def cmd_validate(cfg: dict):
             out / "compare.json",
             {
                 "acceptance_rate": summary.acceptance_rate,
-                "gamma": gamma,
+                "gamma": summary.gamma,
                 "n_kept": summary.n_kept,
                 "thin": summary.thin,
                 "mcmc_vs_vga": _metrics(mcmc_state, vga_state),
@@ -328,8 +335,8 @@ def cmd_validate(cfg: dict):
                 "vga_converged": report.converged,
             },
         )
-        vga_hpd = hpd_intervals(vga_state, gamma)
-        lap_hpd = hpd_intervals(lap_state, gamma)
+        vga_hpd = hpd_intervals(vga_state, summary.gamma)
+        lap_hpd = hpd_intervals(lap_state, summary.gamma)
         formats.write_csv(
             out / "hpd.csv",
             ["i", "vga_low", "vga_high", "laplace_low", "laplace_high", "mcmc_low", "mcmc_high"],
@@ -377,7 +384,7 @@ def cmd_bench(cfg: dict):
         raise ConfigError(f"bench study must be 'lowrank' or 'sparsity', got {study!r}")
     A, _x_true, data = _build_problem(cfg)
     m = A.n_cols
-    prior = make_prior(cfg["prior"]["kind"], float(cfg["prior"]["alpha"]), m)
+    prior = _build_prior(cfg, m)
     base = _solver_config(cfg, A)
     # every point's settings are checked before anything is written
     if study == "lowrank":
@@ -453,9 +460,9 @@ _COMMANDS = {"solve": cmd_solve, "hyper": cmd_hyper, "validate": cmd_validate, "
 
 
 def main(argv=None) -> int:
-    """Exit 2 on a config error or an output directory that cannot be
-    written, both found before the run starts; from there on a PvgaError
-    exits 1, and any other error propagates."""
+    """Exit 2 on a config error, a package error or an output directory that
+    cannot be written, all found before the run starts; from there on a
+    PvgaError exits 1, and any other error propagates."""
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
@@ -463,8 +470,6 @@ def main(argv=None) -> int:
         out = _prepare_out(cfg)
     except _CONFIG_ERRORS as exc:
         return _fail(exc, 2)
-    except PvgaError as exc:
-        return _fail(exc, 1)
     try:
         return run(out)
     except PvgaError as exc:

@@ -8,8 +8,8 @@
   JSON is accepted as alternate input.  Dumping is canonical (sorted keys) so
   a rerun writes byte-identical copies.
 * Substreams: all randomness flows from one seed through named children
-  (:func:`substream_seed`), so the data draw, the range finder, and the
-  chain can be re-seeded separately.
+  (:func:`substream_seed`), so the data draw and the chain can be
+  re-seeded separately.
 """
 
 from __future__ import annotations

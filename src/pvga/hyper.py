@@ -58,7 +58,9 @@ class HyperConfig:
     a: float = 1.0
     b: float = 1e-4  # strictly positive keeps the alpha iterates bounded
     alpha_init: float = 1.0
-    max_em: int = 100
+    # a ceiling, not a budget: on phillips 100 (L2, seed-0 data) the
+    # bracketed root search takes 8 E-step solves
+    max_em: int = 400
     alpha_tol: float = 1e-8
     inner: VgaConfig = field(default_factory=VgaConfig)
 

@@ -174,10 +174,6 @@ class LowRankFactor:
     def rank(self) -> int:
         return self.S.size
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.U.shape[0], self.V.shape[0])
-
     def dense(self) -> np.ndarray:
         return (self.U * self.S) @ self.V.T
 

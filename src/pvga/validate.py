@@ -47,6 +47,7 @@ _THIN_ABOVE = 1000
 _MAP_GRAD_TOL = 1e-10
 _MAP_MAXIT = 100
 _ORBIT_SLACK = 1e-10  # Loewner order tolerance of orbit_check
+_HPD_GAMMA = 0.9  # mass of the sampler's HPD intervals
 
 
 @dataclass
@@ -160,7 +161,6 @@ def mh_independence_sampler(
     prior: PriorSpec,
     proposal: GaussianState,
     cfg: McmcConfig | None = None,
-    gamma: float = 0.9,
 ) -> ChainSummary:
     """Independence sampler targeting p(x|y) with a fixed Gaussian proposal.
 
@@ -177,7 +177,7 @@ def mh_independence_sampler(
 
     The kept samples are the only array that grows with the chain: the
     covariance is summed over centered row blocks after the mean, and the HPD
-    intervals sort a few coordinates at a time.
+    intervals, at mass 0.9, sort a few coordinates at a time.
     """
     cfg = cfg or McmcConfig()
     cfg.validate()
@@ -222,7 +222,7 @@ def mh_independence_sampler(
 
     mean = samples.mean(axis=0)
     cov = _sample_covariance(samples, mean)
-    intervals = hpd_intervals(samples, gamma)
+    intervals = hpd_intervals(samples, _HPD_GAMMA)
     nb = min(20, max(2, n_kept // 50))
     bs = n_kept // nb
     bm = samples[: nb * bs].reshape(nb, bs, m).mean(axis=1)
@@ -232,7 +232,7 @@ def mh_independence_sampler(
         covariance=cov,
         acceptance_rate=n_acc / K,
         intervals=intervals,
-        gamma=gamma,
+        gamma=_HPD_GAMMA,
         mean_stderr=stderr,
         n_kept=n_kept,
         thin=thin,

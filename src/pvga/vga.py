@@ -73,10 +73,9 @@ _STALL_REL_ELBO = 1e-11
 @dataclass
 class VgaConfig:
     """Solver settings: the sweep budget, the execution mode, the rank of the
-    factored modes, the sparsity mask of ``lowrank_sparse`` and the seed of
-    the randomized factorization.  :meth:`validate` refuses a rank below 1
-    and a setting the mode would ignore: a rank in dense mode, or a mask
-    outside ``lowrank_sparse``.
+    factored modes and the sparsity mask of ``lowrank_sparse``.
+    :meth:`validate` refuses a rank below 1 and a setting the mode would
+    ignore: a rank in dense mode, or a mask outside ``lowrank_sparse``.
 
     The algorithm's own step counts and tolerances are module constants: five
     Newton updates and one fixed-point update per outer sweep, stopping when
@@ -88,7 +87,6 @@ class VgaConfig:
     mode: str = "dense"
     rank: int | None = None
     mask: SparsityMask | None = None
-    rsvd_seed: int = 0
 
     def validate(self) -> None:
         if self.mode not in _MODES:
@@ -309,7 +307,7 @@ def run_vga(
         state = state.replace_cov(C)
     basis = None
     if cfg.mode != "dense":
-        basis = woodbury_basis(prior, rsvd(A, cfg.rank, seed=cfg.rsvd_seed))
+        basis = woodbury_basis(prior, rsvd(A, cfg.rank))
     report = SolverReport()
     F = elbo(state, A, data, prior).total
     report.elbo_trace.append(F)
@@ -317,7 +315,7 @@ def run_vga(
     cov_prev = cov_two_ago = None
     saturated = False  # read off each state's cached log-rates once evaluated
     for _ in range(cfg.max_outer):
-        counts = {"newton": 0, "pcg": 0, "pcg_unconverged": 0, "fixed_point": 1, "halvings": 0}
+        counts = {"newton": 0, "pcg": 0, "pcg_unconverged": 0, "halvings": 0}
         delta = 0.0
         precond = state.C.apply or prior.cov_apply
         for _ in range(_NEWTON_STEPS):

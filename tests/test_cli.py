@@ -15,7 +15,9 @@ from pvga import cli
 from pvga.cli import DEFAULTS, _build_parser, _build_problem, _resolve_config, main
 from pvga.errors import InvalidAlpha, InvalidData
 from pvga.formats import read_csv, read_vgam, substream_seed
-from pvga.model import sample_poisson_data
+from pvga.linalg import SparsityMask
+from pvga.model import make_prior, make_test_problem, sample_poisson_data
+from pvga.vga import VgaConfig, run_vga
 
 
 def write_cfg(tmp_path, name="run.cfg", **sections):
@@ -80,6 +82,19 @@ def test_cli_draws_the_data_the_library_draws_for_a_seed():
     np.testing.assert_array_equal(data.y, expect.y)
 
 
+def test_cli_factors_a_as_the_library_does(tmp_path):
+    # a factored fit reads the library's rsvd factor, at its default seed
+    cfg = write_cfg(tmp_path, problem={"name": "blur2d", "size": 16}, prior={"kind": "H1_2D", "alpha": 1.0})
+    out = tmp_path / "o"
+    factored = ("--mode", "lowrank_sparse", "--rank", "51", "--sparsity", "grid4")
+    assert run("solve", cfg, out, "--seed", "0", *factored) == 0
+    A, x_true = make_test_problem("blur2d", 16)
+    data = sample_poisson_data(A, x_true, seed=substream_seed(0, "data"))
+    vcfg = VgaConfig(mode="lowrank_sparse", rank=51, mask=SparsityMask.grid4(16))
+    _, report = run_vga(A, data, make_prior("H1_2D", 1.0, 256), vcfg)
+    assert json.loads((out / "report.json").read_text())["final_elbo"] == report.elbo_trace[-1]
+
+
 def test_solve_missing_config_is_usage_error(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "absent.cfg")]) == 2
 
@@ -103,7 +118,6 @@ _COMMANDS = ("solve", "hyper", "bench", "validate")
     + [
         pytest.param("hyper", {"hyper": {"a": 0.0}}, (), id="hyper-bad_a"),
         pytest.param("hyper", {"hyper": {"grid_points": -1}}, (), id="hyper-negative_grid_points"),
-        pytest.param("validate", {"mcmc": {"gamma": 1.5}}, (), id="validate-bad_gamma"),
         pytest.param("bench", {"bench": {"study": "nope"}}, (), id="bench-unknown_study"),
         pytest.param("bench", {"bench": {"ranks": [2, 0]}}, (), id="bench-rank_zero_in_sweep"),
         pytest.param("bench", {"bench": {"ranks": [2, 41]}}, (), id="bench-rank_above_min_n_m_in_sweep"),
@@ -124,6 +138,15 @@ _COMMANDS = ("solve", "hyper", "bench", "validate")
                      id="bench-even_sparsity_in_sweep"),
         pytest.param("bench", {"bench": {"study": "sparsity", "rank": 30.5}}, (),
                      id="bench-sparsity_rank_not_integral"),
+        # real-valued settings that float() would take or cut short
+        pytest.param("solve", {"prior": {"alpha": True}}, (), id="solve-alpha_true"),
+        pytest.param("solve", {"prior": {"alpha": "10"}}, (), id="solve-alpha_string"),
+        pytest.param("solve", {"problem": {"rate_scale": [0.5, 50.0, 7]}}, (), id="solve-rate_scale_three"),
+        pytest.param("solve", {"problem": {"rate_scale": [0.5]}}, (), id="solve-rate_scale_one"),
+        pytest.param("hyper", {"hyper": {"b": True}}, (), id="hyper-b_true"),
+        pytest.param("hyper", {"hyper": {"alpha_tol": float("inf")}}, (), id="hyper-alpha_tol_infinite"),
+        # a package error raised while the problem is built
+        pytest.param("solve", {"problem": {"size": 9000}}, (), id="solve-size_too_large"),
     ],
 )
 def test_solve_inconsistent_mode_is_usage_error(tmp_path, cmd, sections, extra):
@@ -145,7 +168,13 @@ def test_solve_masked_mode_without_rank_is_usage_error_at_every_size(tmp_path, c
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("solver", "pcg_tol", 1e-3), ("slover", "mode", "lowrank"), ("emit", "csv", False)],
+    [
+        ("solver", "pcg_tol", 1e-3),
+        ("slover", "mode", "lowrank"),
+        ("emit", "csv", False),
+        ("mcmc", "gamma", 1.5),
+        ("hyper", "grid_decades", 2.0),
+    ],
 )
 def test_unknown_config_key_is_usage_error(tmp_path, capsys, section, key, value):
     # removed settings, misspelled sections and keys fail loudly, before the

@@ -335,7 +335,6 @@ def test_report_bookkeeping(rng):
     for counts in report.inner_counts:
         assert 1 <= counts["newton"] <= 5
         assert 0 <= counts["pcg_unconverged"] <= counts["newton"]
-        assert counts["fixed_point"] == 1
 
 
 def test_default_newton_steps_solve_to_tolerance_and_truncation_is_reported(monkeypatch):
