@@ -21,7 +21,7 @@ import numpy as np
 
 from . import formats
 from .elbo import GaussianState, MaskedCov, elbo
-from .errors import ConfigError, MaxIterationsExceeded, PvgaError
+from .errors import ConfigError, MaxIterationsExceeded, PvgaError, is_count
 from .hyper import HyperConfig, joint_lower_bound, run_hierarchical
 from .linalg import SparsityMask
 from .model import make_prior, make_test_problem, sample_poisson_data
@@ -94,35 +94,6 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
-def _int_setting(value, key: str) -> int:
-    """The integer setting ``key``; a value that its integer conversion would
-    change (20.9, ``true``) is refused, not truncated.  A string is taken as
-    its decimal digits, as ``--sparsity`` gives them."""
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or isinstance(value, bool) or (out != value and str(out) != value):
-        raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
-    return out
-
-
-def _real_setting(value, key: str) -> float:
-    """The real-valued setting ``key``, a finite number.  A boolean, a string
-    or a list is refused, where ``float()`` would take ``true`` as 1 and
-    ``"10"`` as 10; so are NaN, the infinities and integers beyond the float
-    range, which the library's range checks let through (an infinite
-    ``hyper.alpha_tol`` stops EM at once)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{key} must be a finite number, got {json.dumps(value)}")
-    return float(value)
-
-
-def _seed(cfg: dict, name: str) -> int:
-    """The seed of the named substream of the config's seed."""
-    return formats.substream_seed(_int_setting(cfg["seed"], "seed"), name)
-
-
 def _prepare_out(cfg: dict) -> Path:
     """Create the output directory and write config.txt.  :func:`main` calls
     it only once the command has built its problem and settings, so a config
@@ -135,18 +106,13 @@ def _prepare_out(cfg: dict) -> Path:
 
 def _build_problem(cfg: dict):
     p = cfg["problem"]
-    rate_scale = p["rate_scale"]
-    if rate_scale is not None:
-        if not isinstance(rate_scale, list) or len(rate_scale) != 2:
-            raise ConfigError(f"problem.rate_scale must be null or two numbers, got {json.dumps(rate_scale)}")
-        rate_scale = tuple(_real_setting(v, "problem.rate_scale") for v in rate_scale)
-    A, x_true = make_test_problem(p["name"], _int_setting(p["size"], "problem.size"), rate_scale=rate_scale)
-    data = sample_poisson_data(A, x_true, seed=_seed(cfg, "data"))
+    A, x_true = make_test_problem(p["name"], p["size"], rate_scale=p["rate_scale"])
+    data = sample_poisson_data(A, x_true, seed=formats.substream_seed(cfg["seed"], "data"))
     return A, x_true, data
 
 
 def _build_prior(cfg: dict, m: int):
-    return make_prior(cfg["prior"]["kind"], _real_setting(cfg["prior"]["alpha"], "prior.alpha"), m)
+    return make_prior(cfg["prior"]["kind"], cfg["prior"]["alpha"], m)
 
 
 def _build_mask(spec, m: int) -> SparsityMask | None:
@@ -157,7 +123,9 @@ def _build_mask(spec, m: int) -> SparsityMask | None:
         if side * side != m:
             raise ConfigError(f"grid4 mask needs a square grid; m={m}")
         return SparsityMask.grid4(side)
-    return SparsityMask.banded(m, _int_setting(spec, "solver.sparsity"))
+    if isinstance(spec, str) and spec.isdecimal():  # --sparsity gives the band width as digits
+        spec = int(spec)
+    return SparsityMask.banded(m, spec)
 
 
 def _checked(vcfg: VgaConfig, A) -> VgaConfig:
@@ -171,12 +139,8 @@ def _checked(vcfg: VgaConfig, A) -> VgaConfig:
 
 def _solver_config(cfg: dict, A) -> VgaConfig:
     s = cfg["solver"]
-    vcfg = VgaConfig(
-        max_outer=_int_setting(s["max_outer"], "solver.max_outer"),
-        mode=s["mode"],
-        rank=None if s["rank"] is None else _int_setting(s["rank"], "solver.rank"),
-        mask=_build_mask(s["sparsity"], A.n_cols),
-    )
+    vcfg = VgaConfig(max_outer=s["max_outer"], mode=s["mode"], rank=s["rank"],
+                     mask=_build_mask(s["sparsity"], A.n_cols))
     return _checked(vcfg, A)
 
 
@@ -244,18 +208,12 @@ def cmd_hyper(cfg: dict):
     structure = make_prior(cfg["prior"]["kind"], 1.0, m)
     vcfg = _solver_config(cfg, A)
     h = cfg["hyper"]
-    hcfg = HyperConfig(
-        a=_real_setting(h["a"], "hyper.a"),
-        b=_real_setting(h["b"], "hyper.b"),
-        alpha_init=_real_setting(h["alpha_init"], "hyper.alpha_init"),
-        max_em=_int_setting(h["max_em"], "hyper.max_em"),
-        alpha_tol=_real_setting(h["alpha_tol"], "hyper.alpha_tol"),
-        inner=vcfg,
-    )
+    hcfg = HyperConfig(a=h["a"], b=h["b"], alpha_init=h["alpha_init"], max_em=h["max_em"],
+                       alpha_tol=h["alpha_tol"], inner=vcfg)
     hcfg.validate()
-    pts = _int_setting(h["grid_points"], "hyper.grid_points")
-    if pts < 0:
-        raise ConfigError(f"hyper.grid_points must be nonnegative, got {pts}")
+    pts = h["grid_points"]
+    if not (is_count(pts) and pts >= 0):
+        raise ConfigError(f"hyper.grid_points must be a nonnegative integer, got {json.dumps(pts)}")
 
     def run(out: Path) -> int:
         failed = None
@@ -306,11 +264,8 @@ def cmd_validate(cfg: dict):
     prior = _build_prior(cfg, A.n_cols)
     vcfg = _solver_config(cfg, A)
     mc = cfg["mcmc"]
-    mcfg = McmcConfig(
-        chain_length=_int_setting(mc["chain_length"], "mcmc.chain_length"),
-        burn_in=_int_setting(mc["burn_in"], "mcmc.burn_in"),
-        seed=_seed(cfg, "mcmc"),
-    )
+    mcfg = McmcConfig(chain_length=mc["chain_length"], burn_in=mc["burn_in"],
+                      seed=formats.substream_seed(cfg["seed"], "mcmc"))
     mcfg.validate()
 
     def run(out: Path) -> int:
@@ -388,14 +343,14 @@ def cmd_bench(cfg: dict):
     base = _solver_config(cfg, A)
     # every point's settings are checked before anything is written
     if study == "lowrank":
-        sweep = [_int_setting(r, "bench.ranks") for r in cfg["bench"]["ranks"]]
+        sweep = cfg["bench"]["ranks"]
         names = ["rank"] + _BENCH_ERROR_COLUMNS
         points = [dataclasses.replace(base, mode="lowrank", rank=r, mask=None) for r in sweep]
     else:
-        sweep = [_int_setting(s, "bench.sparsities") for s in cfg["bench"]["sparsities"]]
-        rank = _int_setting(cfg["bench"]["rank"], "bench.rank")
+        sweep = cfg["bench"]["sparsities"]
         names = ["sparsity"] + _BENCH_ERROR_COLUMNS
-        points = [dataclasses.replace(base, mode="lowrank_sparse", rank=rank, mask=SparsityMask.banded(m, s))
+        points = [dataclasses.replace(base, mode="lowrank_sparse", rank=cfg["bench"]["rank"],
+                                      mask=SparsityMask.banded(m, s))
                   for s in sweep]
     points = [_checked(p, A) for p in points]
 

@@ -4,6 +4,21 @@ Every error raised deliberately by this package derives from :class:`PvgaError`,
 so callers can catch one type at the boundary (the CLI maps them to exit codes).
 """
 
+import sys
+from numbers import Integral, Real
+
+
+def is_count(v) -> bool:
+    """Whether ``v`` is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    """Whether ``v`` is a finite real number and not a bool.  An integer
+    beyond the float range is refused: Python compares it with the largest
+    float exactly, where ``float(v)`` would raise ``OverflowError``."""
+    return isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
 
 class PvgaError(Exception):
     """Base class for all pvga errors."""
@@ -46,7 +61,7 @@ class UnknownProblem(PvgaError):
 
 
 class InvalidAlpha(PvgaError):
-    """Prior strength alpha must be strictly positive."""
+    """Prior strength alpha must be positive and finite."""
 
 
 class AlphaCollapse(PvgaError):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidData
+from .errors import ConfigError, InvalidData, is_count
 
 __all__ = [
     "VGAM_VERSION",
@@ -102,12 +102,17 @@ def read_csv(path) -> dict:
     if not lines or not lines[0].startswith("# pvga-csv v"):
         raise InvalidData(f"{path}: missing schema line")
     head, _, cols = lines[0].partition(":")
-    version = int(head.split("v")[-1])
-    if version != CSV_VERSION:
-        raise InvalidData(f"{path}: unsupported CSV version {version}")
+    version = head[len("# pvga-csv v"):]
+    if version != str(CSV_VERSION):
+        raise InvalidData(f"{path}: unsupported CSV version {version!r}")
     names = [c.strip() for c in cols.split(",")]
     rows = [line.split(",") for line in lines[1:] if line.strip()]
-    data = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
+    if any(len(row) != len(names) for row in rows):
+        raise InvalidData(f"{path}: a row's cell count differs from the {len(names)} columns")
+    try:
+        data = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
+    except ValueError:
+        raise InvalidData(f"{path}: a cell is not a number") from None
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
@@ -181,7 +186,10 @@ def load_config(path) -> dict:
 
 
 def substream_seed(seed: int, name: str) -> int:
-    """Stable derived seed for the named component."""
+    """Stable derived seed for the named component of a nonnegative integer
+    seed."""
+    if not (is_count(seed) and seed >= 0):
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     return int(
         np.random.SeedSequence((int(seed), zlib.crc32(name.encode()))).generate_state(1)[0]
     )

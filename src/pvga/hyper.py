@@ -34,6 +34,8 @@ from .errors import (
     InvalidAlpha,
     MaxIterationsExceeded,
     NonpositiveDenominator,
+    is_count,
+    is_real,
 )
 from .model import ForwardOperator, PoissonData, PriorSpec
 from .vga import VgaConfig, run_vga
@@ -65,13 +67,23 @@ class HyperConfig:
     inner: VgaConfig = field(default_factory=VgaConfig)
 
     def validate(self) -> None:
-        if self.a <= 0 or self.b <= 0:
-            raise ConfigError("hyperprior parameters a, b must be positive")
-        if self.alpha_init <= 0:
-            raise InvalidAlpha(f"alpha_init must be positive, got {self.alpha_init}")
-        if self.max_em < 1 or self.alpha_tol <= 0:
-            raise ConfigError("max_em >= 1 and alpha_tol > 0 required")
+        _check_hyperprior(self.a, self.b)
+        if not (is_real(self.alpha_init) and self.alpha_init > 0):
+            raise InvalidAlpha(f"alpha_init must be positive and finite, got {self.alpha_init!r}")
+        if not (is_count(self.max_em) and self.max_em >= 1):
+            raise ConfigError(f"max_em must be an integer of at least 1, got {self.max_em!r}")
+        # an infinite tolerance would stop EM after one E-step
+        if not (is_real(self.alpha_tol) and self.alpha_tol > 0):
+            raise ConfigError(f"alpha_tol must be positive and finite, got {self.alpha_tol!r}")
         self.inner.validate()
+
+
+def _check_hyperprior(a, b) -> None:
+    """Refuse a Gamma(a, b) hyperprior whose a or b is not a positive finite
+    number; a NaN would pass through every formula here as a NaN result."""
+    for name, v in (("a", a), ("b", b)):
+        if not (is_real(v) and v > 0):
+            raise ConfigError(f"hyperprior parameter {name} must be positive and finite, got {v!r}")
 
 
 @dataclass
@@ -94,6 +106,7 @@ class HyperTrace:
 
 def alpha_upper_bound(m: int, a: float, b: float) -> float:
     """(m + 2(a-1)) / (2b), the ceiling every alpha iterate respects."""
+    _check_hyperprior(a, b)
     return (m + 2.0 * (a - 1.0)) / (2.0 * b)
 
 
@@ -108,10 +121,9 @@ def joint_lower_bound(
 ) -> float:
     """Bound on the joint evidence: F_alpha(state) + (a-1) ln(alpha) - alpha b
     + ln(b^a / Gamma(a)).  The structure's own alpha is ignored."""
-    if alpha <= 0 or not np.isfinite(alpha):
-        raise InvalidAlpha(f"alpha must be positive, got {alpha}")
-    if a <= 0 or b <= 0:
-        raise ConfigError("hyperprior parameters a, b must be positive")
+    if not (is_real(alpha) and alpha > 0):
+        raise InvalidAlpha(f"alpha must be positive and finite, got {alpha!r}")
+    _check_hyperprior(a, b)
     F = elbo(state, A, data, prior_structure.with_alpha(alpha)).total
     return F + (a - 1.0) * np.log(alpha) - alpha * b + a * np.log(b) - float(gammaln(a))
 
@@ -141,7 +153,9 @@ def _psi(state: GaussianState, prior_structure: PriorSpec) -> float:
 
 def update_alpha(state: GaussianState, prior_structure: PriorSpec, a: float, b: float) -> float:
     """M-step: alpha = (m + 2(a-1)) / (quad + trace + 2b) = (m/2+a-1)/(b - psi),
-    with m the dimension of ``prior_structure``."""
+    with m the dimension of ``prior_structure``.  A b that makes the
+    denominator nonpositive raises :class:`NonpositiveDenominator`; any other
+    a or b that is not positive and finite is a ``ConfigError``."""
     m = prior_structure.m
     v = state.mean - prior_structure.mu0
     denom = prior_structure.quad_base(v) + state.C.trace_base(prior_structure) + 2.0 * b
@@ -149,6 +163,7 @@ def update_alpha(state: GaussianState, prior_structure: PriorSpec, a: float, b: 
         raise NonpositiveDenominator(
             f"alpha update denominator {denom:.3e} is nonpositive (b must be > 0)"
         )
+    _check_hyperprior(a, b)
     alpha = (m + 2.0 * (a - 1.0)) / denom
     if alpha <= 0:
         raise InvalidAlpha(

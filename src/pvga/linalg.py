@@ -24,6 +24,7 @@ from .errors import (
     NotPositiveDefinite,
     RankTooLarge,
     SingularInnerSystem,
+    is_count,
 )
 
 __all__ = [
@@ -189,12 +190,19 @@ class SparsityMask:
     """
 
     def __init__(self, dim: int, rows, cols):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        if not (is_count(dim) and dim >= 1):
+            raise InvalidData(f"mask dim must be a positive integer, got {dim!r}")
+        rows, cols = np.asarray(rows), np.asarray(cols)
         if rows.shape != cols.shape or rows.ndim != 1:
             raise DimensionMismatch("mask rows/cols must be equal-length 1-d arrays")
+        # an index its int64 conversion would change (0.5, nan, True) is
+        # refused, not truncated
+        for idx in (rows, cols):
+            if idx.dtype.kind not in "iuf" or (idx.dtype.kind == "f" and not np.all(idx == np.trunc(idx))):
+                raise InvalidData("mask indices must be integers")
         if rows.size and (rows.min() < 0 or rows.max() >= dim or cols.min() < 0 or cols.max() >= dim):
             raise DimensionMismatch("mask indices out of range")
+        rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
         # Symmetrize and add the diagonal, dropping duplicates; the linear
         # index i * dim + j sorts the pairs row-major.
         self.dim = int(dim)
@@ -207,8 +215,8 @@ class SparsityMask:
     def banded(cls, dim: int, s: int) -> "SparsityMask":
         """Band mask with at most s nonzeros per row: the diagonal and (s-1)/2
         bands on each side, so s must be odd."""
-        if s < 1 or s % 2 == 0:
-            raise InvalidData(f"per-row nonzero count s must be a positive odd integer, got {s}")
+        if not (is_count(s) and s >= 1 and s % 2 == 1):
+            raise InvalidData(f"per-row nonzero count s must be a positive odd integer, got {s!r}")
         half = (s - 1) // 2
         rows, cols = [], []
         for k in range(-half, half + 1):

@@ -21,6 +21,8 @@ from .errors import (
     RateOverflow,
     UnknownProblem,
     ConfigError,
+    is_count,
+    is_real,
 )
 from . import _kernels
 
@@ -208,8 +210,8 @@ class PriorSpec:
     """
 
     def __init__(self, mu0, L, alpha: float):
-        if alpha <= 0 or not np.isfinite(alpha):
-            raise InvalidAlpha(f"alpha must be positive and finite, got {alpha}")
+        if not (is_real(alpha) and alpha > 0):
+            raise InvalidAlpha(f"alpha must be positive and finite, got {alpha!r}")
         mu0 = np.asarray(mu0, dtype=float)
         if mu0.ndim != 1:
             raise DimensionMismatch("prior mean must be a vector")
@@ -524,8 +526,17 @@ def make_test_problem(
     keeps the scaled truth exactly representable by the same operator.  Pass
     ``rate_scale=None`` to disable.
     """
-    if size < 8:
-        raise InvalidData("size must be at least 8")
+    if not (is_count(size) and size >= 8):
+        raise InvalidData(f"size must be an integer of at least 8, got {size!r}")
+    if rate_scale is not None and not (
+        isinstance(rate_scale, (tuple, list))
+        and len(rate_scale) == 2
+        and all(is_real(v) for v in rate_scale)
+        and 0 < rate_scale[0] < rate_scale[1]
+    ):
+        raise InvalidData(
+            f"rate_scale must be None or two finite numbers with 0 < rate_min < rate_max, got {rate_scale!r}"
+        )
     try:
         builder = _PROBLEMS[name]
     except KeyError:
@@ -533,8 +544,6 @@ def make_test_problem(
     op, x_true = builder(size)
     if rate_scale is not None:
         rate_min, rate_max = rate_scale
-        if not (0 < rate_min < rate_max):
-            raise InvalidData("rate_scale must satisfy 0 < rate_min < rate_max")
         z = op.matvec(x_true)
         zmax, zmin = float(z.max()), float(z.min())
         if zmax <= 0:

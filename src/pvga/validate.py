@@ -22,6 +22,7 @@ from .errors import (
     DimensionTooLarge,
     InsufficientSamples,
     MaxIterationsExceeded,
+    is_count,
 )
 # cholesky, spd_inverse: unused here, kept as names perfbench's tracer wraps
 from .linalg import cholesky, logdet, spd_inverse, symmetrize  # noqa: F401
@@ -57,7 +58,11 @@ class McmcConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not 0 <= self.burn_in < self.chain_length:
+        for name in ("chain_length", "burn_in", "seed"):
+            v = getattr(self, name)
+            if not (is_count(v) and v >= 0):
+                raise ConfigError(f"{name} must be a nonnegative integer, got {v!r}")
+        if not self.burn_in < self.chain_length:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < chain_length")
 
 

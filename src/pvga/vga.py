@@ -25,7 +25,7 @@ import scipy.linalg
 
 from .elbo import DenseCov, GaussianState, MaskedCov, PointMass, elbo, rate_vector
 from .elbo import _bound_with_logdet, _exp_rates, _saturates
-from .errors import BreakdownError, ConfigError, DimensionMismatch, IllConditioned
+from .errors import BreakdownError, ConfigError, DimensionMismatch, IllConditioned, is_count
 from .linalg import (
     SparsityMask,
     WoodburyBasis,
@@ -74,7 +74,8 @@ _STALL_REL_ELBO = 1e-11
 class VgaConfig:
     """Solver settings: the sweep budget, the execution mode, the rank of the
     factored modes and the sparsity mask of ``lowrank_sparse``.
-    :meth:`validate` refuses a rank below 1 and a setting the mode would
+    :meth:`validate` refuses a ``max_outer`` or a rank that is not an integer
+    of at least 1 (a bool is not an integer), and a setting the mode would
     ignore: a rank in dense mode, or a mask outside ``lowrank_sparse``.
 
     The algorithm's own step counts and tolerances are module constants: five
@@ -91,14 +92,14 @@ class VgaConfig:
     def validate(self) -> None:
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.max_outer < 1:
-            raise ConfigError("max_outer must be at least 1")
+        if not (is_count(self.max_outer) and self.max_outer >= 1):
+            raise ConfigError(f"max_outer must be an integer of at least 1, got {self.max_outer!r}")
         if self.mode != "dense" and self.rank is None:
             raise ConfigError(f"mode {self.mode!r} requires an explicit rank")
         if self.mode == "dense" and self.rank is not None:
             raise ConfigError("mode 'dense' takes no rank")
-        if self.rank is not None and self.rank < 1:
-            raise ConfigError(f"rank must be at least 1, got {self.rank}")
+        if self.rank is not None and not (is_count(self.rank) and self.rank >= 1):
+            raise ConfigError(f"rank must be an integer of at least 1, got {self.rank!r}")
         if self.mode == "lowrank_sparse" and self.mask is None:
             raise ConfigError("mode 'lowrank_sparse' requires a sparsity mask")
         if self.mode != "lowrank_sparse" and self.mask is not None:

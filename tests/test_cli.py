@@ -13,10 +13,12 @@ import pytest
 
 from pvga import cli
 from pvga.cli import DEFAULTS, _build_parser, _build_problem, _resolve_config, main
-from pvga.errors import InvalidAlpha, InvalidData
+from pvga.errors import InvalidAlpha, InvalidData, PvgaError
 from pvga.formats import read_csv, read_vgam, substream_seed
+from pvga.hyper import HyperConfig
 from pvga.linalg import SparsityMask
 from pvga.model import make_prior, make_test_problem, sample_poisson_data
+from pvga.validate import McmcConfig
 from pvga.vga import VgaConfig, run_vga
 
 
@@ -156,6 +158,57 @@ def test_solve_inconsistent_mode_is_usage_error(tmp_path, cmd, sections, extra):
     out = tmp_path / "o"
     assert run(cmd, cfg, out, *extra) == 2
     assert not out.exists()
+
+
+_NAN, _INF = float("nan"), float("inf")
+_BAND3 = SparsityMask.banded(40, 3)
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        # the cases of test_solve_inconsistent_mode_is_usage_error that a library setting decides
+        pytest.param("size", lambda: make_test_problem("phillips", 20.9), id="size_20.9"),
+        pytest.param("rank", lambda: VgaConfig(mode="lowrank", rank=5.7).validate(), id="rank_5.7"),
+        pytest.param("max_outer", lambda: VgaConfig(max_outer=True).validate(), id="max_outer_true"),
+        pytest.param("max_em", lambda: HyperConfig(max_em=2.5).validate(), id="max_em_2.5"),
+        pytest.param("chain_length", lambda: McmcConfig(chain_length=40000.5, burn_in=20000).validate(),
+                     id="chain_length_40000.5"),
+        pytest.param("rank", lambda: VgaConfig(mode="lowrank", rank=4.5).validate(), id="bench_rank_4.5"),
+        pytest.param("rank", lambda: VgaConfig(mode="lowrank_sparse", rank=30.5, mask=_BAND3).validate(),
+                     id="bench_rank_30.5"),
+        pytest.param("alpha", lambda: make_prior("L2", True, 40), id="alpha_true"),
+        pytest.param("alpha", lambda: make_prior("L2", "10", 40), id="alpha_string"),
+        pytest.param("rate_scale", lambda: make_test_problem("phillips", 40, rate_scale=[0.5, 50.0, 7]),
+                     id="rate_scale_three"),
+        pytest.param("rate_scale", lambda: make_test_problem("phillips", 40, rate_scale=[0.5]),
+                     id="rate_scale_one"),
+        pytest.param("b", lambda: HyperConfig(b=True).validate(), id="b_true"),
+        pytest.param("alpha_tol", lambda: HyperConfig(alpha_tol=_INF).validate(), id="alpha_tol_inf"),
+        # values each library entry point accepted on its own
+        pytest.param("max_outer", lambda: VgaConfig(max_outer=2.5).validate(), id="max_outer_2.5"),
+        pytest.param("rank", lambda: VgaConfig(mode="lowrank", rank=True).validate(), id="rank_true"),
+        pytest.param("a", lambda: HyperConfig(a=_NAN).validate(), id="a_nan"),
+        pytest.param("b", lambda: HyperConfig(b=_INF).validate(), id="b_inf"),
+        pytest.param("alpha_init", lambda: HyperConfig(alpha_init=_INF).validate(), id="alpha_init_inf"),
+        pytest.param("alpha_tol", lambda: HyperConfig(alpha_tol=_NAN).validate(), id="alpha_tol_nan"),
+        pytest.param("chain_length", lambda: McmcConfig(chain_length=2000.5, burn_in=1000).validate(),
+                     id="chain_length_2000.5"),
+        pytest.param("seed", lambda: McmcConfig(seed=2.5).validate(), id="mcmc_seed_2.5"),
+        pytest.param("seed", lambda: McmcConfig(seed=True).validate(), id="mcmc_seed_true"),
+        pytest.param("size", lambda: make_test_problem("phillips", 20.0), id="size_20.0"),
+        pytest.param("rate_scale", lambda: make_test_problem("phillips", 40, rate_scale=(0.5, _INF)),
+                     id="rate_scale_inf"),
+        pytest.param("s", lambda: SparsityMask.banded(40, True), id="band_width_true"),
+        pytest.param("seed", lambda: substream_seed(2.5, "data"), id="substream_seed_2.5"),
+        pytest.param("seed", lambda: substream_seed(True, "data"), id="substream_seed_true"),
+    ],
+)
+def test_library_refuses_what_the_cli_passes_through(field, build):
+    # the CLI hands config values to the library as they are: each type and
+    # range check lives in the config or constructor that takes the value
+    with pytest.raises(PvgaError, match=rf"\b{field} must"):
+        build()
 
 
 def test_solve_masked_mode_without_rank_is_usage_error_at_every_size(tmp_path, capsys):

@@ -174,6 +174,14 @@ def test_csv_guards(tmp_path):
     bare.write_text("1,2\n3,4\n")
     with pytest.raises(InvalidData):
         read_csv(bare)
+    # a bad version, a ragged row and a non-numeric cell are corrupt files too
+    for name, text in (("version", "# pvga-csv vx: a,b\n1,2\n"),
+                       ("ragged", "# pvga-csv v1: a,b\n1,2\n3\n"),
+                       ("cell", "# pvga-csv v1: a,b\n1,x\n")):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(text)
+        with pytest.raises(InvalidData):
+            read_csv(bad)
 
 
 # -- config text ---------------------------------------------------------------

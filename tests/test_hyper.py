@@ -89,6 +89,21 @@ def test_joint_bound_rejects_bad_alpha(rng):
         joint_lower_bound(state, -1.0, A, data, prior, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, np.nan), (np.nan, 1e-4), (1.0, np.inf), (np.inf, 1.0), (True, 1.0)])
+def test_hyperprior_functions_refuse_bad_a_b(rng, a, b):
+    # a NaN or infinite a or b is refused, not carried into a NaN result
+    A, data, prior = random_problem(rng)
+    state = random_state(rng, prior.m)
+    with pytest.raises(ConfigError, match="hyperprior parameter"):
+        update_alpha(state, prior, a, b)
+    with pytest.raises(ConfigError, match="hyperprior parameter"):
+        joint_lower_bound(state, 1.0, A, data, prior, a, b)
+    with pytest.raises(ConfigError, match="hyperprior parameter"):
+        alpha_upper_bound(20, a, b)
+    with pytest.raises(ConfigError, match="hyperprior parameter"):
+        HyperConfig(a=a, b=b).validate()
+
+
 # -- phi / psi decomposition ---------------------------------------------------
 
 

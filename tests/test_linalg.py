@@ -504,6 +504,25 @@ def test_mask_coordinates_are_deduplicated_symmetric_and_row_major():
     assert mask.rows.dtype == mask.cols.dtype == np.int64
 
 
+def test_mask_refuses_fractional_indices_and_dim():
+    # int64 conversion would keep the pair (0, 1) of (0.5, 1.7)
+    with pytest.raises(InvalidData, match="integers"):
+        SparsityMask(4, [0.5], [1.7])
+    with pytest.raises(InvalidData, match="integers"):
+        SparsityMask(4, [np.nan], [1])
+    with pytest.raises(InvalidData, match="dim"):
+        SparsityMask(4.0, [0], [1])
+    with pytest.raises(InvalidData, match="dim"):
+        SparsityMask(True, [0], [0])
+    with pytest.raises(InvalidData, match="dim"):
+        SparsityMask(-3, [], [])
+    # integral values of any numeric type, and no pairs at all, still work
+    assert SparsityMask(4, [0.0], [1.0]).nnz == SparsityMask(4, [0], [1]).nnz == 6
+    empty = SparsityMask(4, [], [])
+    np.testing.assert_array_equal(empty.rows, np.arange(4))
+    assert empty.rows.dtype == np.int64
+
+
 def test_mask_coordinates_match_sorted_pair_set(rng):
     for _ in range(20):
         dim = int(rng.integers(1, 15))
