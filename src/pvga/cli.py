@@ -205,7 +205,8 @@ def cmd_solve(cfg: dict):
 def cmd_hyper(cfg: dict):
     A, _x_true, data = _build_problem(cfg)
     m = A.n_cols
-    structure = make_prior(cfg["prior"]["kind"], 1.0, m)
+    # EM starts at hyper.alpha_init, but prior.alpha is still checked
+    structure = _build_prior(cfg, m).with_alpha(1.0)
     vcfg = _solver_config(cfg, A)
     h = cfg["hyper"]
     hcfg = HyperConfig(a=h["a"], b=h["b"], alpha_init=h["alpha_init"], max_em=h["max_em"],

@@ -50,6 +50,18 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
+def _max_abs(X: np.ndarray) -> float:
+    """max |X| without a temporary of X's size (NaN if X holds one)."""
+    return max(X.max(), -X.min())
+
+
+def _off_identity(G: np.ndarray) -> float:
+    """max |G - I| for a square G, with one temporary of G's size."""
+    D = G.copy()
+    D[np.diag_indices(len(D))] -= 1.0
+    return _max_abs(D)
+
+
 def cholesky(M: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^t = M.
 
@@ -58,8 +70,8 @@ def cholesky(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
-    scale = np.abs(M).max() if M.size else 0.0
-    if scale > 0 and np.abs(M - M.T).max() > 1e-8 * scale:
+    scale = _max_abs(M) if M.size else 0.0
+    if scale > 0 and _max_abs(M - M.T) > 1e-8 * scale:
         raise NotPositiveDefinite("matrix is not symmetric")
     try:
         return np.linalg.cholesky(M)
@@ -312,18 +324,25 @@ def rsvd(A, r: int, oversample: int = 10, power_iters: int = 2, seed=0) -> LowRa
 
     Gaussian test matrix with the given oversampling, followed by
     ``power_iters`` rounds of subspace iteration (Halko, Martinsson & Tropp
-    2011, algorithms 4.4 and 5.1).  Every tall block is normalized by
+    2011, algorithms 4.4 and 5.1).  Every tall block is orthonormalized by
     Cholesky QR (:func:`_cholesky_qr`): GEMMs plus k x k factorizations, all
     on numpy's runtime, where the blur's products run too.  The iterations
     need only a well-conditioned basis with the right column span
-    (sec. 4.5), as a rule one shifted pass; the final Y = Q R and
-    B^t = A^t Q = Q2 R2 are orthonormalized, and the SVD R2 = W diag(s) Z^t
-    of the k x k block gives U = Q Z and V = Q2 W.  The products are read
-    in Fortran order, so the factor does not depend on the layout an
-    operator returns.  Deterministic for a fixed seed; the
-    arrays ``A``'s products return are never written.  ``A`` is an operator
-    with ``matmat``/``rmatmat`` and ``shape`` (a dense array goes through
-    ``ForwardOperator.from_dense``).
+    (sec. 4.5), as a rule one shifted pass.  The final range basis Q of Y
+    and the basis Q2 of A^t Q are orthonormal, and the SVD
+    Q^t A Q2 = (A^t Q)^t Q2 = Uc diag(s) Vc^t of the k x k core gives
+    U = Q Uc and V = Q2 Vc.
+    Deterministic for a fixed seed; the arrays ``A``'s products return are
+    never written.  ``A`` is an operator with ``matmat``/``rmatmat`` and
+    ``shape`` (a dense array goes through ``ForwardOperator.from_dense``).
+
+    Block budget, with k = r + oversample: at most three n x k or m x k
+    blocks and two k x k matrices are alive at once, the Householder
+    fallback aside.  Every block is held in Fortran order, which the blur's
+    stacked product reads as a view, and is dropped as soon as the next one
+    exists; the products are read in that order too, so the factor does not
+    depend on the layout an operator returns.  U and V are formed in place
+    of Q and Q2, in row blocks.
     """
     n, m = A.shape
     if not 1 <= r <= min(m, n):
@@ -337,13 +356,42 @@ def rsvd(A, r: int, oversample: int = 10, power_iters: int = 2, seed=0) -> LowRa
     def rmatmat(X):
         return np.asfortranarray(A.rmatmat(X))
 
-    Y = matmat(rng.standard_normal((m, k)))
-    for _ in range(power_iters):
-        Y = matmat(_cholesky_qr(rmatmat(_cholesky_qr(Y, span=True)[0]), span=True)[0])
-    Q = _cholesky_qr(Y)[0]
-    Q2, R2 = _cholesky_qr(rmatmat(Q))
-    W, s, Zt = np.linalg.svd(R2)
-    return LowRankFactor(Q @ Zt[:r].T, s[:r], Q2 @ W[:, :r])
+    Y = matmat(np.asfortranarray(rng.standard_normal((m, k))))
+    for product in (rmatmat, matmat) * power_iters:
+        Q = _cholesky_qr(Y, span=True)
+        del Y
+        Y = product(Q)
+        del Q
+    Q = _cholesky_qr(Y)
+    del Y
+    Y = rmatmat(Q)
+    Q2 = _cholesky_qr(Y)
+    core = Y.T @ Q2
+    del Y
+    Uc, s, Vct = np.linalg.svd(core)
+    return LowRankFactor(_times_in_place(Q, Uc[:, :r]), s[:r], _times_in_place(Q2, Vct[:r].T))
+
+
+# Element budget of the row blocks that the products below work in (rsvd's
+# in-place products, woodbury_basis's prior solves, the masked Woodbury
+# sums); as _kernels._CHUNK_ELEMS, a constant, not a setting.
+_BLOCK_ELEMS = 2**16
+
+
+def _row_blocks(n: int, width: int) -> list:
+    """Slices of consecutive rows of an n-row array whose blocks of ``width``
+    columns hold at most _BLOCK_ELEMS elements (at least one row each)."""
+    step = max(1, _BLOCK_ELEMS // max(width, 1))
+    return [slice(lo, min(n, lo + step)) for lo in range(0, n, step)]
+
+
+def _times_in_place(Q: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Q M for a k x c matrix M (c <= k), written over Q's first c columns
+    in row blocks; returns that part of Q."""
+    c = M.shape[1]
+    for rows in _row_blocks(Q.shape[0], Q.shape[1]):
+        Q[rows, :c] = (M.T @ Q[rows].T).T
+    return Q[:, :c]
 
 
 # Cholesky QR passes before the Householder fallback (shifted CholeskyQR3)
@@ -351,13 +399,14 @@ _CHOLQR_PASSES = 3
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def _cholesky_qr(Y: np.ndarray, span: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Y = Q R with Q n x k column-orthonormal and R k x k upper triangular,
-    by shifted Cholesky QR (Fukaya, Kannan, Nakatsukasa, Yamamoto &
-    Yanagisawa 2020): GEMMs on the tall block and k x k factorizations.
+def _cholesky_qr(Y: np.ndarray, span: bool = False) -> np.ndarray:
+    """Q of Y = Q R, n x k column-orthonormal, by shifted Cholesky QR
+    (Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa 2020): GEMMs on the
+    tall block and k x k factorizations.  R is not formed; a caller that
+    needs the coefficients takes Q^t Y.
 
-    A pass factors the Gram matrix G = Q^t Q = L L^t and sets Q <- Q L^-t,
-    R <- L^t R.  The first pass factors G + s I with the shift
+    A pass factors the Gram matrix G = Q^t Q = L L^t and sets Q <- Q L^-t.
+    The first pass factors G + s I with the shift
     s = 11 (nk + k(k+1)) u tr(G), which keeps the factorization defined for
     any nonzero block; later passes are unshifted, and they repeat until G
     is the identity to within 10 sqrt(n) u, the rounding error of its
@@ -376,34 +425,41 @@ def _cholesky_qr(Y: np.ndarray, span: bool = False) -> tuple[np.ndarray, np.ndar
     block, a block whose Gram matrix overflows or underflows, one whose
     later pass fails the test above (numerically rank deficient, where
     Cholesky QR loses accuracy), and one the passes do not orthonormalize
-    in ``_CHOLQR_PASSES``.
+    in ``_CHOLQR_PASSES``.  Y is kept for it and never written: the first
+    pass copies it into Q, in Fortran order, and every pass multiplies Q in
+    place in row blocks, so a call holds one n x k block besides Y and at
+    most two k x k matrices.
     """
     n, k = Y.shape
-    eye = np.eye(k)
     shift = 11.0 * (n * k + k * (k + 1)) * _UNIT_ROUNDOFF
     tol = 10.0 * math.sqrt(n) * _UNIT_ROUNDOFF
-    Q, R = Y, None
+    Q = Y
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(_CHOLQR_PASSES + 1):
                 G = Q.T @ Q
-                if j > 0 and np.abs(G - eye).max() <= tol:
-                    return Q, R
+                if j > 0 and _off_identity(G) <= tol:
+                    return Q
                 s = shift * np.trace(G)
                 if j == _CHOLQR_PASSES or not 1e-300 < s < 1e290:
                     break
-                L = np.linalg.cholesky(G + s * eye if j == 0 else G)
+                if j == 0:
+                    G[np.diag_indices(k)] += s
+                L = np.linalg.cholesky(G)
+                del G
                 Linv = np.linalg.inv(L)
+                del L
                 damped = not s * np.sum(Linv * Linv) <= 0.5
                 if j > 0 and damped:
                     break
-                Q = Q @ Linv.T
-                R = L.T if R is None else L.T @ R
+                Q = _times_in_place(np.array(Y, order="F") if j == 0 else Q, Linv.T)
+                del Linv
                 if span and (j > 0 or not damped):
-                    return Q, R
+                    return Q
     except np.linalg.LinAlgError:
         pass
-    return np.linalg.qr(Y)
+    del Q
+    return np.linalg.qr(Y)[0]
 
 
 class WoodburyBasis(NamedTuple):
@@ -422,8 +478,10 @@ def woodbury_basis(prior, factor: LowRankFactor) -> WoodburyBasis:
     """The basis that every Woodbury step at any rates reuses.
 
     It depends only on the prior and the factor, so a solver builds it once
-    and drops the factor's V.  Raises SingularInnerSystem when G = V^t C0 V
-    is not positive definite.
+    and drops the factor's V.  W is one C-contiguous m x r array, solved in
+    column blocks (``prior.cov_matmat``), so the call holds W, two r x r
+    matrices and one column block besides the factor.  Raises
+    SingularInnerSystem when G = V^t C0 V is not positive definite.
     """
     W = prior.cov_matmat(factor.V)
     try:
@@ -455,6 +513,12 @@ def woodbury_cov(
     mirrored, and equals the corresponding entry of the unmasked update.  No
     m x m array is formed.
 
+    Block budget: K is summed over row blocks of U (:func:`_weighted_gram`)
+    and the masked entries of W M W^t are taken over row blocks of W
+    (:func:`_masked_lowrank_entries`), so a masked call forms no n x r or
+    m x r array; besides the basis it holds a few r x r matrices and one
+    row block.  The unmasked call still forms the dense m x m covariance.
+
     Returns the covariance, ln det(I + K G) = 2 sum ln diag(Li), and the
     r x r matrix M.  By the determinant lemma the log-determinant of the
     *unmasked* update is ln|C| = ln|C0| - ln det(I + K G).  Masked
@@ -467,27 +531,67 @@ def woodbury_cov(
     if np.any(d <= 0):
         raise InvalidData("d must be strictly positive")
     U, s, W, R = basis
-    K = symmetrize((s[:, None] * (U.T @ (d[:, None] * U))) * s[None, :])
+    K = _weighted_gram(U, s, d)
     RK = R @ K
-    inner = np.eye(s.size) + RK @ R.T
+    inner = RK @ R.T
+    inner[np.diag_indices(s.size)] += 1.0
     try:
         Li = cholesky(inner)
     except NotPositiveDefinite as exc:
         raise SingularInnerSystem(f"inner system: {exc}") from exc
     rcond = spd_rcond(inner, Li)
+    del inner
     if not rcond >= 1e-14:
         raise SingularInnerSystem(f"inner system reciprocal condition {rcond:.3e}")
     # numpy's solve, not scipy's triangular one: between numpy's GEMMs and
     # Cholesky a scipy call switches OpenBLAS runtimes (README, Kernels)
     B = np.linalg.solve(Li, RK)
-    M = K - B.T @ B
+    del RK
+    M = K  # K - B^t B, formed in K's place
+    M -= B.T @ B
     if mask is None:
         C = symmetrize(prior.cov_dense() - W @ M @ W.T)
     else:
         upper, idx = mask.mirror()
         rows, cols = mask.rows[upper], mask.cols[upper]
-        vals = prior.cov_entries(rows, cols) - lowrank_masked_dots(
-            np.ascontiguousarray(W @ M), np.ascontiguousarray(W), rows, cols, mask.diagonal_offsets()
-        )
+        vals = prior.cov_entries(rows, cols)
+        vals -= _masked_lowrank_entries(W, M, rows, cols, mask.diagonal_offsets())
         C = vals[idx]
     return C, logdet(Li), M
+
+
+def _weighted_gram(U, s, d) -> np.ndarray:
+    """K = S U^t D U S, symmetrized, summed over row blocks of U, so no
+    array of D U's size is formed."""
+    r = s.size
+    K = np.zeros((r, r))
+    for rows in _row_blocks(U.shape[0], r):
+        Ub = U[rows]
+        K += Ub.T @ (d[rows, None] * Ub)
+    K *= s[:, None]
+    K *= s[None, :]
+    return symmetrize(K)
+
+
+def _masked_lowrank_entries(W, M, rows, cols, offsets) -> np.ndarray:
+    """Entries (W M W^t)[rows[p], cols[p]] of the upper pairs of a mask
+    (rows ascending, cols >= rows), taken over row blocks of W: each block's
+    W M rows are formed and handed to ``lowrank_masked_dots`` with the pairs
+    of its rows, their column rows read from W itself.  ``offsets`` is the
+    mask's ``diagonal_offsets()``, split here at the block boundaries."""
+    bands, rest = offsets
+    out = np.empty(rows.size)
+    for blk in _row_blocks(W.shape[0], W.shape[1]):
+        lo, hi = np.searchsorted(rows, (blk.start, blk.stop))
+        if lo == hi:
+            continue
+        split = []
+        for d, p in bands:
+            p = p[np.searchsorted(p, lo) : np.searchsorted(p, hi)]
+            if p.size:
+                split.append((d, p - lo))
+        part = rest[np.searchsorted(rest, lo) : np.searchsorted(rest, hi)] - lo
+        out[lo:hi] = lowrank_masked_dots(
+            W[blk] @ M, W[blk.start :], rows[lo:hi] - blk.start, cols[lo:hi] - blk.start, (split, part)
+        )
+    return out

@@ -25,6 +25,7 @@ from .errors import (
     is_real,
 )
 from . import _kernels
+from .linalg import _row_blocks
 
 __all__ = [
     "ForwardOperator",
@@ -273,11 +274,13 @@ class PriorSpec:
 
     def prec_apply(self, x: np.ndarray) -> np.ndarray:
         """C0^{-1} x through the cached sparse L^t L (one product, no transpose)."""
+        if self._L is None:
+            return self.alpha * x
         return self.alpha * (self._prec() @ x)
 
     def quad_base(self, v: np.ndarray) -> float:
         """v^t Cbar0^{-1} v = ||L v||^2 (alpha-free)."""
-        Lv = self.L @ v
+        Lv = v if self._L is None else self._L @ v
         return float(Lv @ Lv)
 
     def quad_base_rows(self, D: np.ndarray) -> np.ndarray:
@@ -286,8 +289,13 @@ class PriorSpec:
         return np.einsum("ij,ij->i", V, V)
 
     def trace_base(self, C: np.ndarray) -> float:
-        """tr(Cbar0^{-1} C) = sum(L^t L o C) (alpha-free)."""
-        return float(self._prec().multiply(C).sum())
+        """tr(Cbar0^{-1} C) = sum(L^t L o C) (alpha-free), gathered from C at
+        the cached coordinates of L^t L."""
+        if "prec_coo" not in self._cache:
+            P = self._prec().tocoo()
+            self._cache["prec_coo"] = (P.row, P.col, P.data)
+        row, col, data = self._cache["prec_coo"]
+        return float(np.sum(data * C[row, col]))
 
     def trace_base_masked(self, mask, vals: np.ndarray) -> float:
         """tr(Cbar0^{-1} C) for C given by its values on a mask (zero
@@ -319,7 +327,18 @@ class PriorSpec:
         """C0 X through the factorization of L (the PCG preconditioner)."""
         return self._solve(X) / self.alpha
 
-    cov_matmat = cov_apply
+    def cov_matmat(self, X: np.ndarray) -> np.ndarray:
+        """C0 X for an m x k block X, as one C-contiguous array: the solves
+        run on column blocks of X (``linalg._row_blocks``' element budget),
+        so no other array of X's size is formed."""
+        out = np.empty(X.shape)
+        if self._L is None:
+            return np.divide(X, self.alpha, out=out)
+        lu = self._lu()
+        for cols in _row_blocks(X.shape[1], X.shape[0]):
+            out[:, cols] = lu.solve(lu.solve(X[:, cols], trans="T"))
+        out /= self.alpha
+        return out
 
     def cov_entries(self, rows, cols) -> np.ndarray:
         """C0[rows, cols] from the cached band of Cbar0 that covers every pair

@@ -146,6 +146,8 @@ _COMMANDS = ("solve", "hyper", "bench", "validate")
         pytest.param("solve", {"problem": {"rate_scale": [0.5, 50.0, 7]}}, (), id="solve-rate_scale_three"),
         pytest.param("solve", {"problem": {"rate_scale": [0.5]}}, (), id="solve-rate_scale_one"),
         pytest.param("hyper", {"hyper": {"b": True}}, (), id="hyper-b_true"),
+        # a prior strength that EM does not read is still checked
+        pytest.param("hyper", {"prior": {"alpha": "junk"}}, (), id="hyper-alpha_string"),
         pytest.param("hyper", {"hyper": {"alpha_tol": float("inf")}}, (), id="hyper-alpha_tol_infinite"),
         # a package error raised while the problem is built
         pytest.param("solve", {"problem": {"size": 9000}}, (), id="solve-size_too_large"),

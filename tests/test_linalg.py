@@ -27,6 +27,7 @@ from pvga.errors import (
     RankTooLarge,
     SingularInnerSystem,
 )
+from pvga import linalg
 from pvga.linalg import spd_inverse, spd_rcond, spd_solve, symmetrize
 
 from conftest import prior_from_cov, random_spd
@@ -464,6 +465,52 @@ def test_woodbury_contract(kind, m, n, seed):
     assert masked_logdet == inner_logdet  # the mask selects entries only
     assert masked.shape == (mask.nnz,)
     np.testing.assert_allclose(masked, C[mask.rows, mask.cols], rtol=1e-12, atol=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 30),
+    n=st.integers(1, 30),
+    r=st.integers(1, 6),
+    rows_per_block=st.integers(1, 4),
+    extra=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_blocked_woodbury_sums_equal_the_unblocked_formulas(m, n, r, rows_per_block, extra, seed):
+    # with the element budget forced down to a few rows per block, the blocks
+    # split the diagonal bands and the gathered pairs of a banded-3 mask with
+    # random pairs added; K = S U^t D U S and the masked entries of W M W^t
+    # still equal the formulas on whole arrays, to 1e-12 of their terms, and
+    # so does the masked Woodbury step built from a factor at that budget
+    rng = np.random.default_rng(seed)
+    r = min(r, m, n)
+    U = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    V = np.linalg.qr(rng.standard_normal((m, r)))[0]
+    s = np.sort(rng.uniform(0.1, 2.0, r))[::-1]
+    d = np.exp(rng.uniform(-1, 1, n))
+    W = rng.standard_normal((m, r))
+    M = symmetrize(rng.standard_normal((r, r)))
+    band = SparsityMask.banded(m, 3)
+    pairs = rng.integers(0, m, (2, extra))
+    mask = SparsityMask(m, np.concatenate([band.rows, pairs[0]]), np.concatenate([band.cols, pairs[1]]))
+    upper, _ = mask.mirror()
+    rows, cols = mask.rows[upper], mask.cols[upper]
+    prior = make_prior("H1", float(rng.uniform(0.2, 5.0)), m)
+    unblocked = woodbury_cov(prior, woodbury_basis(prior, LowRankFactor(U, s, V)), d, mask=mask)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_BLOCK_ELEMS", rows_per_block * r)
+        K = linalg._weighted_gram(U, s, d)
+        entries = linalg._masked_lowrank_entries(W, M, rows, cols, mask.diagonal_offsets())
+        blocked = woodbury_cov(prior, woodbury_basis(prior, LowRankFactor(U, s, V)), d, mask=mask)
+    K_terms = (s[:, None] * (np.abs(U).T @ (d[:, None] * np.abs(U)))) * s[None, :]
+    K_ref = symmetrize((s[:, None] * (U.T @ (d[:, None] * U))) * s[None, :])
+    assert np.all(np.abs(K - K_ref) <= 1e-12 * K_terms)
+    terms = np.einsum("pr,pr->p", (np.abs(W) @ np.abs(M))[rows], np.abs(W)[cols])
+    ref = np.einsum("pr,pr->p", (W @ M)[rows], W[cols])
+    assert np.all(np.abs(entries - ref) <= 1e-12 * terms)
+    scale = np.abs(unblocked[0]).max()
+    np.testing.assert_allclose(blocked[0], unblocked[0], rtol=1e-12, atol=1e-12 * scale)
+    assert blocked[1] == pytest.approx(unblocked[1], rel=1e-12, abs=1e-12)
 
 
 # -- masks -------------------------------------------------------------------

@@ -6,6 +6,7 @@ over mean and Cholesky-parameterized covariance.
 """
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from pvga import (
     run_vga,
     sample_poisson_data,
     woodbury_basis,
+    woodbury_cov,
 )
 from pvga.errors import ConfigError, DimensionMismatch, IllConditioned, NoDenseCovariance, NotPositiveDefinite
 from pvga.formats import substream_seed
@@ -45,6 +47,7 @@ from pvga.model import make_prior, make_test_problem
 from conftest import prior_start, random_problem, random_spd, random_state
 
 vga_module = importlib.import_module("pvga.vga")
+linalg_module = importlib.import_module("pvga.linalg")
 
 
 def scalar_problem(y=1):
@@ -380,6 +383,47 @@ def test_masked_blur_fit_builds_no_dense_operator_or_prior_covariance(monkeypatc
                      lambda: grad_cov(held, A, data, prior), lambda: optimality_residual(held, A, data, prior)):
             with pytest.raises(NoDenseCovariance, match=type(held.C).__name__):
                 read()
+
+
+def _traced_peak(fn):
+    """fn's result and the traced peak of what it allocates, above what the
+    caller holds."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_masked_blur_fit_holds_at_most_three_tall_blocks():
+    # deblur_40's problem (blur2d 40², rank 300, grid4, seed-0 data), each
+    # phase against the budget its docstring states, with k = r + 10 and one
+    # row block (linalg._BLOCK_ELEMS) of slack: rsvd holds three m x k
+    # blocks and two k x k matrices; the basis its W, two r x r matrices and
+    # a column block; a masked Woodbury step no m x r array.  At 40² a k x k
+    # matrix is a fifth of a block.
+    side, r = 40, 300
+    m, k = side * side, r + 10
+    block, row_block = 8 * m * k, 8 * linalg_module._BLOCK_ELEMS
+    A, x_true = make_test_problem("blur2d", side)
+    data = sample_poisson_data(A, x_true, seed=substream_seed(0, "data"))
+    prior = make_prior("H1_2D", 1.0, m)
+    mask = SparsityMask.grid4(side)
+    factor, peak = _traced_peak(lambda: rsvd(A, r))
+    assert peak <= 3 * block + 2 * 8 * k * k + row_block, peak / block
+    basis, peak = _traced_peak(lambda: woodbury_basis(prior, factor))
+    assert peak <= 8 * m * r + 2 * 8 * r * r + row_block, peak / block
+    del factor
+    prior.cov_entries(mask.rows, mask.cols)  # the prior's cached band, held across steps
+    _, peak = _traced_peak(lambda: woodbury_cov(prior, basis, np.exp(A.matvec(x_true)), mask=mask))
+    assert peak <= 1.3 * block, peak / block
+    del basis
+    cfg = VgaConfig(mode="lowrank_sparse", rank=r, mask=mask)
+    (_, report), peak = _traced_peak(lambda: run_vga(A, data, prior, cfg))
+    assert report.converged
+    assert peak <= 13.5 * 2**20, peak / 2**20  # the fit peaks in rsvd, beside its start state
 
 
 def test_warm_start_is_held_on_the_run_mask(rng):
