@@ -337,12 +337,13 @@ def rsvd(A, r: int, oversample: int = 10, power_iters: int = 2, seed=0) -> LowRa
     ``shape`` (a dense array goes through ``ForwardOperator.from_dense``).
 
     Block budget, with k = r + oversample: at most three n x k or m x k
-    blocks and two k x k matrices are alive at once, the Householder
-    fallback aside.  Every block is held in Fortran order, which the blur's
-    stacked product reads as a view, and is dropped as soon as the next one
-    exists; the products are read in that order too, so the factor does not
-    depend on the layout an operator returns.  U and V are formed in place
-    of Q and Q2, in row blocks.
+    blocks are alive at once, beside two k x k matrices or one and a row
+    block (:func:`_row_blocks`), the Householder fallback aside.  Every
+    block is held in Fortran order, which the blur's stacked product reads
+    as a view, and is dropped as soon as the next one exists; the products
+    are read in that order too, so the factor does not depend on the layout
+    an operator returns.  U and V are formed in place of Q and Q2, in row
+    blocks.
     """
     n, m = A.shape
     if not 1 <= r <= min(m, n):
@@ -374,14 +375,21 @@ def rsvd(A, r: int, oversample: int = 10, power_iters: int = 2, seed=0) -> LowRa
 
 # Element budget of the row blocks that the products below work in (rsvd's
 # in-place products, woodbury_basis's prior solves, the masked Woodbury
-# sums); as _kernels._CHUNK_ELEMS, a constant, not a setting.
+# sums), raised to r^2 at rank r by _row_blocks; as _kernels._CHUNK_ELEMS,
+# a constant, not a setting.
 _BLOCK_ELEMS = 2**16
 
 
 def _row_blocks(n: int, width: int) -> list:
     """Slices of consecutive rows of an n-row array whose blocks of ``width``
-    columns hold at most _BLOCK_ELEMS elements (at least one row each)."""
-    step = max(1, _BLOCK_ELEMS // max(width, 1))
+    columns hold at most max(_BLOCK_ELEMS, q^2) elements, q = min(n, width),
+    at least one row each.  The floor q^2 is the size of the q x q matrices
+    the callers hold anyway: at high rank a row block of an m x r array
+    then has at least r rows, so the tall work stays a few large GEMMs
+    rather than many r x r temporaries.  Column blocks of an m x r array
+    are the row blocks of its transpose, _row_blocks(r, m)."""
+    q = min(n, width)
+    step = max(1, max(_BLOCK_ELEMS, q * q) // max(width, 1))
     return [slice(lo, min(n, lo + step)) for lo in range(0, n, step)]
 
 
@@ -427,8 +435,8 @@ def _cholesky_qr(Y: np.ndarray, span: bool = False) -> np.ndarray:
     Cholesky QR loses accuracy), and one the passes do not orthonormalize
     in ``_CHOLQR_PASSES``.  Y is kept for it and never written: the first
     pass copies it into Q, in Fortran order, and every pass multiplies Q in
-    place in row blocks, so a call holds one n x k block besides Y and at
-    most two k x k matrices.
+    place in row blocks, so a call holds one n x k block besides Y, and
+    two k x k matrices or one and a row block.
     """
     n, k = Y.shape
     shift = 11.0 * (n * k + k * (k + 1)) * _UNIT_ROUNDOFF
@@ -478,12 +486,16 @@ def woodbury_basis(prior, factor: LowRankFactor) -> WoodburyBasis:
     """The basis that every Woodbury step at any rates reuses.
 
     It depends only on the prior and the factor, so a solver builds it once
-    and drops the factor's V.  W is one C-contiguous m x r array, solved in
-    column blocks (``prior.cov_matmat``), so the call holds W, two r x r
-    matrices and one column block besides the factor.  Raises
+    and drops the factor's V.  W is one C-contiguous m x r array, filled
+    with ``prior.cov_matmat`` on column blocks of V (:func:`_row_blocks`),
+    so the call holds W and either two r x r matrices or the two solves of
+    one column block besides the factor.  Raises
     SingularInnerSystem when G = V^t C0 V is not positive definite.
     """
-    W = prior.cov_matmat(factor.V)
+    m, r = factor.V.shape
+    W = np.empty((m, r))
+    for cols in _row_blocks(r, m):
+        W[:, cols] = prior.cov_matmat(factor.V[:, cols])
     try:
         R = cholesky(factor.V.T @ W).T
     except NotPositiveDefinite as exc:

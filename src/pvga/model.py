@@ -25,7 +25,6 @@ from .errors import (
     is_real,
 )
 from . import _kernels
-from .linalg import _row_blocks
 
 __all__ = [
     "ForwardOperator",
@@ -327,18 +326,7 @@ class PriorSpec:
         """C0 X through the factorization of L (the PCG preconditioner)."""
         return self._solve(X) / self.alpha
 
-    def cov_matmat(self, X: np.ndarray) -> np.ndarray:
-        """C0 X for an m x k block X, as one C-contiguous array: the solves
-        run on column blocks of X (``linalg._row_blocks``' element budget),
-        so no other array of X's size is formed."""
-        out = np.empty(X.shape)
-        if self._L is None:
-            return np.divide(X, self.alpha, out=out)
-        lu = self._lu()
-        for cols in _row_blocks(X.shape[1], X.shape[0]):
-            out[:, cols] = lu.solve(lu.solve(X[:, cols], trans="T"))
-        out /= self.alpha
-        return out
+    cov_matmat = cov_apply
 
     def cov_entries(self, rows, cols) -> np.ndarray:
         """C0[rows, cols] from the cached band of Cbar0 that covers every pair
