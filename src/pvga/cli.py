@@ -268,6 +268,15 @@ def cmd_validate(cfg: dict):
     mcfg = McmcConfig(chain_length=mc["chain_length"], burn_in=mc["burn_in"],
                       seed=formats.substream_seed(cfg["seed"], "mcmc"))
     mcfg.validate()
+    # the chain's covariance is compared through its Cholesky factor, and
+    # n_kept <= m samples span at most n_kept - 1 dimensions
+    m = A.n_cols
+    thin, n_kept = mcfg.kept(m)
+    if n_kept <= m:
+        raise ConfigError(
+            f"the chain keeps {n_kept} samples (every {thin} after burn-in), so their covariance "
+            f"on m = {m} coordinates is singular; raise mcmc.chain_length or lower mcmc.burn_in"
+        )
 
     def run(out: Path) -> int:
         vga_state, report = run_vga(A, data, prior, vcfg)
@@ -334,25 +343,35 @@ def _solution_errors(state, ref_state):
 _BENCH_ERROR_COLUMNS = ["e_mean", "e_mean_rel", "e_cov_fro", "e_cov_fro_rel", "e_cov_spec", "e_cov_spec_rel"]
 
 
+def _sweep(bench: dict, key: str) -> list:
+    values = bench[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"bench.{key} must be a list, got {json.dumps(values)}")
+    return values
+
+
 def cmd_bench(cfg: dict):
-    study = cfg["bench"]["study"]
+    b = cfg["bench"]
+    study = b["study"]
     if study not in ("lowrank", "sparsity"):
         raise ConfigError(f"bench study must be 'lowrank' or 'sparsity', got {study!r}")
     A, _x_true, data = _build_problem(cfg)
     m = A.n_cols
     prior = _build_prior(cfg, m)
     base = _solver_config(cfg, A)
-    # every point's settings are checked before anything is written
+    # both studies' points are built, and so checked, before anything is
+    # written: a setting this study does not read is refused, as cmd_hyper
+    # refuses prior.alpha; only the swept points must also factor A
+    VgaConfig(mode="lowrank", rank=b["rank"]).validate()
+    lowrank = [dataclasses.replace(base, mode="lowrank", rank=r, mask=None) for r in _sweep(b, "ranks")]
+    banded = [dataclasses.replace(base, mode="lowrank_sparse", rank=b["rank"], mask=SparsityMask.banded(m, s))
+              for s in _sweep(b, "sparsities")]
+    for p in lowrank + banded:
+        p.validate()
     if study == "lowrank":
-        sweep = cfg["bench"]["ranks"]
-        names = ["rank"] + _BENCH_ERROR_COLUMNS
-        points = [dataclasses.replace(base, mode="lowrank", rank=r, mask=None) for r in sweep]
+        sweep, names, points = b["ranks"], ["rank"] + _BENCH_ERROR_COLUMNS, lowrank
     else:
-        sweep = cfg["bench"]["sparsities"]
-        names = ["sparsity"] + _BENCH_ERROR_COLUMNS
-        points = [dataclasses.replace(base, mode="lowrank_sparse", rank=cfg["bench"]["rank"],
-                                      mask=SparsityMask.banded(m, s))
-                  for s in sweep]
+        sweep, names, points = b["sparsities"], ["sparsity"] + _BENCH_ERROR_COLUMNS, banded
     points = [_checked(p, A) for p in points]
 
     def run(out: Path) -> int:

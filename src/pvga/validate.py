@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 from scipy.special import logsumexp, ndtri
 
-from . import _kernels
+from . import _kernels, linalg
 from .elbo import DenseCov, GaussianState, PointMass, gaussian_kl
 from .errors import (
     ConfigError,
@@ -42,8 +43,6 @@ __all__ = [
     "orbit_check",
 ]
 
-_MH_CHUNK = 2048
-_BLOCK_DOUBLES = 1 << 20  # element budget of the chain summaries' working blocks
 _THIN_ABOVE = 1000
 _MAP_GRAD_TOL = 1e-10
 _MAP_MAXIT = 100
@@ -64,6 +63,16 @@ class McmcConfig:
                 raise ConfigError(f"{name} must be a nonnegative integer, got {v!r}")
         if not self.burn_in < self.chain_length:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < chain_length")
+
+    def kept(self, m: int) -> tuple[int, int]:
+        """(thin, n_kept) of the chain on m coordinates: it keeps every step
+        after burn-in, every 10th above m = 1000, and must keep at least 100
+        (InsufficientSamples otherwise)."""
+        thin = 10 if m > _THIN_ABOVE else 1
+        n_kept = len(range(self.burn_in, self.chain_length, thin))
+        if n_kept < 100:
+            raise InsufficientSamples(f"only {n_kept} post-burn-in samples; need at least 100")
+        return thin, n_kept
 
 
 @dataclass
@@ -110,11 +119,16 @@ def laplace_approximation(A: ForwardOperator, data: PoissonData, prior: PriorSpe
 
 
 def _log_joint_rows(X: np.ndarray, Ad: np.ndarray, data: PoissonData, prior: PriorSpec) -> np.ndarray:
-    """Unnormalized-model log-joint per row; -inf where the rates overflow."""
+    """Unnormalized-model log-joint per row; -inf where the rates overflow.
+
+    The log-rates are clamped and exponentiated in place, so the rows x n
+    rate array is the one temporary of its size."""
     Z = X @ Ad.T
     bad = Z.max(axis=1) > LOG_RATE_LIMIT
-    Zc = np.minimum(Z, LOG_RATE_LIMIT)
-    ll = Z @ data.y - np.exp(Zc).sum(axis=1) - data.log_factorial_term
+    ll = Z @ data.y
+    np.minimum(Z, LOG_RATE_LIMIT, out=Z)
+    ll -= np.exp(Z, out=Z).sum(axis=1)
+    ll -= data.log_factorial_term
     lp = (
         -0.5 * prior.alpha * prior.quad_base_rows(X - prior.mu0)
         - 0.5 * prior.m * np.log(2.0 * np.pi)
@@ -175,14 +189,20 @@ def mh_independence_sampler(
     proposals x = mean + L z, weighed by log p(x, y) - log q(x) (where
     log q(x) = -|z|^2 / 2 - ln|C| / 2 - (m/2) ln 2 pi, so no solve with L is
     needed), scanned from the state carried over from the previous block, and
-    its post-burn-in (thinned above m=1000) samples are gathered before the
-    next block is drawn.  Rate overflow in the likelihood rejects the proposal
-    rather than erroring.  A proposal without a :class:`DenseCov` is refused
-    (ConfigError): a masked projection is not a covariance to draw from.
+    its post-burn-in samples are gathered before the next block is drawn
+    (:meth:`McmcConfig.kept` gives the thinning).  Rate overflow in the
+    likelihood rejects the proposal rather than erroring.  A proposal without
+    a :class:`DenseCov` is refused (ConfigError): a masked projection is not a
+    covariance to draw from.
 
-    The kept samples are the only array that grows with the chain: the
-    covariance is summed over centered row blocks after the mean, and the HPD
-    intervals, at mass 0.9, sort a few coordinates at a time.
+    Beyond the kept samples and its inputs, the sampler works in row blocks
+    of at most ``linalg._BLOCK_ELEMS`` elements (2^16): a block holds
+    max(m, n) columns, so 655 proposals at m = n = 100 and 65 at m = 1001.
+    The normals and the proposals each fill one buffer that every block
+    reuses, and the log-joint forms one rate block.  The covariance is summed
+    over centered row blocks after the mean, in place into the m x m result,
+    and the HPD intervals, at mass 0.9, sort as many coordinates at a time
+    as one block holds.
     """
     cfg = cfg or McmcConfig()
     cfg.validate()
@@ -190,11 +210,8 @@ def mh_independence_sampler(
     if not isinstance(proposal.C, DenseCov):
         raise ConfigError("the sampler needs a dense proposal covariance, not a masked one")
     K = int(cfg.chain_length)
-    thin = 10 if m > _THIN_ABOVE else 1
+    thin, n_kept = cfg.kept(m)
     kept_times = np.arange(cfg.burn_in, K, thin)
-    n_kept = kept_times.size
-    if n_kept < 100:
-        raise InsufficientSamples(f"only {n_kept} post-burn-in samples; need at least 100")
 
     Ad = A.dense()
     L = proposal.C.chol()
@@ -208,22 +225,27 @@ def mh_independence_sampler(
     cur_w = float(_log_joint_rows(cur_x[None, :], Ad, data, prior)[0] - log_norm)
     n_acc = 0
     samples = np.empty((n_kept, m))
-    for lo in range(0, K, _MH_CHUNK):
-        hi = min(lo + _MH_CHUNK, K)
-        Z = rng_prop.standard_normal((hi - lo, m))
-        X = proposal.mean + Z @ L.T
-        logw = _log_joint_rows(X, Ad, data, prior) - (
-            log_norm - 0.5 * np.einsum("ij,ij->i", Z, Z)
-        )
+    step = max(1, linalg._BLOCK_ELEMS // max(m, Ad.shape[0]))
+    Z = np.empty((min(step, K), m))
+    X = np.empty_like(Z)
+    for lo in range(0, K, step):
+        hi = min(lo + step, K)
+        z, x = Z[: hi - lo], X[: hi - lo]
+        rng_prop.standard_normal(out=z)
+        np.matmul(z, L.T, out=x)
+        x += proposal.mean
+        logw = _log_joint_rows(x, Ad, data, prior)
+        logw -= log_norm - 0.5 * np.einsum("ij,ij->i", z, z)
         # idx[k] = -1 means the chain still sits on the carried state
         idx, acc = _kernels.mh_scan(logw, np.log(rng_acc.random(hi - lo)), cur_w)
         n_acc += acc
         a, b = np.searchsorted(kept_times, (lo, hi))
         src = idx[kept_times[a:b] - lo]
-        samples[a:b] = X[src]
+        # -1 wraps to the block's last row; those rows are the carried state
+        np.take(x, src, axis=0, out=samples[a:b], mode="wrap")
         samples[a:b][src < 0] = cur_x
         if idx[-1] >= 0:
-            cur_x, cur_w = X[idx[-1]].copy(), logw[idx[-1]]
+            cur_x, cur_w = x[idx[-1]].copy(), logw[idx[-1]]
 
     mean = samples.mean(axis=0)
     cov = _sample_covariance(samples, mean)
@@ -246,17 +268,26 @@ def mh_independence_sampler(
 
 
 def _sample_covariance(samples: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Covariance of the rows about their ``mean`` (divisor N - 1), summed
-    over centered row blocks held in one reused buffer."""
+    """Covariance of the rows about their ``mean`` (divisor N - 1).
+
+    Centered row blocks of at most ``linalg._BLOCK_ELEMS`` elements, held in
+    one reused buffer, are added into one triangle of the result by BLAS
+    ``syrk``; the triangle is then mirrored, so the result is exactly
+    symmetric and no m x m array but the result is formed."""
     N, m = samples.shape
     scatter = np.zeros((m, m))
-    step = max(1, _BLOCK_DOUBLES // m)
+    step = max(1, linalg._BLOCK_ELEMS // m)
     buf = np.empty((min(step, N), m))
     for lo in range(0, N, step):
         block = buf[: min(step, N - lo)]
         np.subtract(samples[lo : lo + step], mean, out=block)
-        scatter += block.T @ block
-    return symmetrize(scatter / max(N - 1, 1))
+        # on the Fortran-ordered views: scatter^t's upper (scatter's lower)
+        # triangle += block^t block, written in place
+        dsyrk(1.0, block.T, beta=1.0, c=scatter.T, overwrite_c=1)
+    for i in range(1, m):
+        scatter[:i, i] = scatter[i, :i]
+    scatter /= max(N - 1, 1)
+    return scatter
 
 
 def hpd_intervals(obj, gamma: float) -> np.ndarray:
@@ -264,7 +295,9 @@ def hpd_intervals(obj, gamma: float) -> np.ndarray:
 
     For a GaussianState these are the exact symmetric quantile intervals; for
     a (samples x dim) array, the narrowest order-statistic window containing a
-    fraction gamma of the draws.
+    fraction gamma of the draws.  The draws are sorted a few coordinates at a
+    time, as many as ``linalg._BLOCK_ELEMS`` elements hold (at least one),
+    in one reused buffer.
     """
     if not 0.0 < gamma < 1.0:
         raise ConfigError(f"gamma must lie in (0, 1), got {gamma}")
@@ -279,12 +312,12 @@ def hpd_intervals(obj, gamma: float) -> np.ndarray:
         raise InsufficientSamples(f"{N} samples are too few for interval estimates")
     h = int(np.ceil(gamma * N))
     h = min(max(h, 2), N)
-    # a few coordinates at a time, one per contiguous row of a reused
-    # buffer: sorting along the strided sample axis is about twice as slow,
-    # and sorting a copy leaves the caller's draws in their order.
+    # one coordinate per contiguous row of the buffer: sorting along the
+    # strided sample axis is about twice as slow, and sorting a copy leaves
+    # the caller's draws in their order.
     dim = samples.shape[1]
     out = np.empty((dim, 2))
-    step = max(1, _BLOCK_DOUBLES // N)
+    step = max(1, linalg._BLOCK_ELEMS // N)
     buf = np.empty((min(step, dim), N))
     for lo in range(0, dim, step):
         s = buf[: min(step, dim - lo)]

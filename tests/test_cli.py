@@ -140,6 +140,13 @@ _COMMANDS = ("solve", "hyper", "bench", "validate")
                      id="bench-even_sparsity_in_sweep"),
         pytest.param("bench", {"bench": {"study": "sparsity", "rank": 30.5}}, (),
                      id="bench-sparsity_rank_not_integral"),
+        # a rank setting that the study does not read is still checked
+        pytest.param("bench", {"bench": {"study": "sparsity", "ranks": "junk", "rank": 30}}, (),
+                     id="bench-sparsity_ranks_string"),
+        pytest.param("bench", {"bench": {"rank": "junk"}}, (), id="bench-lowrank_rank_string"),
+        # a chain the sampler would refuse for keeping fewer than 100 samples
+        pytest.param("validate", {"mcmc": {"chain_length": 20150, "burn_in": 20100}}, (),
+                     id="validate-kept_below_100"),
         # real-valued settings that float() would take or cut short
         pytest.param("solve", {"prior": {"alpha": True}}, (), id="solve-alpha_true"),
         pytest.param("solve", {"prior": {"alpha": "10"}}, (), id="solve-alpha_string"),
@@ -335,6 +342,18 @@ def test_validate_masked_mode_is_config_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "ConfigError"
     assert "full covariance" in err["message"] and "lowrank_sparse" in err["message"]
+    assert not out.exists()
+
+
+def test_validate_chain_keeping_no_more_samples_than_m_is_config_error(tmp_path, capsys):
+    # 20000 steps after a burn-in of 10000, thinned by 10 at m = 1001, keep
+    # 1000 samples, whose covariance is singular: compare_gaussians would
+    # fail on its Cholesky factor after the output is written
+    cfg = write_cfg(tmp_path, problem={"size": 1001}, mcmc={"chain_length": 20000, "burn_in": 10000})
+    out = tmp_path / "v"
+    assert run("validate", cfg, out) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "keeps 1000 samples (every 10" in err["message"]
     assert not out.exists()
 
 

@@ -37,6 +37,7 @@ from pvga.errors import (
     InsufficientSamples,
 )
 from pvga.elbo import grad_mean
+from pvga import linalg
 from pvga.linalg import SparsityMask
 from pvga.model import make_prior, make_test_problem, sample_poisson_data
 from pvga.vga import newton_step_mean
@@ -278,13 +279,14 @@ def phillips20():
 
 @pytest.mark.parametrize("inflate", [1.0, 2.0])
 def test_mh_blocks_match_whole_chain_reference(monkeypatch, inflate):
-    # a 7-row block puts many block boundaries inside the chain and makes
-    # burn_in (1003) no multiple of the block; an inflated proposal covariance
-    # drops acceptance so the chain sits on a carried state across boundaries
+    # a budget of 7 rows of max(m, n) = 20 puts many block boundaries inside
+    # the chain and makes burn_in (1003) no multiple of the block; an
+    # inflated proposal covariance drops acceptance so the chain sits on a
+    # carried state across boundaries
     A, data, prior, fit = phillips20()
     proposal = GaussianState(fit.mean, inflate * fit.cov)
     cfg = McmcConfig(chain_length=2000, burn_in=1003, seed=5)
-    monkeypatch.setattr(validate, "_MH_CHUNK", 7)
+    monkeypatch.setattr(linalg, "_BLOCK_ELEMS", 7 * 20)
     out = mh_independence_sampler(A, data, prior, proposal, cfg)
     ref_samples, ref_acc = reference_chain(A, data, prior, proposal, cfg)
     assert out.acceptance_rate == ref_acc
@@ -299,7 +301,7 @@ def test_mh_thinned_blocks_match_whole_chain_reference(monkeypatch):
     A, data, prior = zero_operator(m)
     proposal = GaussianState(prior.mu0.copy(), prior.cov_dense())
     cfg = McmcConfig(chain_length=3000, burn_in=1000, seed=2)
-    monkeypatch.setattr(validate, "_MH_CHUNK", 7)
+    monkeypatch.setattr(linalg, "_BLOCK_ELEMS", 7 * m)  # 7-row blocks across the thinning
     out = mh_independence_sampler(A, data, prior, proposal, cfg)
     ref_samples, ref_acc = reference_chain(A, data, prior, proposal, cfg)
     assert out.thin == 10 and out.n_kept == 200
@@ -309,13 +311,14 @@ def test_mh_thinned_blocks_match_whole_chain_reference(monkeypatch):
 
 def test_mh_covariance_matches_np_cov(monkeypatch):
     # a 150-row block budget sums the 997 kept rows in six full blocks and a
-    # partial one
+    # partial one, into one triangle that is then mirrored
     A, data, prior, fit = phillips20()
-    monkeypatch.setattr(validate, "_BLOCK_DOUBLES", 150 * 20)
+    monkeypatch.setattr(linalg, "_BLOCK_ELEMS", 150 * 20)
     cfg = McmcConfig(chain_length=2000, burn_in=1003, seed=5)
     out = mh_independence_sampler(A, data, prior, fit, cfg)
     ref = np.cov(out.samples, rowvar=False)
     assert np.max(np.abs(out.covariance - ref)) <= 1e-12 * np.max(np.abs(ref))
+    np.testing.assert_array_equal(out.covariance, out.covariance.T)
 
 
 def test_mh_memory_beyond_the_samples_does_not_grow_with_the_chain():
@@ -338,6 +341,31 @@ def test_mh_memory_beyond_the_samples_does_not_grow_with_the_chain():
         sizes.append(out.samples.nbytes)
         del out
     assert peaks[1] - peaks[0] <= 1.1 * (sizes[1] - sizes[0]), (peaks, sizes)
+
+
+@pytest.mark.parametrize("m", [100, 1001])
+def test_mh_memory_beyond_the_samples_is_a_few_row_blocks(m):
+    # beyond the kept samples and its inputs (the dense operator and the
+    # proposal's Cholesky factor, built before tracing), the sampler holds
+    # the m x m covariance and a few row blocks of the package's budget: the
+    # normals, the proposals, the rates and the centered prior argument; at
+    # m = 1001 the chain is thinned
+    A, x_true = make_test_problem("phillips", m, rate_scale=(0.5, 50.0))
+    data = sample_poisson_data(A, x_true, seed=3)
+    prior = make_prior("L2", 10.0, m)
+    proposal = GaussianState(prior.mu0.copy(), prior.cov_dense())
+    A.dense(), proposal.C.chol()
+    cfg = McmcConfig(chain_length=3000, burn_in=1000, seed=1)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = mh_independence_sampler(A, data, prior, proposal, cfg)
+        beyond = tracemalloc.get_traced_memory()[1] - held - out.samples.nbytes
+    finally:
+        tracemalloc.stop()
+    assert out.thin == (10 if m > 1000 else 1)
+    block = 8 * linalg._BLOCK_ELEMS
+    assert beyond <= 8 * m * m + 5 * block, beyond / block
 
 
 def test_mcmc_config_validation():
@@ -397,7 +425,7 @@ def test_hpd_blocks_match_one_shot_sort(monkeypatch):
     # draws put ties inside the windows
     draws = np.round(np.random.default_rng(6).standard_normal((500, 10)), 1)
     before = draws.copy()
-    monkeypatch.setattr(validate, "_BLOCK_DOUBLES", 3 * 500 + 499)
+    monkeypatch.setattr(linalg, "_BLOCK_ELEMS", 3 * 500 + 499)
     iv = hpd_intervals(draws, 0.9)
     s = np.sort(before.T, axis=1)
     h = int(np.ceil(0.9 * 500))
