@@ -332,12 +332,23 @@ def hpd_intervals(obj, gamma: float) -> np.ndarray:
 
 
 def compare_gaussians(g1: GaussianState, g2: GaussianState):
-    """(mean l2 distance, covariance spectral distance, KL(g1||g2), KL(g2||g1))."""
+    """(mean l2 distance, covariance spectral distance, KL(g1||g2), KL(g2||g1)).
+
+    The KL divergences read each state's cached Cholesky factor.  Beyond
+    the states and their factors, the call holds at most three m x m
+    arrays at a time: the covariance difference and the copy that
+    ``eigvalsh`` factors, then one inverse factor and one product per KL
+    term.  The difference is symmetrized only when it is not exactly
+    symmetric already, as the difference of two solver or sampler
+    covariances is."""
     if g1.dim != g2.dim:
         raise DimensionMismatch("states disagree in dimension")
     mean_err = float(np.linalg.norm(g1.mean - g2.mean))
-    diff = symmetrize(g1.cov - g2.cov)
+    diff = g1.cov - g2.cov
+    if not np.array_equal(diff, diff.T):
+        diff = symmetrize(diff)
     cov_err = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+    del diff  # not held while the KL terms form theirs
     return mean_err, cov_err, gaussian_kl(g1, g2), gaussian_kl(g2, g1)
 
 

@@ -227,6 +227,20 @@ def test_bregman_matches_generalized_eigenvalues(rng):
         np.testing.assert_allclose(bregman_divergence(C, C0), expect, rtol=1e-10, atol=1e-10)
 
 
+def test_bregman_of_close_covariances_keeps_its_digits():
+    # C0 = 2^-40 I and C = C0 diag(1 + k 2^-20), both exact in floating
+    # point: d = sum k 2^-20 - ln(1 + k 2^-20) is about 1.2e-6, while ln|C|
+    # and ln|C0| are about -5500 each, and a sum that subtracts them kept
+    # only 6 digits (relative error 3.1e-7)
+    m = 200
+    delta = np.arange(1, m + 1) * 2.0**-20
+    C0 = np.eye(m) * 2.0**-40
+    C = np.diag((1.0 + delta) * 2.0**-40)
+    # delta - log1p(delta) by its series, every term far above roundoff
+    expect = float(np.sum(sum((-1.0) ** k * delta**k / k for k in range(2, 12))))
+    np.testing.assert_allclose(bregman_divergence(C, C0), expect, rtol=1e-10)
+
+
 def test_bregman_level_set_bounds_the_spectrum(rng):
     # d(C, C0) <= 1 forces every generalized eigenvalue into [lo, hi] where
     # f(lam) = lam - ln lam - 1 crosses 1; spectral norms inherit the bounds

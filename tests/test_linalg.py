@@ -28,7 +28,7 @@ from pvga.errors import (
     SingularInnerSystem,
 )
 from pvga import linalg
-from pvga.linalg import spd_inverse, spd_rcond, spd_solve, symmetrize
+from pvga.linalg import lower_inverse, spd_inverse, spd_rcond, spd_solve, symmetrize
 
 from conftest import prior_from_cov, random_spd
 
@@ -87,6 +87,36 @@ def test_spd_rcond_is_the_one_norm_reciprocal_condition():
     M = np.array([[4.0, 1.0], [1.0, 3.0]])
     assert spd_rcond(M, cholesky(M)) == pytest.approx(1.0 / np.linalg.cond(M, 1), abs=1e-12)
     assert spd_rcond(M, cholesky(M)) == pytest.approx(0.44, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 30), log_cond=st.floats(0.0, 10.0), log_scale=st.floats(-6.0, 6.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_numpy_spd_helpers_match_a_cho_solve_reference(m, log_cond, log_scale, seed):
+    # the inverse and the solves on numpy's runtime agree with LAPACK's
+    # potrs on the same factor to within the drawn condition number times
+    # the unit roundoff, and the inverse is exactly symmetric
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    M = symmetrize((Q * np.geomspace(1.0, 10.0**-log_cond, m)) @ Q.T) * 10.0**log_scale
+    L = cholesky(M)
+    tol = 10.0 * m * np.linalg.cond(M) * np.finfo(float).eps
+    inv = spd_inverse(L)
+    np.testing.assert_array_equal(inv, inv.T)
+    ref = scipy.linalg.cho_solve((L, True), np.eye(m))
+    assert np.linalg.norm(inv - ref) <= tol * np.linalg.norm(ref)
+    for B in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+        ref = scipy.linalg.cho_solve((L, True), B)
+        assert np.linalg.norm(spd_solve(L, B) - ref) <= tol * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("m", [1, 5, 32, 33, 100, 257])
+def test_lower_inverse_is_lower_triangular_at_every_split(m):
+    rng = np.random.default_rng(m)
+    L = np.tril(rng.standard_normal((m, m)), -1) + np.diag(rng.uniform(1.0, 2.0, m))
+    X = lower_inverse(L)
+    np.testing.assert_array_equal(np.triu(X, 1), 0.0)
+    assert np.abs(X @ L - np.eye(m)).max() <= 1e-12 * np.abs(X).max() * np.abs(L).max() * m
 
 
 # -- pcg ---------------------------------------------------------------------

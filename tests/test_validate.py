@@ -469,6 +469,47 @@ def test_compare_gaussians_swap(rng):
     assert a[2] == pytest.approx(b[3], rel=1e-12) and a[3] == pytest.approx(b[2], rel=1e-12)
 
 
+def test_compare_gaussians_spectral_distance_is_that_of_the_symmetric_part(rng):
+    # an exactly symmetric difference is read as it is; any other is
+    # symmetrized first, as eigvalsh reads one triangle only
+    B = rng.standard_normal((4, 4))
+    C1 = np.eye(4) + B @ B.T  # syrk: exactly symmetric
+    g0 = GaussianState(np.zeros(4), np.eye(4))
+    assert compare_gaussians(GaussianState(np.zeros(4), C1), g0)[1] == np.max(
+        np.abs(np.linalg.eigvalsh(C1 - np.eye(4))))
+    C2 = C1.copy()
+    C2[0, 1] += 1e-12
+    D = C2 - np.eye(4)
+    assert compare_gaussians(GaussianState(np.zeros(4), C2), g0)[1] == np.max(
+        np.abs(np.linalg.eigvalsh((D + D.T) / 2.0)))
+
+
+def test_compare_gaussians_holds_at_most_three_m_by_m_arrays():
+    # two states at m = 1001, as in the thinned pvga validate, with their
+    # Cholesky factors cached before tracing: the comparison reads the
+    # factors and forms at most three more m x m arrays at a time
+    m = 1001
+    rng = np.random.default_rng(6)
+    states = []
+    for _ in range(2):
+        B = rng.standard_normal((m, 20))
+        C = B @ B.T  # syrk: exactly symmetric
+        C[np.diag_indices(m)] += 1.0
+        g = GaussianState(rng.standard_normal(m), C)
+        g.C.chol()
+        states.append(g)
+    del B, C
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = compare_gaussians(*states)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(out))
+    assert peak <= 3 * 8 * m * m, peak / (8 * m * m)
+
+
 def test_compare_gaussians_dimension_guard(rng):
     with pytest.raises(DimensionMismatch):
         compare_gaussians(random_state(rng, 2), random_state(rng, 3))

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import bisect
@@ -17,6 +18,7 @@ from scipy.special import gammaln
 
 from pvga import (
     DenseCov,
+    HyperConfig,
     ForwardOperator,
     GaussianState,
     MaskedCov,
@@ -31,16 +33,25 @@ from pvga import (
     gaussian_kl,
     grad_cov,
     hpd_intervals,
+    laplace_approximation,
     newton_step_mean,
     optimality_residual,
     rate_vector,
     rsvd,
+    run_hierarchical,
     run_vga,
     sample_poisson_data,
     woodbury_basis,
     woodbury_cov,
 )
-from pvga.errors import ConfigError, DimensionMismatch, IllConditioned, NoDenseCovariance, NotPositiveDefinite
+from pvga.errors import (
+    ConfigError,
+    DimensionMismatch,
+    IllConditioned,
+    MaxIterationsExceeded,
+    NoDenseCovariance,
+    NotPositiveDefinite,
+)
 from pvga.formats import substream_seed
 from pvga.model import make_prior, make_test_problem
 
@@ -185,6 +196,21 @@ def test_fixed_point_ill_conditioned_system():
     state = GaussianState(np.zeros(2), np.eye(2))
     with pytest.raises(IllConditioned):
         fixed_point_step_cov(state, A, prior)
+
+
+@pytest.mark.parametrize("spread", [1.5e7, 9e6])
+def test_fixed_point_condition_limit_is_1e14(spread):
+    # precision diag(1, spread^2): condition number 2.25e14 just above the
+    # limit, and 8.1e13 just inside it
+    A = ForwardOperator.from_dense(np.zeros((2, 2)))
+    prior = PriorSpec(np.zeros(2), np.diag([1.0, spread]), 1.0)
+    state = GaussianState(np.zeros(2), np.eye(2))
+    if spread**2 > 1e14:
+        with pytest.raises(IllConditioned):
+            fixed_point_step_cov(state, A, prior)
+    else:
+        C = fixed_point_step_cov(state, A, prior)
+        np.testing.assert_allclose(np.diag(C.values), [1.0, spread**-2], rtol=1e-15)
 
 
 # -- full solver -------------------------------------------------------------
@@ -659,3 +685,31 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         VgaConfig(mask=SparsityMask.banded(20, 3)).validate()
     VgaConfig().validate()
+
+
+# -- BLAS runtime ------------------------------------------------------------
+
+
+def test_dense_gaussian_path_calls_no_scipy_factorization_kernel(monkeypatch):
+    # numpy and scipy each bring an OpenBLAS with its own thread pool (README,
+    # Kernels): with scipy's cho_solve, dpocon and dpotri refused, the dense
+    # fit, Laplace, two E-steps of EM, a KL divergence and the optimality
+    # residual still run, so none of them wakes scipy's pool
+    A, x_true = make_test_problem("phillips", 20)
+    data = sample_poisson_data(A, x_true, seed=substream_seed(0, "data"))
+    prior = make_prior("L2", 1.0, 20)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense Gaussian path called a scipy factorization kernel")
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", refuse)
+    for name in ("dpocon", "dpotri"):
+        monkeypatch.setattr(scipy.linalg.lapack, name, refuse)
+    fit, report = run_vga(A, data, prior, VgaConfig(mode="dense"))
+    assert report.converged
+    laplace = laplace_approximation(A, data, prior)
+    with pytest.raises(MaxIterationsExceeded) as exc:
+        run_hierarchical(A, data, prior, HyperConfig(max_em=2))
+    assert exc.value.partial[2].estep_converged == [True, True]
+    assert gaussian_kl(laplace, fit) > 0.0
+    assert all(np.isfinite(optimality_residual(fit, A, data, prior)))
