@@ -42,7 +42,7 @@ DEFAULTS: dict = {
     "out": "runs/out",
     "problem": {"name": "phillips", "size": 100, "rate_scale": [0.5, 50.0]},
     "prior": {"kind": "L2", "alpha": 10.0},
-    "solver": {"max_outer": VgaConfig.max_outer, "mode": "dense", "rank": None, "sparsity": None},
+    "solver": {"max_outer": VgaConfig.max_outer, "rank": None, "sparsity": None},
     "hyper": {
         "a": HyperConfig.a,
         "b": HyperConfig.b,
@@ -83,8 +83,6 @@ def _resolve_config(args) -> dict:
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out"] = args.out
-    if getattr(args, "mode", None) is not None:
-        cfg["solver"]["mode"] = args.mode
     if getattr(args, "rank", None) is not None:
         cfg["solver"]["rank"] = args.rank
     if getattr(args, "sparsity", None) is not None:
@@ -139,8 +137,7 @@ def _checked(vcfg: VgaConfig, A) -> VgaConfig:
 
 def _solver_config(cfg: dict, A) -> VgaConfig:
     s = cfg["solver"]
-    vcfg = VgaConfig(max_outer=s["max_outer"], mode=s["mode"], rank=s["rank"],
-                     mask=_build_mask(s["sparsity"], A.n_cols))
+    vcfg = VgaConfig(max_outer=s["max_outer"], rank=s["rank"], mask=_build_mask(s["sparsity"], A.n_cols))
     return _checked(vcfg, A)
 
 
@@ -192,8 +189,9 @@ def cmd_solve(cfg: dict):
     def run(out: Path) -> int:
         state, report = run_vga(A, data, prior, vcfg)
         _write_state(out, state)
-        _write_json(out / "report.json", _report_dict(report, problem=cfg["problem"]["name"], mode=vcfg.mode,
-                                                       rank=vcfg.rank, final_elbo=report.elbo_trace[-1]))
+        _write_json(out / "report.json", _report_dict(report, problem=cfg["problem"]["name"],
+                                                       mode=vcfg.execution_mode, rank=vcfg.rank,
+                                                       final_elbo=report.elbo_trace[-1]))
         print(f"solve: converged={report.converged} elbo={report.elbo_trace[-1]:.10g} out={out}")
         if not report.converged:
             return _fail(MaxIterationsExceeded("solver exhausted max_outer without converging"), 1)
@@ -256,14 +254,12 @@ def cmd_hyper(cfg: dict):
 
 
 def cmd_validate(cfg: dict):
-    if cfg["solver"]["mode"] == "lowrank_sparse":
-        raise ConfigError(
-            "validate needs a full covariance for the sampler; mode 'lowrank_sparse' "
-            "keeps only the masked entries"
-        )
     A, _x_true, data = _build_problem(cfg)
     prior = _build_prior(cfg, A.n_cols)
     vcfg = _solver_config(cfg, A)
+    if vcfg.mask is not None:
+        raise ConfigError("validate needs a full covariance for the sampler; a solver.sparsity "
+                          "mask keeps only the masked entries")
     mc = cfg["mcmc"]
     mcfg = McmcConfig(chain_length=mc["chain_length"], burn_in=mc["burn_in"],
                       seed=formats.substream_seed(cfg["seed"], "mcmc"))
@@ -355,16 +351,19 @@ def cmd_bench(cfg: dict):
     study = b["study"]
     if study not in ("lowrank", "sparsity"):
         raise ConfigError(f"bench study must be 'lowrank' or 'sparsity', got {study!r}")
+    for key in ("rank", "sparsity"):  # each point sets its own rank and mask
+        if cfg["solver"][key] is not None:
+            raise ConfigError(f"bench sets each point's rank and mask; solver.{key} is not read")
     A, _x_true, data = _build_problem(cfg)
     m = A.n_cols
     prior = _build_prior(cfg, m)
-    base = _solver_config(cfg, A)
+    base = _solver_config(cfg, A)  # the dense reference
     # both studies' points are built, and so checked, before anything is
     # written: a setting this study does not read is refused, as cmd_hyper
     # refuses prior.alpha; only the swept points must also factor A
-    VgaConfig(mode="lowrank", rank=b["rank"]).validate()
-    lowrank = [dataclasses.replace(base, mode="lowrank", rank=r, mask=None) for r in _sweep(b, "ranks")]
-    banded = [dataclasses.replace(base, mode="lowrank_sparse", rank=b["rank"], mask=SparsityMask.banded(m, s))
+    VgaConfig(rank=b["rank"]).validate()
+    lowrank = [dataclasses.replace(base, rank=r) for r in _sweep(b, "ranks")]
+    banded = [dataclasses.replace(base, rank=b["rank"], mask=SparsityMask.banded(m, s))
               for s in _sweep(b, "sparsities")]
     for p in lowrank + banded:
         p.validate()
@@ -375,8 +374,7 @@ def cmd_bench(cfg: dict):
     points = [_checked(p, A) for p in points]
 
     def run(out: Path) -> int:
-        dense_cfg = dataclasses.replace(base, mode="dense", rank=None, mask=None)
-        ref_state, ref_report = run_vga(A, data, prior, dense_cfg)
+        ref_state, ref_report = run_vga(A, data, prior, base)
 
         rows = [(p,) + _solution_errors(run_vga(A, data, prior, vcfg)[0], ref_state)
                 for p, vcfg in zip(sweep, points)]
@@ -418,14 +416,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="config file (key=value or JSON)")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument(
-            "--mode",
-            choices=["dense", "lowrank", "lowrank_sparse"],
-            default=None,
-            help="solver execution mode",
-        )
-        p.add_argument("--rank", type=int, default=None, help="factorization rank")
-        p.add_argument("--sparsity", type=str, default=None, help="mask: bandwidth or 'grid4'")
+        p.add_argument("--rank", type=int, default=None, help="rank of the factor of A; none is dense")
+        p.add_argument("--sparsity", type=str, default=None,
+                       help="covariance mask, which needs a rank: band width or 'grid4'")
         if name == "bench":
             p.add_argument("--study", choices=["lowrank", "sparsity"], default=None)
     return parser

@@ -124,7 +124,11 @@ def joint_lower_bound(
     if not (is_real(alpha) and alpha > 0):
         raise InvalidAlpha(f"alpha must be positive and finite, got {alpha!r}")
     _check_hyperprior(a, b)
-    F = elbo(state, A, data, prior_structure.with_alpha(alpha)).total
+    return _joint_bound(elbo(state, A, data, prior_structure.with_alpha(alpha)).total, alpha, a, b)
+
+
+def _joint_bound(F: float, alpha: float, a: float, b: float) -> float:
+    """:func:`joint_lower_bound` from F_alpha, the variational bound at alpha."""
     return F + (a - 1.0) * np.log(alpha) - alpha * b + a * np.log(b) - float(gammaln(a))
 
 
@@ -157,8 +161,7 @@ def update_alpha(state: GaussianState, prior_structure: PriorSpec, a: float, b: 
     denominator nonpositive raises :class:`NonpositiveDenominator`; any other
     a or b that is not positive and finite is a ``ConfigError``."""
     m = prior_structure.m
-    v = state.mean - prior_structure.mu0
-    denom = prior_structure.quad_base(v) + state.C.trace_base(prior_structure) + 2.0 * b
+    denom = 2.0 * (b - _psi(state, prior_structure))  # quad + trace + 2b, exactly
     if denom <= 0:
         raise NonpositiveDenominator(
             f"alpha update denominator {denom:.3e} is nonpositive (b must be > 0)"
@@ -256,9 +259,8 @@ def run_hierarchical(
             trace.estep_converged.append(report.converged)
             trace.estep_sweeps.append(len(report.inner_counts))
             trace.psi_sequence.append(_psi(state, prior_k))
-            trace.joint_bound_sequence.append(
-                joint_lower_bound(state, trial, A, data, prior_structure, cfg.a, cfg.b)
-            )
+            # the E-step's last bound is F_alpha at the state it returns
+            trace.joint_bound_sequence.append(_joint_bound(report.elbo_trace[-1], trial, cfg.a, cfg.b))
             if x is not None:
                 prev = (x, hx)
             x, hx, wx, alpha = trial, h, h, g

@@ -1,7 +1,7 @@
 """SPD linear algebra, PCG, randomized SVD, and low-rank covariance updates.
 
 Dense symmetric positive definite factorizations are thin wrappers over
-numpy's LAPACK and BLAS (scipy's only for the ``pocon`` estimate) that
+numpy's LAPACK and BLAS (scipy's only in :func:`spd_rcond`) that
 translate failures into package errors; the iterative and randomized
 routines are implemented here because their exact semantics (iteration
 counts, breakdown detection, seeding) are part of the package contract.
@@ -126,8 +126,8 @@ def spd_inverse(L: np.ndarray) -> np.ndarray:
 
 
 def spd_rcond(M: np.ndarray, L: np.ndarray) -> float:
-    """Reciprocal 1-norm condition estimate of an SPD matrix M, from LAPACK's
-    ``pocon`` estimator on its lower Cholesky factor L."""
+    """Reciprocal 1-norm condition estimate of an SPD matrix M, by LAPACK's
+    ``pocon`` on its lower Cholesky factor L (no solver step calls it)."""
     rcond, _info = scipy.linalg.lapack.dpocon(L, float(np.linalg.norm(M, 1)), uplo="L")
     return float(rcond)
 
@@ -549,12 +549,13 @@ def woodbury_cov(
 
         M = K - B^t B,   B = Li^{-1} R K,
 
-    and one Cholesky factor gives M, the determinant and a ``pocon``
-    singularity guard; cost O(r^2 (m + n) + r^3) per call.  With a mask,
-    only the masked entries are computed and returned, as a vector aligned
-    with ``mask.rows``/``mask.cols``: each pair i <= j is computed once and
-    mirrored, and equals the corresponding entry of the unmasked update.  No
-    m x m array is formed.
+    and one Cholesky factor gives M and the determinant.  As K is PSD, the
+    1-norm of I + R K R^t bounds its condition number; above 1e14 the step
+    raises SingularInnerSystem.  Cost O(r^2 (m + n) + r^3) per call.  With
+    a mask, only the masked entries are computed and returned, as a vector
+    aligned with ``mask.rows``/``mask.cols``: each pair i <= j is computed
+    once and mirrored, and equals the corresponding entry of the unmasked
+    update.  No m x m array is formed.
 
     Block budget: K is summed over row blocks of U (:func:`_weighted_gram`)
     and the masked entries of W M W^t are taken over row blocks of W
@@ -578,14 +579,14 @@ def woodbury_cov(
     RK = R @ K
     inner = RK @ R.T
     inner[np.diag_indices(s.size)] += 1.0
+    cond = float(np.linalg.norm(inner, 1))  # bounds cond_2, as lambda_min >= 1
+    if not cond <= 1e14:
+        raise SingularInnerSystem(f"inner system condition number up to {cond:.3e}")
     try:
         Li = cholesky(inner)
     except NotPositiveDefinite as exc:
         raise SingularInnerSystem(f"inner system: {exc}") from exc
-    rcond = spd_rcond(inner, Li)
     del inner
-    if not rcond >= 1e-14:
-        raise SingularInnerSystem(f"inner system reciprocal condition {rcond:.3e}")
     # numpy's solve, not scipy's triangular one: between numpy's GEMMs and
     # Cholesky a scipy call switches OpenBLAS runtimes (README, Kernels)
     B = np.linalg.solve(Li, RK)

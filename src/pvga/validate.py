@@ -147,7 +147,8 @@ def evidence_quadrature(A: ForwardOperator, data: PoissonData, prior: PriorSpec)
         ln Z = (m/2) ln 2 + ln|L| + ln sum_i w_i e^{g(x_i) + |u_i|^2}.
 
     The degree is refined (24, 32, ..., 72) until two successive values
-    agree to 5e-9.  Only for m <= 3 -- node count is exponential in m.
+    agree to 5e-9, else MaxIterationsExceeded carries the last as ``partial``.
+    Only for m <= 3 -- node count is exponential in m.
     """
     m = prior.m
     if m > 3:
@@ -171,7 +172,7 @@ def evidence_quadrature(A: ForwardOperator, data: PoissonData, prior: PriorSpec)
         if abs(cur - prev) < 5e-9:
             return cur
         prev = cur
-    return prev
+    raise MaxIterationsExceeded("quadrature evidence did not settle to 5e-9 by degree 72", partial=prev)
 
 
 def mh_independence_sampler(

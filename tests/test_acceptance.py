@@ -158,7 +158,7 @@ def test_a03_fast_outer_convergence_and_newton_decay(phillips100):
     t0 = time.perf_counter()
     A, data, _ = phillips100
     prior = make_prior("L2", 10.0, 100)
-    cfg = VgaConfig(mode="dense")
+    cfg = VgaConfig()
     state, report = run_vga(A, data, prior, cfg)
     outers = len(report.elbo_trace) - 1
 
@@ -194,9 +194,9 @@ def test_a04_initialization_independence_and_stationarity(phillips100):
     t0 = time.perf_counter()
     A, data, _ = phillips100
     prior = make_prior("L2", 10.0, 100)
-    st_a, rep_a = run_vga(A, data, prior, VgaConfig(mode="dense"))
+    st_a, rep_a = run_vga(A, data, prior, VgaConfig())
     st_b, rep_b = run_vga(
-        A, data, prior, VgaConfig(mode="dense"), initial_state=prior_start(prior, 0.5 * np.ones(100))
+        A, data, prior, VgaConfig(), initial_state=prior_start(prior, 0.5 * np.ones(100))
     )
     d_mean = float(np.linalg.norm(st_a.mean - st_b.mean))
     d_cov = float(np.linalg.norm(st_a.cov - st_b.cov, "fro"))
@@ -224,11 +224,11 @@ def test_a05_lowrank_errors_decay_with_rank(phillips100):
     t0 = time.perf_counter()
     A, data, _ = phillips100
     prior = make_prior("L2", 10.0, 100)
-    ref, _ = run_vga(A, data, prior, VgaConfig(mode="dense"))
+    ref, _ = run_vga(A, data, prior, VgaConfig())
     nx, nc = np.linalg.norm(ref.mean), np.linalg.norm(ref.cov, "fro")
     e_mean, e_cov = [], []
     for r in (2, 4, 6, 8, 10, 20):
-        st, _ = run_vga(A, data, prior, VgaConfig(mode="lowrank", rank=r))
+        st, _ = run_vga(A, data, prior, VgaConfig(rank=r))
         e_mean.append(np.linalg.norm(st.mean - ref.mean))
         e_cov.append(np.linalg.norm(st.cov - ref.cov, "fro"))
     e_mean, e_cov = np.array(e_mean), np.array(e_cov)
@@ -258,12 +258,12 @@ def test_a06_banded_errors_decay_with_bandwidth(phillips100):
     msgs, ok = [], True
     for kind, alpha in (("L2", 10.0), ("H1", 400.0)):
         prior = make_prior(kind, alpha, 100)
-        ref, _ = run_vga(A, data, prior, VgaConfig(mode="dense"))
+        ref, _ = run_vga(A, data, prior, VgaConfig())
         e_mean, e_cov = [], []
         for s in (1, 3, 5):
             mask = SparsityMask.banded(100, s)
             st, rep = run_vga(
-                A, data, prior, VgaConfig(mode="lowrank_sparse", rank=50, mask=mask)
+                A, data, prior, VgaConfig(rank=50, mask=mask)
             )
             ok = ok and rep.converged
             e_mean.append(np.linalg.norm(st.mean - ref.mean))
@@ -312,7 +312,7 @@ def test_a07_em_monotone_and_maximizes_profiled_bound(phillips100):
     # returned alpha must map back onto it
     state, alpha, _ = runs[10.0]
     st_star, _ = run_vga(
-        A, data, base.with_alpha(alpha), VgaConfig(mode="dense"), initial_state=state
+        A, data, base.with_alpha(alpha), VgaConfig(), initial_state=state
     )
     fp_res = abs(update_alpha(st_star, base, 1.0, 1e-4) - alpha) / alpha
 
@@ -321,7 +321,7 @@ def test_a07_em_monotone_and_maximizes_profiled_bound(phillips100):
     vals, warm = [], None
     for a in grid:
         pr = base.with_alpha(a)
-        stg, _ = run_vga(A, data, pr, VgaConfig(mode="dense"), initial_state=warm)
+        stg, _ = run_vga(A, data, pr, VgaConfig(), initial_state=warm)
         warm = stg
         vals.append(joint_lower_bound(stg, a, A, data, pr, 1.0, 1e-4))
     i_max = int(np.argmax(vals))
@@ -352,7 +352,7 @@ def test_a08_prior_weight_term_increases_with_alpha(phillips100):
     psis = []
     for scale in (0.25, 0.5, 1.0, 2.0, 4.0):
         pr = base.with_alpha(10.0 * scale)
-        st, _ = run_vga(A, data, pr, VgaConfig(mode="dense"))
+        st, _ = run_vga(A, data, pr, VgaConfig())
         psis.append(phi_psi(st, A, data, pr)[1])
     diffs = np.diff(psis)
     dt = time.perf_counter() - t0
@@ -395,7 +395,7 @@ def test_a10_independence_sampler_agrees_with_fit(phillips100):
     t0 = time.perf_counter()
     A, data, _ = phillips100
     prior = make_prior("L2", 10.0, 100)
-    proposal, report = run_vga(A, data, prior, VgaConfig(mode="dense"))
+    proposal, report = run_vga(A, data, prior, VgaConfig())
     summary = mh_independence_sampler(
         A, data, prior, proposal, McmcConfig(chain_length=200_000, burn_in=100_000, seed=0)
     )
@@ -424,7 +424,7 @@ def test_a11_deblurring_matches_map_quality():
     m = A.n_cols
     data = sample_poisson_data(A, x_true, seed=substream_seed(0, "data"))
     prior = make_prior("H1_2D", 1.0, m)
-    cfg = VgaConfig(mode="lowrank_sparse", rank=200, mask=SparsityMask.grid4(32))
+    cfg = VgaConfig(rank=200, mask=SparsityMask.grid4(32))
     state, report = run_vga(A, data, prior, cfg)
     x_map = map_estimate(A, data, prior)
     e_vga = float(np.linalg.norm(state.mean - x_true))

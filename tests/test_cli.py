@@ -88,11 +88,11 @@ def test_cli_factors_a_as_the_library_does(tmp_path):
     # a factored fit reads the library's rsvd factor, at its default seed
     cfg = write_cfg(tmp_path, problem={"name": "blur2d", "size": 16}, prior={"kind": "H1_2D", "alpha": 1.0})
     out = tmp_path / "o"
-    factored = ("--mode", "lowrank_sparse", "--rank", "51", "--sparsity", "grid4")
+    factored = ("--rank", "51", "--sparsity", "grid4")
     assert run("solve", cfg, out, "--seed", "0", *factored) == 0
     A, x_true = make_test_problem("blur2d", 16)
     data = sample_poisson_data(A, x_true, seed=substream_seed(0, "data"))
-    vcfg = VgaConfig(mode="lowrank_sparse", rank=51, mask=SparsityMask.grid4(16))
+    vcfg = VgaConfig(rank=51, mask=SparsityMask.grid4(16))
     _, report = run_vga(A, data, make_prior("H1_2D", 1.0, 256), vcfg)
     assert json.loads((out / "report.json").read_text())["final_elbo"] == report.elbo_trace[-1]
 
@@ -106,30 +106,31 @@ _COMMANDS = ("solve", "hyper", "bench", "validate")
 
 @pytest.mark.parametrize(
     "cmd, sections, extra",
-    [pytest.param(c, {}, ("--mode", "lowrank"), id=f"{c}-no_rank") for c in _COMMANDS]
+    # a mask without a rank
+    [pytest.param(c, {}, ("--sparsity", "3"), id=f"{c}-no_rank") for c in _COMMANDS]
     + [pytest.param(c, {"problem": {"name": "nope"}}, (), id=f"{c}-unknown_problem")
        for c in _COMMANDS]
-    + [pytest.param(c, {}, ("--rank", "10"), id=f"{c}-dense_rank") for c in _COMMANDS]
-    + [pytest.param(c, {}, ("--mode", "lowrank", "--rank", "10", "--sparsity", "3"),
-                    id=f"{c}-lowrank_mask") for c in _COMMANDS]
-    + [pytest.param(c, {}, ("--mode", "lowrank", "--rank", "0"), id=f"{c}-rank_zero")
-       for c in _COMMANDS]
-    + [pytest.param(c, {}, ("--mode", "lowrank", "--rank", "41"), id=f"{c}-rank_above_min_n_m")
-       for c in _COMMANDS]
+    + [pytest.param(c, {}, ("--rank", "0"), id=f"{c}-rank_zero") for c in _COMMANDS]
+    + [pytest.param(c, {}, ("--rank", "41"), id=f"{c}-rank_above_min_n_m") for c in _COMMANDS]
     + [pytest.param(c, {"problem": {"size": 20.9}}, (), id=f"{c}-size_not_integral") for c in _COMMANDS]
     + [
         pytest.param("hyper", {"hyper": {"a": 0.0}}, (), id="hyper-bad_a"),
         pytest.param("hyper", {"hyper": {"grid_points": -1}}, (), id="hyper-negative_grid_points"),
         pytest.param("bench", {"bench": {"study": "nope"}}, (), id="bench-unknown_study"),
+        # bench sets each point's rank and mask, so the solver's are not read
+        pytest.param("bench", {}, ("--rank", "10"), id="bench-dense_rank"),
+        pytest.param("bench", {}, ("--rank", "10", "--sparsity", "3"), id="bench-lowrank_mask"),
+        # the sampler needs the full covariance a masked fit does not hold
+        pytest.param("validate", {}, ("--rank", "10", "--sparsity", "3"), id="validate-lowrank_mask"),
         pytest.param("bench", {"bench": {"ranks": [2, 0]}}, (), id="bench-rank_zero_in_sweep"),
         pytest.param("bench", {"bench": {"ranks": [2, 41]}}, (), id="bench-rank_above_min_n_m_in_sweep"),
         pytest.param("bench", {"bench": {"study": "sparsity", "rank": 41}}, (),
                      id="bench-sparsity_rank_above_min_n_m"),
         # integer settings that their integer conversion would change, and
         # an even band width, which would keep one entry per row fewer
-        pytest.param("solve", {"solver": {"mode": "lowrank", "rank": 5.7}}, (), id="solve-rank_not_integral"),
+        pytest.param("solve", {"solver": {"rank": 5.7}}, (), id="solve-rank_not_integral"),
         pytest.param("solve", {"solver": {"max_outer": True}}, (), id="solve-max_outer_true"),
-        pytest.param("solve", {}, ("--mode", "lowrank_sparse", "--rank", "30", "--sparsity", "4"),
+        pytest.param("solve", {}, ("--rank", "30", "--sparsity", "4"),
                      id="solve-even_sparsity"),
         pytest.param("hyper", {"hyper": {"max_em": 2.5}}, (), id="hyper-max_em_not_integral"),
         pytest.param("hyper", {"hyper": {"grid_points": 3.5}}, (), id="hyper-grid_points_not_integral"),
@@ -162,7 +163,7 @@ _COMMANDS = ("solve", "hyper", "bench", "validate")
 )
 def test_solve_inconsistent_mode_is_usage_error(tmp_path, cmd, sections, extra):
     # config errors, also those found only once the problem is built, fail
-    # before anything is written; so do settings the mode would ignore
+    # before anything is written; so do settings the command would ignore
     cfg = write_cfg(tmp_path, **sections)
     out = tmp_path / "o"
     assert run(cmd, cfg, out, *extra) == 2
@@ -178,13 +179,13 @@ _BAND3 = SparsityMask.banded(40, 3)
     [
         # the cases of test_solve_inconsistent_mode_is_usage_error that a library setting decides
         pytest.param("size", lambda: make_test_problem("phillips", 20.9), id="size_20.9"),
-        pytest.param("rank", lambda: VgaConfig(mode="lowrank", rank=5.7).validate(), id="rank_5.7"),
+        pytest.param("rank", lambda: VgaConfig(rank=5.7).validate(), id="rank_5.7"),
         pytest.param("max_outer", lambda: VgaConfig(max_outer=True).validate(), id="max_outer_true"),
         pytest.param("max_em", lambda: HyperConfig(max_em=2.5).validate(), id="max_em_2.5"),
         pytest.param("chain_length", lambda: McmcConfig(chain_length=40000.5, burn_in=20000).validate(),
                      id="chain_length_40000.5"),
-        pytest.param("rank", lambda: VgaConfig(mode="lowrank", rank=4.5).validate(), id="bench_rank_4.5"),
-        pytest.param("rank", lambda: VgaConfig(mode="lowrank_sparse", rank=30.5, mask=_BAND3).validate(),
+        pytest.param("rank", lambda: VgaConfig(rank=4.5).validate(), id="bench_rank_4.5"),
+        pytest.param("rank", lambda: VgaConfig(rank=30.5, mask=_BAND3).validate(),
                      id="bench_rank_30.5"),
         pytest.param("alpha", lambda: make_prior("L2", True, 40), id="alpha_true"),
         pytest.param("alpha", lambda: make_prior("L2", "10", 40), id="alpha_string"),
@@ -196,7 +197,7 @@ _BAND3 = SparsityMask.banded(40, 3)
         pytest.param("alpha_tol", lambda: HyperConfig(alpha_tol=_INF).validate(), id="alpha_tol_inf"),
         # values each library entry point accepted on its own
         pytest.param("max_outer", lambda: VgaConfig(max_outer=2.5).validate(), id="max_outer_2.5"),
-        pytest.param("rank", lambda: VgaConfig(mode="lowrank", rank=True).validate(), id="rank_true"),
+        pytest.param("rank", lambda: VgaConfig(rank=True).validate(), id="rank_true"),
         pytest.param("a", lambda: HyperConfig(a=_NAN).validate(), id="a_nan"),
         pytest.param("b", lambda: HyperConfig(b=_INF).validate(), id="b_inf"),
         pytest.param("alpha_init", lambda: HyperConfig(alpha_init=_INF).validate(), id="alpha_init_inf"),
@@ -223,15 +224,31 @@ def test_library_refuses_what_the_cli_passes_through(field, build):
 def test_solve_masked_mode_without_rank_is_usage_error_at_every_size(tmp_path, capsys):
     # m = 1600 is above the size where a rank used to be picked silently
     cfg = write_cfg(tmp_path, problem={"name": "blur2d", "size": 40}, prior={"kind": "H1_2D"})
-    assert run("solve", cfg, tmp_path / "o", "--mode", "lowrank_sparse", "--sparsity", "grid4") == 2
+    assert run("solve", cfg, tmp_path / "o", "--sparsity", "grid4") == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert err["error"] == "ConfigError" and "requires an explicit rank" in err["message"]
+    assert err["error"] == "ConfigError" and "mask needs a rank" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "extra, mode, artifact",
+    [((), "dense", "cov.vgam"), (("--rank", "10"), "lowrank", "cov.vgam"),
+     (("--rank", "10", "--sparsity", "3"), "lowrank_sparse", "cov_masked.csv")],
+    ids=["dense", "lowrank", "masked"],
+)
+def test_rank_and_mask_choose_the_mode(tmp_path, extra, mode, artifact):
+    # no rank is a dense fit, a rank a low-rank one, a rank and a mask a
+    # masked one; report.json labels the mode they give
+    out = tmp_path / "o"
+    assert run("solve", write_cfg(tmp_path), out, *extra) == 0
+    assert json.loads((out / "report.json").read_text())["mode"] == mode
+    assert (out / artifact).is_file()
 
 
 @pytest.mark.parametrize(
     "section, key, value",
     [
         ("solver", "pcg_tol", 1e-3),
+        ("solver", "mode", "dense"),  # the mode follows from rank and mask
         ("slover", "mode", "lowrank"),
         ("emit", "csv", False),
         ("mcmc", "gamma", 1.5),
@@ -258,7 +275,7 @@ def test_readme_configs_resolve(tmp_path):
         path = tmp_path / f"readme{i}.cfg"
         path.write_text(block)
         cfg = _resolve_config(_build_parser().parse_args(["solve", "--config", str(path)]))
-        assert cfg["problem"]["name"] in block and cfg["solver"]["mode"] in block
+        assert cfg["problem"]["name"] in block and cfg["prior"]["kind"] in block
 
 
 def test_solve_budget_exhaustion_is_solver_failure(tmp_path):
@@ -270,7 +287,7 @@ def test_solve_budget_exhaustion_is_solver_failure(tmp_path):
 
 
 def test_solve_masked_mode(tmp_path):
-    cfg = write_cfg(tmp_path, solver={"mode": "lowrank_sparse", "rank": 30, "sparsity": 3})
+    cfg = write_cfg(tmp_path, solver={"rank": 30, "sparsity": 3})
     out = tmp_path / "o"
     assert run("solve", cfg, out) == 0
     assert (out / "cov_masked.csv").is_file()
@@ -335,13 +352,13 @@ def test_validate_schema_and_metrics(tmp_path):
 
 def test_validate_masked_mode_is_config_error(tmp_path, capsys):
     # the sampler draws from the fit's full covariance, which a masked fit
-    # does not have; the mode is refused before any fit or artifact
+    # does not have; the mask is refused before any fit or artifact
     cfg = write_cfg(tmp_path, problem={"name": "blur2d", "size": 16}, prior={"kind": "H1_2D"})
     out = tmp_path / "v"
-    assert run("validate", cfg, out, "--mode", "lowrank_sparse", "--rank", "51", "--sparsity", "grid4") == 2
+    assert run("validate", cfg, out, "--rank", "51", "--sparsity", "grid4") == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "ConfigError"
-    assert "full covariance" in err["message"] and "lowrank_sparse" in err["message"]
+    assert "full covariance" in err["message"] and "solver.sparsity" in err["message"]
     assert not out.exists()
 
 
@@ -382,6 +399,23 @@ def test_bench_sparsity_band_ordering(tmp_path):
     assert rows["e_mean"][1] <= rows["e_mean"][0]
 
 
+@pytest.mark.parametrize(
+    "sections, extra, key",
+    [({}, ("--rank", "7"), "solver.rank"),
+     ({"solver": {"rank": 7, "sparsity": 3}}, (), "solver.rank"),
+     ({"solver": {"sparsity": 3}}, (), "solver.sparsity")],
+    ids=["rank_flag", "rank_and_mask_in_config", "mask_in_config"],
+)
+def test_bench_refuses_the_solver_rank_and_mask(tmp_path, capsys, sections, extra, key):
+    # each point sets its own rank and mask and the reference is dense, so a
+    # solver rank or mask would be copied into config.txt and never read
+    out = tmp_path / "o"
+    assert run("bench", write_cfg(tmp_path, **sections), out, *extra) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and f"{key} is not read" in err["message"]
+    assert not out.exists()
+
+
 def test_bench_rerun_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, bench={"ranks": [2, 6]})
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -396,6 +430,8 @@ def test_bench_rerun_byte_identical(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+    with pytest.raises(SystemExit):  # --rank and --sparsity choose the mode
+        main(["solve", "--mode", "dense"])
 
 
 @pytest.mark.parametrize("cmd", _COMMANDS)

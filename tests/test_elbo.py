@@ -33,7 +33,7 @@ from pvga import (
     rate_vector,
     run_vga,
 )
-from pvga.errors import DimensionMismatch, DimensionTooLarge
+from pvga.errors import DimensionMismatch, DimensionTooLarge, MaxIterationsExceeded
 
 from conftest import random_problem, random_spd, random_state
 
@@ -328,6 +328,24 @@ def test_evidence_zero_operator():
     data = PoissonData(np.zeros(6, dtype=int))
     prior = PriorSpec(np.zeros(2), np.eye(2), 1.0)
     np.testing.assert_allclose(evidence_quadrature(A, data, prior), -6.0, atol=1e-8)
+
+
+def test_evidence_that_never_settles_raises(monkeypatch):
+    # a node rule whose weights grow with the degree moves ln Z by 2 ln(deg)
+    # at m = 2, so no two successive degrees agree: the last value comes
+    # back as the error's partial result, not as an answer
+    A = ForwardOperator.from_dense(np.zeros((6, 2)))
+    data = PoissonData(np.zeros(6, dtype=int))
+    prior = PriorSpec(np.zeros(2), np.eye(2), 1.0)
+
+    def drifting(deg):
+        nodes, weights = hermgauss(deg)
+        return nodes, weights * deg
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", drifting)
+    with pytest.raises(MaxIterationsExceeded, match="degree 72") as exc:
+        evidence_quadrature(A, data, prior)
+    np.testing.assert_allclose(exc.value.partial, -6.0 + 2.0 * np.log(72.0), atol=1e-8)
 
 
 def test_evidence_dimension_guard(rng):

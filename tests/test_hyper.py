@@ -302,17 +302,22 @@ def test_trace_records_every_estep(rng):
 
 
 def test_accepted_estep_evaluates_the_bound_once(rng, monkeypatch):
-    # psi is read off the state; only the joint bound evaluates elbo
+    # the E-step's last bound is F_alpha at the state it returns, so EM
+    # evaluates no bound of its own: psi is read off the state and the
+    # joint bound adds the hyperprior terms to the E-step's last bound
     import pvga.hyper as hyper
 
     A, data, prior = random_problem(rng, m=8, n=10)
     calls = []
     real_elbo = hyper.elbo
     monkeypatch.setattr(hyper, "elbo", lambda *args: calls.append(1) or real_elbo(*args))
-    state, _, trace = run_hierarchical(A, data, prior, HyperConfig(max_em=400))
-    assert len(calls) == len(trace.psi_sequence) == len(trace.joint_bound_sequence)
-    # the recorded psi is phi_psi's, bit for bit
-    assert trace.psi_sequence[-1] == phi_psi(state, A, data, prior.with_alpha(trace.alpha_sequence[-2]))[1]
+    cfg = HyperConfig(max_em=400)
+    state, _, trace = run_hierarchical(A, data, prior, cfg)
+    assert calls == [] and len(trace.psi_sequence) == len(trace.joint_bound_sequence)
+    # the recorded psi and joint bound are phi_psi's and joint_lower_bound's, bit for bit
+    alpha = trace.alpha_sequence[-2]
+    assert trace.psi_sequence[-1] == phi_psi(state, A, data, prior.with_alpha(alpha))[1]
+    assert trace.joint_bound_sequence[-1] == joint_lower_bound(state, alpha, A, data, prior, cfg.a, cfg.b)
 
 
 def test_masked_em_converges():
@@ -322,7 +327,7 @@ def test_masked_em_converges():
     side = 16
     A, x_true = make_test_problem("blur2d", side)
     data = sample_poisson_data(A, x_true, seed=0)
-    inner = VgaConfig(mode="lowrank_sparse", rank=51, mask=SparsityMask.grid4(side))
+    inner = VgaConfig(rank=51, mask=SparsityMask.grid4(side))
     state, alpha, trace = run_hierarchical(A, data, make_prior("H1_2D", 1.0, side * side),
                                            HyperConfig(inner=inner))
     assert trace.converged and alpha > 0
@@ -347,7 +352,7 @@ def test_masked_em_holds_one_woodbury_basis_at_a_time(monkeypatch):
     side = 16
     A, x_true = make_test_problem("blur2d", side)
     data = sample_poisson_data(A, x_true, seed=substream_seed(0, "data"))
-    inner = VgaConfig(mode="lowrank_sparse", rank=51, mask=SparsityMask.grid4(side))
+    inner = VgaConfig(rank=51, mask=SparsityMask.grid4(side))
     _, _, trace = run_hierarchical(A, data, make_prior("H1_2D", 1.0, side * side), HyperConfig(inner=inner))
     assert len(alive) == len(trace.psi_sequence) + len(trace.rejected_alphas) > 1
     assert alive == [0] * len(alive)
@@ -362,7 +367,7 @@ def test_dense_em_never_refactors_a_covariance(monkeypatch):
     monkeypatch.setattr(elbo_module, "cholesky", lambda M: calls.append(1) or real(M))
     A, x_true = make_test_problem("phillips", 100, rate_scale=(0.5, 50.0))
     data = sample_poisson_data(A, x_true, seed=substream_seed(0, "data"))
-    cfg = HyperConfig(max_em=400, inner=VgaConfig(mode="dense"))
+    cfg = HyperConfig(max_em=400, inner=VgaConfig())
     _, _, trace = run_hierarchical(A, data, make_prior("L2", 1.0, 100), cfg)
     assert trace.converged and len(trace.joint_bound_sequence) > 1
     assert calls == []
@@ -373,7 +378,7 @@ def test_em_settles_on_a_draw_plain_em_cannot_finish():
     A, x_true = make_test_problem("phillips", 100, rate_scale=(0.5, 50.0))
     data = sample_poisson_data(A, x_true, seed=substream_seed(3835832615, "data"))
     prior = make_prior("L2", 1.0, 100)
-    cfg = HyperConfig(a=1.0, b=1e-4, alpha_init=1.0, max_em=400, inner=VgaConfig(mode="dense"))
+    cfg = HyperConfig(a=1.0, b=1e-4, alpha_init=1.0, max_em=400, inner=VgaConfig())
     _, _, trace = run_hierarchical(A, data, prior, cfg)
     assert trace.converged
     assert np.all(np.diff(trace.alpha_sequence) <= 0)

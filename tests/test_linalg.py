@@ -427,6 +427,22 @@ def test_woodbury_singular_inner_system():
         woodbury_basis(prior, F)
 
 
+@pytest.mark.parametrize("w, trips", [(9.9e13, False), (1.01e14, True)])
+def test_woodbury_guard_is_the_one_norm_of_the_inner_system(w, trips):
+    # identity prior, so G = R = I and the inner system is diag(1 + w, 2):
+    # its 1-norm 1 + w bounds the 2-norm condition number, refused above 1e14
+    prior = PriorSpec(np.zeros(4), None, 1.0)
+    F = LowRankFactor(np.eye(4)[:, :2], np.ones(2), np.eye(4)[:, :2])
+    d = np.array([w, 1.0, 1.0, 1.0])
+    if trips:
+        with pytest.raises(SingularInnerSystem, match="1.010e\\+14"):
+            woodbury_cov(prior, woodbury_basis(prior, F), d)
+    else:
+        C, inner_logdet, _ = woodbury_cov(prior, woodbury_basis(prior, F), d)
+        assert inner_logdet == pytest.approx(np.log((1.0 + w) * 2.0), rel=1e-14)
+        assert C[0, 0] == pytest.approx(1.0 / (1.0 + w), rel=1e-12)
+
+
 def test_woodbury_masked_entries_match_dense_path(rng):
     m, n = 12, 10
     prior = prior_from_cov(random_spd(rng, m))
