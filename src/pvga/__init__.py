@@ -80,9 +80,6 @@ from .model import (
     ForwardOperator,
     PoissonData,
     PriorSpec,
-    log_joint,
-    log_likelihood,
-    log_prior,
     make_prior,
     make_test_problem,
     sample_poisson_data,

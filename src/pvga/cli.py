@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .elbo import GaussianState, MaskedCov, elbo
+from .elbo import GaussianState, MaskedCov
 from .errors import ConfigError, MaxIterationsExceeded, PvgaError, is_count
-from .hyper import HyperConfig, joint_lower_bound, run_hierarchical
+from .hyper import HyperConfig, _joint_bound, run_hierarchical
 from .linalg import SparsityMask
 from .model import make_prior, make_test_problem, sample_poisson_data
 from .validate import (
@@ -227,13 +227,14 @@ def cmd_hyper(cfg: dict):
             ["k", "alpha", "psi", "joint_bound"],
             [k, np.asarray(trace.alpha_sequence[: k.size]), trace.psi_sequence, trace.joint_bound_sequence],
         )
-        # profiled joint bound over a log-grid bracketing the attained alpha
+        # profiled joint bound over a log-grid bracketing the attained alpha;
+        # each run's last bound is F_alpha at the state it returns
         grid = alpha_star * np.logspace(-_GRID_DECADES, _GRID_DECADES, pts)
         bounds = []
         g_state = state
         for a_val in grid:
-            g_state, _ = run_vga(A, data, structure.with_alpha(a_val), vcfg, initial_state=g_state)
-            bounds.append(joint_lower_bound(g_state, a_val, A, data, structure, hcfg.a, hcfg.b))
+            g_state, g_report = run_vga(A, data, structure.with_alpha(a_val), vcfg, initial_state=g_state)
+            bounds.append(_joint_bound(g_report.elbo_trace[-1], a_val, hcfg.a, hcfg.b))
         formats.write_csv(out / "alpha_grid.csv", ["alpha", "joint_bound"], [grid, bounds])
         _write_state(out, state)
         _write_json(
@@ -313,27 +314,33 @@ def cmd_validate(cfg: dict):
     return run
 
 
-def _solution_errors(state, ref_state):
-    """Errors vs the dense reference, in both matrix norms.
+def _solution_errors(ref_state):
+    """The errors of a state vs the dense reference, in both matrix norms, as
+    a function of the state; the reference's norms are taken once.
 
-    Returns (e_mean, e_mean_rel, e_cov_fro, e_cov_fro_rel, e_cov_spec,
-    e_cov_spec_rel): the spectral norm is what banded-sweep error tables
-    conventionally report, the Frobenius norm what rank-sweep curves use;
+    The function returns (e_mean, e_mean_rel, e_cov_fro, e_cov_fro_rel,
+    e_cov_spec, e_cov_spec_rel): the spectral norm is what banded-sweep
+    error tables conventionally report, the Frobenius norm what rank-sweep
+    curves use;
     emitting both keeps the CSV norm-unambiguous.
     """
-    e_mean = float(np.linalg.norm(state.mean - ref_state.mean))
-    diff = -ref_state.cov
-    if isinstance(state.C, MaskedCov):  # its zero-filled projection
-        diff[state.C.mask.rows, state.C.mask.cols] += state.C.values
-    else:
-        diff += state.cov
-    diff = (diff + diff.T) / 2.0
-    e_fro = float(np.linalg.norm(diff))
-    e_spec = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
     ref_fro = max(float(np.linalg.norm(ref_state.cov)), 1e-300)
     ref_spec = max(float(np.max(np.abs(np.linalg.eigvalsh(ref_state.cov)))), 1e-300)
     mean_scale = max(float(np.linalg.norm(ref_state.mean)), 1e-300)
-    return (e_mean, e_mean / mean_scale, e_fro, e_fro / ref_fro, e_spec, e_spec / ref_spec)
+
+    def errors(state):
+        e_mean = float(np.linalg.norm(state.mean - ref_state.mean))
+        diff = -ref_state.cov
+        if isinstance(state.C, MaskedCov):  # its zero-filled projection
+            diff[state.C.mask.rows, state.C.mask.cols] += state.C.values
+        else:
+            diff += state.cov
+        diff = (diff + diff.T) / 2.0
+        e_fro = float(np.linalg.norm(diff))
+        e_spec = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+        return (e_mean, e_mean / mean_scale, e_fro, e_fro / ref_fro, e_spec, e_spec / ref_spec)
+
+    return errors
 
 
 _BENCH_ERROR_COLUMNS = ["e_mean", "e_mean_rel", "e_cov_fro", "e_cov_fro_rel", "e_cov_spec", "e_cov_spec_rel"]
@@ -375,9 +382,8 @@ def cmd_bench(cfg: dict):
 
     def run(out: Path) -> int:
         ref_state, ref_report = run_vga(A, data, prior, base)
-
-        rows = [(p,) + _solution_errors(run_vga(A, data, prior, vcfg)[0], ref_state)
-                for p, vcfg in zip(sweep, points)]
+        errors = _solution_errors(ref_state)
+        rows = [(p,) + errors(run_vga(A, data, prior, vcfg)[0]) for p, vcfg in zip(sweep, points)]
         cols = [np.array([row[j] for row in rows]) for j in range(len(names))]
         formats.write_csv(out / "bench.csv", names, cols)
         _write_json(

@@ -247,8 +247,13 @@ def grad_mean(state: GaussianState, A: ForwardOperator, data: PoissonData, prior
     """dF/dxbar = A^t y - A^t e^d - C0^{-1}(xbar - mu0)."""
     if data.n != A.n_rows or prior.m != state.dim:
         raise DimensionMismatch("grad_mean arguments disagree in shape")
-    rates = _exp_rates(rate_vector(state, A))
-    return A.rmatvec(data.y - rates) - prior.prec_apply(state.mean - prior.mu0)
+    return _grad_mean_at(state.mean, _exp_rates(rate_vector(state, A)), A, data, prior)
+
+
+def _grad_mean_at(mean, rates, A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> np.ndarray:
+    """dF/dxbar at ``mean`` from the rates e^d: :func:`grad_mean` without
+    its shape checks, for the Newton step's trial means."""
+    return A.rmatvec(data.y - rates) - prior.prec_apply(mean - prior.mu0)
 
 
 def _dense_precision(A: ForwardOperator, prior: PriorSpec, rates: np.ndarray) -> np.ndarray:

@@ -46,6 +46,12 @@ __all__ = [
 ]
 
 
+# The trust limit on a system's condition number: the solver's dense
+# covariance step, its Newton guard and the Woodbury inner system raise
+# above it.
+_COND_LIMIT = 1e14
+
+
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """(M + M^t)/2 — suppresses roundoff drift after covariance updates."""
     return (M + M.T) / 2.0
@@ -139,14 +145,15 @@ class PcgResult:
     converged: bool
 
 
-def pcg_solve(apply_M, b, precond=None, tol: float = 1e-6, maxit: int = 10) -> PcgResult:
+def pcg_solve(apply_M, b, precond=None, tol: float = 1e-6, maxit: int = 200) -> PcgResult:
     """Preconditioned conjugate gradients for SPD operators, from x = 0.
 
     ``apply_M`` and ``precond`` are callables v -> Mv; ``precond`` applies
     the *inverse* of the preconditioning matrix to a residual (the identity
     when None).  Stops when ||Mx - b|| <= tol * ||b|| or after ``maxit``
-    iterations.  Raises BreakdownError when a denominator p^t M p becomes
-    nonpositive, which signals a non-SPD operator.
+    iterations; the defaults are those of the solver's Newton steps.  Raises
+    BreakdownError when a denominator p^t M p becomes nonpositive, which
+    signals a non-SPD operator.
 
     The iteration runs on b / 2^e, with 2^e the power of two just above
     ||b|| (taken by BLAS nrm2, which stays finite and nonzero where
@@ -550,10 +557,11 @@ def woodbury_cov(
         M = K - B^t B,   B = Li^{-1} R K,
 
     and one Cholesky factor gives M and the determinant.  As K is PSD, the
-    1-norm of I + R K R^t bounds its condition number; above 1e14 the step
-    raises SingularInnerSystem.  Cost O(r^2 (m + n) + r^3) per call.  With
-    a mask, only the masked entries are computed and returned, as a vector
-    aligned with ``mask.rows``/``mask.cols``: each pair i <= j is computed
+    1-norm of I + R K R^t bounds its condition number; above _COND_LIMIT
+    (1e14) the step raises SingularInnerSystem.  Cost O(r^2 (m + n) + r^3)
+    per call.  With a mask, only the masked entries are computed and
+    returned, as a vector aligned with ``mask.rows``/``mask.cols``: each
+    pair i <= j is computed
     once and mirrored, and equals the corresponding entry of the unmasked
     update.  No m x m array is formed.
 
@@ -580,7 +588,7 @@ def woodbury_cov(
     inner = RK @ R.T
     inner[np.diag_indices(s.size)] += 1.0
     cond = float(np.linalg.norm(inner, 1))  # bounds cond_2, as lambda_min >= 1
-    if not cond <= 1e14:
+    if not cond <= _COND_LIMIT:
         raise SingularInnerSystem(f"inner system condition number up to {cond:.3e}")
     try:
         Li = cholesky(inner)

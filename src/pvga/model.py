@@ -30,9 +30,6 @@ __all__ = [
     "ForwardOperator",
     "PriorSpec",
     "PoissonData",
-    "log_likelihood",
-    "log_prior",
-    "log_joint",
     "sample_poisson_data",
     "make_test_problem",
     "make_prior",
@@ -406,35 +403,6 @@ def _band_inverse(L, b: int) -> np.ndarray:
         j = m - 1 - np.arange(m)[None, :] - k
         zb = np.where(j >= 0, zb[k, np.maximum(j, 0)], 0.0)
     return zb
-
-
-def log_likelihood(x, A: ForwardOperator, data: PoissonData) -> float:
-    """(Ax, y) - (e^{Ax}, 1) - (ln(y!), 1)."""
-    z = A.matvec(x)
-    if data.n != A.n_rows:
-        raise DimensionMismatch("data length does not match operator rows")
-    zmax = float(z.max()) if z.size else 0.0
-    if zmax > LOG_RATE_LIMIT:
-        raise RateOverflow(f"log-rate {zmax:.1f} exceeds overflow guard {LOG_RATE_LIMIT}")
-    return float(data.y @ z - np.exp(z).sum() - data.log_factorial_term)
-
-
-def log_prior(x, prior: PriorSpec) -> float:
-    """Gaussian log-density ln N(x; mu0, alpha^{-1} Cbar0), constants included."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != prior.mu0.shape:
-        raise DimensionMismatch("state/prior dimension mismatch")
-    v = x - prior.mu0
-    return float(
-        -0.5 * prior.alpha * prior.quad_base(v)
-        - 0.5 * prior.m * np.log(2.0 * np.pi)
-        + 0.5 * prior.logdet_prec()
-    )
-
-
-def log_joint(x, A: ForwardOperator, data: PoissonData, prior: PriorSpec) -> float:
-    """ln p(x, y) = log_likelihood + log_prior."""
-    return log_likelihood(x, A, data) + log_prior(x, prior)
 
 
 def sample_poisson_data(A: ForwardOperator, x_true, seed=0) -> PoissonData:

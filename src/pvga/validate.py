@@ -119,7 +119,8 @@ def laplace_approximation(A: ForwardOperator, data: PoissonData, prior: PriorSpe
 
 
 def _log_joint_rows(X: np.ndarray, Ad: np.ndarray, data: PoissonData, prior: PriorSpec) -> np.ndarray:
-    """Unnormalized-model log-joint per row; -inf where the rates overflow.
+    """The model's log-joint ln p(x, y), constants included, for each row x
+    of X; -inf where a log-rate passes LOG_RATE_LIMIT.
 
     The log-rates are clamped and exponentiated in place, so the rows x n
     rate array is the one temporary of its size."""

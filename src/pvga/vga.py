@@ -24,10 +24,11 @@ import numpy as np
 import scipy.linalg
 
 from .elbo import DenseCov, GaussianState, MaskedCov, PointMass, elbo, rate_vector
-from .elbo import _bound_with_logdet, _dense_precision, _exp_rates, _saturates
+from .elbo import _bound_with_logdet, _dense_precision, _exp_rates, _grad_mean_at, _saturates
 from .errors import BreakdownError, ConfigError, DimensionMismatch, IllConditioned, is_count
 # spd_rcond: unused here, kept as a name perfbench's tracer wraps
 from .linalg import (  # noqa: F401
+    _COND_LIMIT,
     SparsityMask,
     WoodburyBasis,
     cholesky,
@@ -50,16 +51,13 @@ __all__ = [
     "run_vga",
 ]
 
-_COND_LIMIT = 1e14
 # Each sweep takes up to _NEWTON_STEPS Newton steps on the mean, ending early
 # once a step is below _MEAN_STEP_TOL relative to the mean.  Each step's PCG
-# solve runs until its relative residual is below _PCG_TOL; _PCG_MAXIT is only
-# a safety ceiling, and a solve that reaches it is counted in the report's
+# solve runs to pcg_solve's default tolerance; its iteration ceiling is only
+# a safety limit, and a solve that reaches it is counted in the report's
 # ``pcg_unconverged``.
 _NEWTON_STEPS = 5
 _MEAN_STEP_TOL = 1e-8
-_PCG_TOL = 1e-6
-_PCG_MAXIT = 200
 # Stop rules: the bound moves less than _STALL_ELBO ("bound"), or a sweep
 # leaves the covariance at its fixed point and the bound moves less than its
 # own round-off, which grows with |F| and so with m ("fixed_point"; the
@@ -131,25 +129,30 @@ class SolverReport:
         return self.stop_rule is not None
 
 
-def _check_conditioning(apply_J, prior: PriorSpec) -> None:
-    """Cheap spectral guard: power-iterate J and bound its condition number
-    through lambda_min(J) >= lambda_min(C0^{-1}).  The norms are BLAS nrm2,
-    which stays finite at the clamped rates where sqrt(w.w) overflows."""
-    v = np.ones(prior.m) / np.sqrt(prior.m)
+def _power_norm(apply, m: int) -> float:
+    """Estimate of the largest eigenvalue of an SPD product ``apply``: the
+    norm of its 20th power-iteration step from the normalized ones vector,
+    or 0 once a step vanishes.  The norms are BLAS nrm2, which stays finite
+    at the clamped rates where sqrt(w.w) overflows."""
+    v = np.ones(m) / np.sqrt(m)
     lam = 0.0
     for _ in range(20):
-        w = apply_J(v)
+        w = apply(v)
         lam = float(scipy.linalg.norm(w, check_finite=False))
         if lam == 0.0:
-            return
+            break
         v = w / lam
-    # lambda_max(C0) via a short power iteration through the prior factorization
-    u = np.ones(prior.m) / np.sqrt(prior.m)
-    for _ in range(20):
-        w = prior.cov_apply(u)
-        mu = float(scipy.linalg.norm(w, check_finite=False))
-        u = w / mu
-    cond_bound = lam * mu
+    return lam
+
+
+def _check_conditioning(apply_J, prior: PriorSpec) -> None:
+    """Cheap spectral guard: bound the condition number of J by
+    lambda_max(J) lambda_max(C0), as lambda_min(J) >= lambda_min(C0^{-1}),
+    both by power iteration (C0's through the prior factorization)."""
+    lam = _power_norm(apply_J, prior.m)
+    if lam == 0.0:
+        return
+    cond_bound = lam * _power_norm(prior.cov_apply, prior.m)
     if cond_bound > _COND_LIMIT:
         raise IllConditioned(
             f"Newton system condition estimate {cond_bound:.2e} exceeds {_COND_LIMIT:.0e}"
@@ -163,24 +166,21 @@ def newton_step_mean(
     prior: PriorSpec,
     precond,
 ) -> tuple[np.ndarray, MeanStepReport]:
-    """One Newton step on the mean: solve (A^t D A + C0^{-1}) dx = -G by PCG
+    """One Newton step on the mean: solve (A^t D A + C0^{-1}) dx = G by PCG
     preconditioned with ``precond`` (a product v -> P v with P SPD), then
     backtrack on ||G||.  The report's ``grad_norm`` is ||G|| at the returned
     mean, read off the accepted trial.
 
-    G(x) = A^t (e^d - y) + C0^{-1}(x - mu0) with d = Ax + 1/2 diag(A C A^t)
-    and the rates clamped at e^LOG_RATE_LIMIT; a clamp first runs the
-    conditioning guard.  Its norms are taken with BLAS nrm2, which stays
-    finite where sqrt(G.G) would overflow.
+    G is :func:`~pvga.elbo.grad_mean`, A^t (y - e^d) - C0^{-1}(x - mu0) with
+    d = Ax + 1/2 diag(A C A^t) and the rates clamped at e^LOG_RATE_LIMIT; a
+    clamp first runs the conditioning guard.  Its norms are taken with BLAS
+    nrm2, which stays finite where sqrt(G.G) would overflow.
     """
-    def gradient(v, rates):
-        return A.rmatvec(rates - data.y) + prior.prec_apply(v - prior.mu0)
-
     d = rate_vector(state, A)
     rates = _exp_rates(d)
     q = state._quad(A)
     x = state.mean
-    G = gradient(x, rates)
+    G = _grad_mean_at(x, rates, A, data, prior)
     g_norm = scipy.linalg.norm(G, check_finite=False)
 
     def apply_J(v):
@@ -189,7 +189,7 @@ def newton_step_mean(
     if _saturates(d):
         _check_conditioning(apply_J, prior)
 
-    res = pcg_solve(apply_J, -G, precond=precond, tol=_PCG_TOL, maxit=_PCG_MAXIT)
+    res = pcg_solve(apply_J, G, precond=precond)
     step = res.x
     if not np.all(np.isfinite(step)):
         raise BreakdownError("non-finite Newton step")
@@ -199,7 +199,8 @@ def newton_step_mean(
     for _ in range(20):
         x_new = x + t * step
         trial_rates = _exp_rates(A.matvec(x_new) + 0.5 * q)
-        trial_norm = scipy.linalg.norm(gradient(x_new, trial_rates), check_finite=False)
+        trial_G = _grad_mean_at(x_new, trial_rates, A, data, prior)
+        trial_norm = scipy.linalg.norm(trial_G, check_finite=False)
         if trial_norm <= g_norm:
             break
         t *= 0.5

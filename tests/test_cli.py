@@ -325,6 +325,32 @@ def test_hyper_two_starts_and_grid(tmp_path):
     assert abs(alphas[0] - alphas[1]) <= 1e-3 * alphas[1]
 
 
+def test_hyper_grid_reads_each_runs_last_bound(tmp_path, monkeypatch):
+    # alpha_grid.csv takes each grid run's last bound, so the command
+    # evaluates no bound of its own, and writes joint_lower_bound's values
+    # at the grid states bit for bit
+    import pvga.hyper as hyper
+
+    calls, runs = [], []
+    real_elbo, real_run_vga = hyper.elbo, cli.run_vga
+
+    def recording_run_vga(A, data, prior, *args, **kwargs):
+        result = real_run_vga(A, data, prior, *args, **kwargs)
+        runs.append((A, data, prior, result[0]))
+        return result
+
+    monkeypatch.setattr(hyper, "elbo", lambda *args: calls.append(1) or real_elbo(*args))
+    monkeypatch.setattr(cli, "run_vga", recording_run_vga)
+    cfg = write_cfg(tmp_path, hyper={"grid_points": 5})
+    assert run("hyper", cfg, tmp_path / "h") == 0
+    assert calls == []
+    grid = read_csv(tmp_path / "h" / "alpha_grid.csv")
+    assert len(runs) == 5 and grid["alpha"].tolist() == [prior.alpha for _, _, prior, _ in runs]
+    a, b = HyperConfig.a, HyperConfig.b
+    assert grid["joint_bound"].tolist() == [hyper.joint_lower_bound(state, prior.alpha, A, data, prior, a, b)
+                                            for A, data, prior, state in runs]
+
+
 # -- validate ----------------------------------------------------------------
 
 

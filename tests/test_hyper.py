@@ -41,7 +41,7 @@ from pvga.errors import (
 from pvga.formats import substream_seed
 from pvga.model import make_prior, make_test_problem
 
-from conftest import random_prior, random_problem, random_state
+from conftest import random_problem, random_state
 
 
 # -- joint bound -------------------------------------------------------------
@@ -301,7 +301,12 @@ def test_trace_records_every_estep(rng):
     assert not capped.estep_converged[0]
 
 
-def test_accepted_estep_evaluates_the_bound_once(rng, monkeypatch):
+@pytest.mark.parametrize("inner", [
+    pytest.param({}, id="dense"),
+    pytest.param({"rank": 4}, id="lowrank"),
+    pytest.param({"rank": 4, "mask": SparsityMask.banded(8, 3)}, id="masked"),
+])
+def test_accepted_estep_evaluates_the_bound_once(rng, monkeypatch, inner):
     # the E-step's last bound is F_alpha at the state it returns, so EM
     # evaluates no bound of its own: psi is read off the state and the
     # joint bound adds the hyperprior terms to the E-step's last bound
@@ -311,7 +316,7 @@ def test_accepted_estep_evaluates_the_bound_once(rng, monkeypatch):
     calls = []
     real_elbo = hyper.elbo
     monkeypatch.setattr(hyper, "elbo", lambda *args: calls.append(1) or real_elbo(*args))
-    cfg = HyperConfig(max_em=400)
+    cfg = HyperConfig(max_em=400, inner=VgaConfig(**inner))
     state, _, trace = run_hierarchical(A, data, prior, cfg)
     assert calls == [] and len(trace.psi_sequence) == len(trace.joint_bound_sequence)
     # the recorded psi and joint bound are phi_psi's and joint_lower_bound's, bit for bit

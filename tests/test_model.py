@@ -7,21 +7,19 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
-from scipy.stats import chisquare, poisson
+from scipy.stats import chisquare, multivariate_normal, poisson
 
 import pvga
 from pvga import (
     ForwardOperator,
     PoissonData,
     PriorSpec,
-    log_joint,
-    log_likelihood,
-    log_prior,
     make_prior,
     make_test_problem,
     sample_poisson_data,
 )
 from pvga.errors import DimensionTooLarge, InvalidAlpha, InvalidData, RateOverflow, UnknownProblem
+from pvga.validate import _log_joint_rows
 
 from conftest import random_operator, random_prior
 
@@ -48,7 +46,29 @@ def test_log_factorial_term_uses_gammaln():
     assert data.log_factorial_term >= 0.0
 
 
-# -- log densities -----------------------------------------------------------
+# -- the log-joint -------------------------------------------------------------
+# The model's one log-density is the log-joint that the sampler and the
+# quadrature evaluate row by row, validate._log_joint_rows.  An oracle of the
+# likelihood alone is checked under the standard normal prior, whose closed
+# form is subtracted; one of the prior alone under a zero one-row operator
+# with no counts, whose log-likelihood is exactly -1.
+
+
+def log_joint_rows(X, A, data, prior):
+    return _log_joint_rows(np.atleast_2d(np.asarray(X, dtype=float)), A.dense(), data, prior)
+
+
+def log_likelihood(x, A, data):
+    """ln p(y | x): the log-joint under N(0, I) less ln N(x; 0, I)."""
+    x = np.asarray(x, dtype=float)
+    std_normal = -0.5 * float(x @ x) - 0.5 * x.size * np.log(2 * np.pi)
+    return float(log_joint_rows(x, A, data, PriorSpec(np.zeros(x.size), None, 1.0))[0]) - std_normal
+
+
+def log_prior(x, prior):
+    """ln N(x; mu0, C0): the log-joint under a zero operator less its -1."""
+    A0 = ForwardOperator.from_dense(np.zeros((1, prior.m)))
+    return float(log_joint_rows(x, A0, PoissonData(np.zeros(1, dtype=int)), prior)[0]) + 1.0
 
 
 def test_log_likelihood_zero_operator_zero_counts():
@@ -88,10 +108,16 @@ def test_log_likelihood_mode_property():
 
 
 def test_log_likelihood_overflow_guard():
+    # a row whose log-rate passes LOG_RATE_LIMIT (700) is -inf, and leaves
+    # the other rows at their own values (unit rate, no count: -1 - ln 2pi / 2)
     A = ForwardOperator.from_dense(np.array([[1.0]]))
     data = PoissonData(np.array([0]))
-    with pytest.raises(RateOverflow):
-        log_likelihood(np.array([710.0]), A, data)
+    prior = PriorSpec(np.zeros(1), None, 1.0)
+    values = log_joint_rows(np.array([[0.0], [710.0], [700.0], [0.0]]), A, data, prior)
+    assert np.isneginf(values).tolist() == [False, True, False, False]
+    expect = -1.0 - 0.5 * np.log(2 * np.pi)
+    assert values[0] == values[3] == pytest.approx(expect, rel=1e-14)
+    assert np.isfinite(values[2])
 
 
 def test_log_prior_values():
@@ -114,13 +140,19 @@ def test_log_prior_translation_invariance(rng):
 
 
 def test_log_joint_additivity(rng):
+    # each row's log-joint is the Poisson pmf oracle plus the Gaussian
+    # density oracle
     for _ in range(20):
         A = random_operator(rng, 4, 3)
         prior = random_prior(rng, 3)
-        x = rng.standard_normal(3)
+        X = rng.standard_normal((3, 3))
         y = rng.integers(0, 6, 4)
         data = PoissonData(y)
-        assert log_joint(x, A, data, prior) == log_likelihood(x, A, data) + log_prior(x, prior)
+        cov = np.linalg.inv(prior.prec_dense())
+        expect = [poisson.logpmf(y, np.exp(A.matvec(x))).sum()
+                  + multivariate_normal(prior.mu0, cov).logpdf(x) for x in X]
+        values = log_joint_rows(X, A, data, prior)
+        np.testing.assert_allclose(values, expect, rtol=1e-12)
 
 
 def test_log_joint_zero_operator_value():
@@ -129,7 +161,7 @@ def test_log_joint_zero_operator_value():
     prior = PriorSpec(np.zeros(m), np.eye(m), 1.0)
     data = PoissonData(np.zeros(n, dtype=int))
     expect = -n - (m / 2) * np.log(2 * np.pi)  # ln|C0^{-1}| = 0 here
-    assert log_joint(prior.mu0, A, data, prior) == pytest.approx(expect, rel=1e-13)
+    assert log_joint_rows(prior.mu0, A, data, prior)[0] == pytest.approx(expect, rel=1e-13)
 
 
 # -- sampling ----------------------------------------------------------------

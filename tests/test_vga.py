@@ -5,6 +5,7 @@ a two-dimensional solve is validated against an exhaustive lattice search
 over mean and Cholesky-parameterized covariance.
 """
 
+import functools
 import importlib
 import tracemalloc
 
@@ -375,7 +376,8 @@ def test_default_newton_steps_solve_to_tolerance_and_truncation_is_reported(monk
     _, report = run_vga(A, data, prior, VgaConfig(**cfg))
     assert report.converged
     assert sum(c["pcg_unconverged"] for c in report.inner_counts) == 0
-    monkeypatch.setattr(vga_module, "_PCG_MAXIT", 2)
+    # the Newton step takes pcg_solve's default ceiling: cap it at 2
+    monkeypatch.setattr(vga_module, "pcg_solve", functools.partial(vga_module.pcg_solve, maxit=2))
     _, capped = run_vga(A, data, prior, VgaConfig(max_outer=3, **cfg))
     assert sum(c["pcg_unconverged"] for c in capped.inner_counts) > 0
 
