@@ -1,10 +1,11 @@
 """SPD linear algebra, PCG, randomized SVD, and low-rank covariance updates.
 
 Dense symmetric positive definite factorizations are thin wrappers over
-numpy's LAPACK and BLAS (scipy's only in :func:`spd_rcond`) that
-translate failures into package errors; the iterative and randomized
-routines are implemented here because their exact semantics (iteration
-counts, breakdown detection, seeding) are part of the package contract.
+numpy's LAPACK and BLAS (scipy's only in :func:`spd_rcond`, and scipy's
+BLAS norm in :func:`pcg_solve`) that translate failures into package
+errors; the iterative and randomized routines are implemented here
+because their exact semantics (iteration counts, breakdown detection,
+seeding) are part of the package contract.
 """
 
 from __future__ import annotations
@@ -97,22 +98,33 @@ _INVERSE_BLOCK = 32
 
 
 def lower_inverse(L: np.ndarray) -> np.ndarray:
-    """L^{-1} for a nonsingular lower-triangular L, exactly lower triangular.
+    """L^{-1} for a nonsingular lower-triangular L, exactly lower triangular:
+    :func:`_invert_lower` applied to a copy of L."""
+    return _invert_lower(np.array(L, dtype=float, order="C"))
+
+
+def _invert_lower(L: np.ndarray) -> np.ndarray:
+    """Overwrite a nonsingular lower-triangular L, zero above its diagonal,
+    with L^{-1}, and return it.
 
     By halves, [[L11, 0], [L21, L22]]^{-1} = [[X11, 0], [-X22 L21 X11, X22]]
     with X11 = L11^{-1} and X22 = L22^{-1}, down to diagonal blocks of at
     most 32 rows, which numpy's LU inverts (the roundoff its pivoting
-    leaves above their diagonal is cleared).  About 2 m^3 / 3 flops, nearly
-    all in GEMMs, on numpy's runtime (README, Kernels)."""
+    leaves above their diagonal is cleared).  The halves are inverted in
+    their own places and X22 (-L21 X11) is written over L21, so the call
+    holds one (m/2)^2 temporary.  About 2 m^3 / 3 flops, nearly all in
+    GEMMs, on numpy's runtime (README, Kernels)."""
     m = L.shape[0]
     if m <= _INVERSE_BLOCK:
-        return np.tril(np.linalg.inv(L))
+        L[...] = np.tril(np.linalg.inv(L))
+        return L
     h = m // 2
-    X = np.zeros((m, m))
-    X[:h, :h] = X11 = lower_inverse(L[:h, :h])
-    X[h:, h:] = X22 = lower_inverse(L[h:, h:])
-    X[h:, :h] = -(X22 @ (L[h:, :h] @ X11))
-    return X
+    X11 = _invert_lower(L[:h, :h])
+    X22 = _invert_lower(L[h:, h:])
+    T = L[h:, :h] @ X11
+    np.negative(T, out=T)
+    np.matmul(X22, T, out=L[h:, :h])
+    return L
 
 
 def spd_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -451,7 +463,8 @@ def _cholesky_qr(Y: np.ndarray, span: bool = False) -> np.ndarray:
     tall block and k x k factorizations.  R is not formed; a caller that
     needs the coefficients takes Q^t Y.
 
-    A pass factors the Gram matrix G = Q^t Q = L L^t and sets Q <- Q L^-t.
+    A pass factors the Gram matrix G = Q^t Q = L L^t, overwrites L with
+    L^-1 (:func:`_invert_lower`) and sets Q <- Q L^-t.
     The first pass factors G + s I with the shift
     s = 11 (nk + k(k+1)) u tr(G), which keeps the factorization defined for
     any nonzero block; later passes are unshifted, and they repeat until G
@@ -491,10 +504,9 @@ def _cholesky_qr(Y: np.ndarray, span: bool = False) -> np.ndarray:
                     break
                 if j == 0:
                     G[np.diag_indices(k)] += s
-                L = np.linalg.cholesky(G)
+                Linv = np.linalg.cholesky(G)
                 del G
-                Linv = np.linalg.inv(L)
-                del L
+                _invert_lower(Linv)  # the factor is not read again
                 damped = not s * np.sum(Linv * Linv) <= 0.5
                 if j > 0 and damped:
                     break
@@ -556,7 +568,9 @@ def woodbury_cov(
 
         M = K - B^t B,   B = Li^{-1} R K,
 
-    and one Cholesky factor gives M and the determinant.  As K is PSD, the
+    and one Cholesky factor gives M and the determinant: the determinant is
+    read from Li's diagonal first, then Li is inverted in its own place
+    (:func:`_invert_lower`) and B is one GEMM.  As K is PSD, the
     1-norm of I + R K R^t bounds its condition number; above _COND_LIMIT
     (1e14) the step raises SingularInnerSystem.  Cost O(r^2 (m + n) + r^3)
     per call.  With a mask, only the masked entries are computed and
@@ -595,11 +609,10 @@ def woodbury_cov(
     except NotPositiveDefinite as exc:
         raise SingularInnerSystem(f"inner system: {exc}") from exc
     del inner
-    # numpy's solve, not scipy's triangular one: between numpy's GEMMs and
-    # Cholesky a scipy call switches OpenBLAS runtimes (README, Kernels)
-    B = np.linalg.solve(Li, RK)
-    del RK
-    M = K  # K - B^t B, formed in K's place
+    inner_logdet = logdet(Li)  # read before Li is overwritten by its inverse
+    B = _invert_lower(Li) @ RK
+    del Li, RK
+    M = K  # K - B^t B, formed in K's place; both terms are syrk products
     M -= B.T @ B
     if mask is None:
         C = symmetrize(prior.cov_dense() - W @ M @ W.T)
@@ -609,20 +622,20 @@ def woodbury_cov(
         vals = prior.cov_entries(rows, cols)
         vals -= _masked_lowrank_entries(W, M, rows, cols, mask.diagonal_offsets())
         C = vals[idx]
-    return C, logdet(Li), M
+    return C, inner_logdet, M
 
 
 def _weighted_gram(U, s, d) -> np.ndarray:
-    """K = S U^t D U S, symmetrized, summed over row blocks of U, so no
-    array of D U's size is formed."""
+    """K = S U^t D U S as the sum of Z^t Z over row blocks Z of D^{1/2} U S,
+    so no array of D U's size is formed.  numpy forms each Z^t Z by BLAS
+    syrk, so K is exactly symmetric."""
     r = s.size
     K = np.zeros((r, r))
     for rows in _row_blocks(U.shape[0], r):
-        Ub = U[rows]
-        K += Ub.T @ (d[rows, None] * Ub)
-    K *= s[:, None]
-    K *= s[None, :]
-    return symmetrize(K)
+        Z = U[rows] * np.sqrt(d[rows])[:, None]
+        Z *= s
+        K += Z.T @ Z
+    return K
 
 
 def _masked_lowrank_entries(W, M, rows, cols, offsets) -> np.ndarray:

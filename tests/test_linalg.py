@@ -1,5 +1,7 @@
 """Dense SPD helpers, PCG, randomized SVD, and the Woodbury update."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -110,13 +112,61 @@ def test_numpy_spd_helpers_match_a_cho_solve_reference(m, log_cond, log_scale, s
         assert np.linalg.norm(spd_solve(L, B) - ref) <= tol * np.linalg.norm(ref)
 
 
+def random_lower(m):
+    rng = np.random.default_rng(m)
+    return np.tril(rng.standard_normal((m, m)), -1) + np.diag(rng.uniform(1.0, 2.0, m))
+
+
 @pytest.mark.parametrize("m", [1, 5, 32, 33, 100, 257])
 def test_lower_inverse_is_lower_triangular_at_every_split(m):
-    rng = np.random.default_rng(m)
-    L = np.tril(rng.standard_normal((m, m)), -1) + np.diag(rng.uniform(1.0, 2.0, m))
+    L = random_lower(m)
     X = lower_inverse(L)
     np.testing.assert_array_equal(np.triu(X, 1), 0.0)
     assert np.abs(X @ L - np.eye(m)).max() <= 1e-12 * np.abs(X).max() * np.abs(L).max() * m
+
+
+def lower_inverse_by_halves(L):
+    """The recursion by halves into a fresh result, for reference."""
+    m = L.shape[0]
+    if m <= 32:
+        return np.tril(np.linalg.inv(L))
+    h = m // 2
+    X = np.zeros((m, m))
+    X[:h, :h] = X11 = lower_inverse_by_halves(L[:h, :h])
+    X[h:, h:] = X22 = lower_inverse_by_halves(L[h:, h:])
+    X[h:, :h] = -(X22 @ (L[h:, :h] @ X11))
+    return X
+
+
+@pytest.mark.parametrize("m", [1, 5, 32, 33, 100, 257])
+def test_in_place_lower_inverse_matches_lower_inverse_bit_for_bit(m):
+    # the in-place helper that rsvd and the Woodbury step call, lower_inverse
+    # and a recursion into a fresh result do the same arithmetic
+    L = random_lower(m)
+    L_before = L.copy()
+    X = lower_inverse(L)
+    np.testing.assert_array_equal(L, L_before)  # lower_inverse leaves its input alone
+    Y = L.copy()
+    assert linalg._invert_lower(Y) is Y
+    np.testing.assert_array_equal(Y, X)
+    np.testing.assert_array_equal(X, lower_inverse_by_halves(L))
+
+
+def test_lower_inverse_holds_its_result_and_one_half_size_product():
+    # at rsvd's k = 310 the recursion writes every block into the result, so
+    # beside it only the (k/2)^2 product L21 X11 is alive; the slack covers
+    # the 32 x 32 leaves' LU inverse and its tril and small objects
+    k = 310
+    L = random_lower(k)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        lower_inverse(L)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    h = k // 2
+    assert peak <= 8 * k * k + 8 * (k - h) * h + 2**14, peak / (8 * k * k)
 
 
 # -- pcg ---------------------------------------------------------------------
@@ -457,6 +507,68 @@ def test_woodbury_masked_entries_match_dense_path(rng):
     np.testing.assert_allclose(
         masked, symmetrize(dense)[mask.rows, mask.cols], rtol=1e-12, atol=1e-15
     )
+
+
+def test_weighted_gram_and_woodbury_inner_matrix_are_exactly_symmetric(rng):
+    # K sums syrk products Z^t Z and M = K - B^t B subtracts another one, so
+    # no symmetrization is needed; blocks of two rows make K a sum of many
+    m, n, r = 30, 40, 12
+    prior = make_prior("H1", 2.0, m)
+    F = full_rank_factor(rng.standard_normal((n, m)))
+    F = LowRankFactor(F.U[:, :r], F.S[:r], F.V[:, :r])
+    d = np.exp(rng.uniform(-2, 2, n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_BLOCK_ELEMS", 2 * r)
+        K = linalg._weighted_gram(F.U, F.S, d)
+    np.testing.assert_array_equal(K, K.T)
+    basis = woodbury_basis(prior, F)
+    for mask in (None, SparsityMask.banded(m, 3)):
+        _, _, M = woodbury_cov(prior, basis, d, mask=mask)
+        np.testing.assert_array_equal(M, M.T)
+
+
+def test_woodbury_inner_logdet_is_read_from_the_cholesky_factor_before_its_inverse(rng):
+    # the step overwrites Li with Li^{-1}; the log-determinant it returns is
+    # 2 sum ln diag(Li) of the factor itself, equal to a fresh factor's
+    m, n, r = 20, 25, 8
+    prior = make_prior("H1", 0.5, m)
+    F = full_rank_factor(rng.standard_normal((n, m)))
+    F = LowRankFactor(F.U[:, :r], F.S[:r], F.V[:, :r])
+    basis = woodbury_basis(prior, F)
+    d = np.exp(rng.uniform(-1, 3, n))
+    K = linalg._weighted_gram(F.U, F.S, d)
+    inner = basis.R @ K @ basis.R.T
+    inner[np.diag_indices(r)] += 1.0
+    expect = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(inner))))
+    for mask in (None, SparsityMask.banded(m, 3)):
+        _, inner_logdet, _ = woodbury_cov(prior, basis, d, mask=mask)
+        assert inner_logdet == expect
+
+
+def test_factored_path_needs_no_lu_solve_or_large_lu_inverse(monkeypatch):
+    # the behavioral twin of test_source's check: with numpy's solve refused
+    # and its LU inverse refused above _invert_lower's 32-row leaves, rsvd
+    # of blur2d 16² at rank 51 and a masked Woodbury step still run
+    A, x_true = make_test_problem("blur2d", 16)
+    ref = rsvd(A, 51, seed=0)
+    inv = np.linalg.inv
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called on the factored path")
+
+    def small_inv(a):
+        assert a.shape[0] <= 32, a.shape
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", small_inv)
+    F = rsvd(A, 51, seed=0)
+    prior = make_prior("H1_2D", 1.0, 256)
+    C, inner_logdet, M = woodbury_cov(prior, woodbury_basis(prior, F), np.exp(A.matvec(x_true)),
+                                      mask=SparsityMask.grid4(16))
+    monkeypatch.undo()
+    np.testing.assert_array_equal(F.S, ref.S)
+    assert np.all(np.isfinite(C)) and np.isfinite(inner_logdet) and M.shape == (51, 51)
 
 
 def test_woodbury_inner_logdet_matches_dense_slogdet(rng):

@@ -47,3 +47,31 @@ def test_unused_import_check_finds_a_planted_import():
     assert unused_imports(planted) == ["line 1: json", "line 2: InvalidAlpha"]
     # the marker exempts its own statement only
     assert unused_imports("import json  # noqa: F401\n" + source) == []
+
+
+def linalg_calls(source: str, names: set) -> list[tuple[str, str]]:
+    """(called name, enclosing function) of every call to one of ``names``,
+    written as in the source (``np.linalg.inv``), in source order."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in names:
+            found.append((node.lineno, ast.unparse(node.func), func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return [(name, func) for _, name, func in sorted(found)]
+
+
+def test_factored_path_inverts_triangular_factors_without_lu():
+    # every Cholesky factor is inverted by linalg._invert_lower, whose leaves
+    # of at most 32 rows are the one place numpy's LU inverse runs; no LU
+    # solve is left (the behavioral twin is in test_linalg)
+    calls = {path.name: linalg_calls(path.read_text(), {"np.linalg.solve", "np.linalg.inv"})
+             for path in MODULES}
+    assert {name: c for name, c in calls.items() if c} == {
+        "linalg.py": [("np.linalg.inv", "_invert_lower")]
+    }
